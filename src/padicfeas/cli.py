@@ -145,7 +145,6 @@ def _cmd_reduce(args) -> int:
         mode=args.mode,
         repeats=args.repeats,
         prime_strategy=args.prime_strategy,
-        threads=args.threads,
         caps=_caps_from_args(args),
     )
     verdict, witness, transcripts = run_with_majority(cnf, config)
@@ -228,16 +227,23 @@ def _cmd_density(args) -> int:
 def _cmd_verify_transcript(args) -> int:
     with open(args.file) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError("a transcript file must hold a JSON object")
+    caps = _caps_from_args(args)
     if "runs" in obj:
+        runs = obj["runs"]
+        if not (isinstance(runs, list) and runs and all(isinstance(r, dict) for r in runs)):
+            raise ValueError("'runs' must be a non-empty list of transcript objects")
         all_checks = []
         ok = True
-        for i, run in enumerate(obj["runs"]):
-            run_ok, checks = verify_transcript(run)
+        encodings = {}
+        for i, run in enumerate(runs):
+            run_ok, checks = verify_transcript(run, caps, encodings)
             ok = ok and run_ok
             all_checks.append({"run": i, "ok": run_ok, "checks": checks})
         report = {"command": "verify-transcript", "ok": ok, "runs": all_checks}
     else:
-        ok, checks = verify_transcript(obj)
+        ok, checks = verify_transcript(obj, caps)
         report = {"command": "verify-transcript", "ok": ok, "checks": checks}
     _print_report(report, "transcript ok" if ok else "transcript verification FAILED")
     return EXIT_TRUE if ok else EXIT_FALSE
@@ -279,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--seed", type=int, default=None)
     pr.add_argument("--repeats", type=int, default=5)
     pr.add_argument("--prime-strategy", choices=("scan", "sample"), default="scan")
-    pr.add_argument("--threads", type=int, default=1)
     pr.add_argument("--max-vars", type=int, default=None)
     pr.add_argument("--out", default=None, help="also write the report to this file")
     pr.set_defaults(func=_cmd_reduce)
@@ -298,6 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify-transcript", help="re-verify a reduction transcript")
     pv.add_argument("file")
+    pv.add_argument("--max-vars", type=int, default=None)
     pv.set_defaults(func=_cmd_verify_transcript)
 
     return parser

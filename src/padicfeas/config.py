@@ -29,7 +29,6 @@ class Config:
     prime_strategy: str = "scan"   # "scan" | "sample"
     sample_c: int = 2              # sample k uniformly from {1, ..., 2**(n**sample_c)}
     sample_cprime: int = 2         # allow at most 9 * n**sample_cprime sampling trials
-    threads: int = 1
     caps: Caps = field(default_factory=Caps)
 
     def __post_init__(self):
@@ -37,8 +36,8 @@ class Config:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.prime_strategy not in ("scan", "sample"):
             raise ValueError(f"unknown prime strategy {self.prime_strategy!r}")
-        if self.repeats < 1 or self.threads < 1:
-            raise ValueError("repeats and threads must be positive")
+        if self.repeats < 1:
+            raise ValueError("repeats must be positive")
 
     def with_(self, **kwargs) -> "Config":
         return replace(self, **kwargs)
@@ -52,7 +51,6 @@ class Config:
             "prime_strategy": self.prime_strategy,
             "sample_c": self.sample_c,
             "sample_cprime": self.sample_cprime,
-            "threads": self.threads,
             "caps": {
                 "degree": caps.degree,
                 "gcd_degree": caps.gcd_degree,

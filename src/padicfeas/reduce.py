@@ -6,25 +6,32 @@ set equals the system's with probability at least 8/9; an anisotropic
 quadratic form collapses the pair to one polynomial h.  Feasibility over the
 p-adics is then decided exactly by enumerating the Q-th roots of unity modulo
 a prime p = 1 (mod Q): each common root among them lifts to a true root
-because x**Q - 1 is separable modulo p.  Every run is recorded in a
-transcript that can be re-verified without re-running any randomness.
+because x**Q - 1 is separable modulo p.  Evaluating a polynomial at every
+Q-th root of unity is a length-Q discrete Fourier transform over F_p, which
+the scan computes by the Good-Thomas prime-factor algorithm when that is
+cheaper than evaluating term by term.  Every run is recorded in a transcript
+that can be re-verified without re-running any randomness.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import compress, repeat
+from math import prod
+from operator import mod, mul
 
 from .bigmod import find_generator, find_qnr, first_primes, is_prime, primorial
-from .config import Config
+from .config import Caps, Config
 from .errors import CapsExceeded
 from .plaisted import Cnf3, encode_system, root_to_assignment, satisfies
 from .primes import ProgressionPrime, find_prime_in_progression
 from .sparsepoly import SparsePoly, poly_from_obj, poly_to_obj
 
-TRANSCRIPT_FORMAT = "padicfeas-transcript-v1"
+# v2 omits h, which g1, g2 and qnr fix; v1 transcripts, which record it, still verify.
+TRANSCRIPT_FORMAT = "padicfeas-transcript-v2"
+TRANSCRIPT_FORMAT_V1 = "padicfeas-transcript-v1"
 
 
 @dataclass(frozen=True)
@@ -49,11 +56,16 @@ class ReductionTranscript:
     qnr: int | None              # None for p = 2 (the x^2+xy+y^2 form) and k <= 2 n/a
     g1: SparsePoly | None
     g2: SparsePoly | None
-    h: SparsePoly | None
     match_count: int
     first_match: int | None      # least exponent t with omega**t a common root
     verdict: bool
     witness: tuple[int, ...] | None
+
+    @property
+    def h(self) -> SparsePoly | None:
+        """The single polynomial of the reduction, expanded on each read;
+        None in deterministic mode."""
+        return None if self.g1 is None else _quadratic_form(self.g1, self.g2, self.qnr)
 
     def to_obj(self) -> dict:
         def poly(f):
@@ -84,7 +96,6 @@ class ReductionTranscript:
             "qnr": None if self.qnr is None else str(self.qnr),
             "g1": poly(self.g1),
             "g2": poly(self.g2),
-            "h": poly(self.h),
             "match_count": self.match_count,
             "first_match": None if self.first_match is None else str(self.first_match),
             "verdict": self.verdict,
@@ -93,7 +104,11 @@ class ReductionTranscript:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ReductionTranscript":
-        if obj.get("format") != TRANSCRIPT_FORMAT:
+        """Parse a v2 or v1 transcript; a v1 transcript's recorded h is left
+        to verify_transcript."""
+        if not isinstance(obj, dict):
+            raise ValueError("a transcript must be a JSON object")
+        if obj.get("format") not in (TRANSCRIPT_FORMAT, TRANSCRIPT_FORMAT_V1):
             raise ValueError(f"unknown transcript format {obj.get('format')!r}")
 
         def opt_int(v):
@@ -127,7 +142,6 @@ class ReductionTranscript:
             qnr=opt_int(obj["qnr"]),
             g1=opt_poly(obj["g1"]),
             g2=opt_poly(obj["g2"]),
-            h=opt_poly(obj["h"]),
             match_count=int(obj["match_count"]),
             first_match=opt_int(obj["first_match"]),
             verdict=bool(obj["verdict"]),
@@ -170,76 +184,148 @@ def random_combine(polys, rng: random.Random):
     return g1, g2, a, b
 
 
+def _quadratic_form(f: SparsePoly, g: SparsePoly, qnr: int | None) -> SparsePoly:
+    """f**2 - qnr*g**2, or f**2 + f*g + g**2 when qnr is None (p = 2)."""
+    if qnr is None:
+        return f * f + f * g + g * g
+    return f * f - qnr * (g * g)
+
+
 def pair_to_single(f: SparsePoly, g: SparsePoly, p: int, rng: random.Random):
     """Collapse (f, g) to one polynomial with the same p-adic zero set.
 
     For odd p, h = f**2 - a*g**2 with a a quadratic non-residue; for p = 2,
     h = f**2 + f*g + g**2.  Either quadratic form vanishes over the p-adics
     only at (0, 0)."""
-    if p == 2:
-        return f * f + f * g + g * g, None
-    a = find_qnr(p, rng)
-    return f * f - a * (g * g), a
+    a = None if p == 2 else find_qnr(p, rng)
+    return _quadratic_form(f, g, a), a
 
 
-def _scan_roots(polys, omega: int, p: int, q_n: int, threads: int = 1) -> list[int]:
-    """Exponents t in [0, q_n) at which every polynomial vanishes at omega**t
-    modulo p.  Exponents reduce modulo q_n because omega**q_n = 1, so each
-    evaluation is a table lookup per term regardless of exponent size."""
-    table = [1] * q_n
-    for i in range(1, q_n):
-        table[i] = table[i - 1] * omega % p
-    reduced = []
+# The scan's cost rule counts term evaluations: evaluating directly costs
+# |survivors| * terms of them, and one prime-factor DFT costs
+# Q * sum(p_i) + _DFT_FIXED_COST.  In pure-Python timings on random 3CNF
+# clause polynomials and their combinations (n = 3, 4, 5; Q = 30, 210, 2310;
+# 2 to 211 terms), one DFT multiply-add cost about one term evaluation at
+# n = 4 and half of one at n = 5, and each transform had a fixed cost of about
+# 500 term evaluations, which is what decides the small cases at n = 3 and 4.
+_DFT_FIXED_COST = 500
+
+
+def _pfa_values(terms, omega: int, p: int, primes) -> list[int]:
+    """Values modulo p of sum c*x**e, over the (c, e) terms, at x = omega**t
+    for every t < Q = prod(primes), in the order of _pfa_exponents.
+
+    This is the length-Q DFT over F_p by the Good-Thomas prime-factor
+    algorithm.  Put the coefficient of x**e at the digits (e mod q_i) of a
+    q_1 x ... x q_n array, and read position (k_1, ..., k_n) of the output as
+    t = sum k_i * Q/q_i (mod Q).  Then omega**(e*t) = prod w_i**((e mod q_i) * k_i)
+    with w_i = omega**(Q/q_i), so the transform is a length-q_i DFT along each
+    axis in turn: about Q * sum(q_i) multiply-adds.  Each pass transforms the
+    outermost axis and writes it back as the innermost, so every pass reads
+    contiguous slices and the axes end in their starting order."""
+    q_n = prod(primes)
+    vals = [0] * q_n
+    for c, e in terms:
+        pos = 0
+        for q in primes:
+            pos = pos * q + e % q
+        vals[pos] += c
+    for q in primes:
+        m = q_n // q
+        w = pow(omega, m, p)
+        rows = [vals[j * m:(j + 1) * m] for j in range(q)]
+        for k in range(q):
+            scaled = [row if j * k == 0 else map(mul, row, repeat(pow(w, j * k, p)))
+                      for j, row in enumerate(rows)]
+            vals[k::q] = map(mod, map(sum, zip(*scaled)), repeat(p))
+    return vals
+
+
+def _pfa_exponents(primes) -> list[int]:
+    """The exponent t of each position of _pfa_values's output."""
+    q_n = prod(primes)
+    ts = [0]
+    for q in primes:
+        step = q_n // q
+        ts = [(t + k * step) % q_n for t in ts for k in range(q)]
+    return ts
+
+
+def _scan_roots(polys, omega: int, p: int, n: int) -> list[int]:
+    """Exponents t in [0, Q_n), ascending, at which every polynomial vanishes
+    at omega**t modulo p.
+
+    The polynomials filter the exponents in turn.  Each one is reduced modulo
+    (x**Q_n - 1, p) and then either evaluated term by term at the surviving
+    exponents or transformed at all of them by _pfa_values, whichever costs
+    less by the counts of the cost rule above.  A combination g1 of many
+    clause polynomials is transformed and leaves few survivors for g2; small
+    clause polynomials are evaluated, which stops at the first polynomial
+    that does not vanish, as a scan over t would."""
+    primes = first_primes(n)
+    q_n = primorial(n)
+    dft_cost = q_n * sum(primes) + _DFT_FIXED_COST
+    table = exponents = None
+    survivors = range(q_n)
     for f in polys:
+        if not survivors:
+            break
         terms = [(c % p, e % q_n) for c, e in f.terms if c % p]
-        reduced.append(terms)
-
-    def matches(ts):
-        out = []
-        for t in ts:
-            for terms in reduced:
+        if len(survivors) * len(terms) > dft_cost:
+            if exponents is None:
+                exponents = _pfa_exponents(primes)
+            values = _pfa_values(terms, omega, p, primes)
+            zeros = set(compress(exponents, [not v for v in values]))
+            survivors = [t for t in survivors if t in zeros]
+        else:
+            if table is None:
+                table = [1] * q_n
+                for i in range(1, q_n):
+                    table[i] = table[i - 1] * omega % p
+            kept = []
+            for t in survivors:
                 acc = 0
                 for c, e in terms:
                     acc += c * table[e * t % q_n]
-                if acc % p:
-                    break
-            else:
-                out.append(t)
-        return out
+                if not acc % p:
+                    kept.append(t)
+            survivors = kept
+    return list(survivors)
 
-    if threads <= 1 or q_n < 4 * threads:
-        return matches(range(q_n))
-    chunk = (q_n + threads - 1) // threads
-    ranges = [range(i, min(i + chunk, q_n)) for i in range(0, q_n, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(matches, ranges))
-    return sorted(t for part in parts for t in part)
+
+def _check_size(cnf: Cnf3, caps: Caps):
+    if cnf.num_vars > caps.max_vars:
+        raise CapsExceeded(
+            f"{cnf.num_vars} variables exceed the pipeline cap {caps.max_vars}"
+        )
+    if cnf.num_vars < 1:
+        raise ValueError("the pipeline needs at least one variable")
 
 
 def pipeline(
-    cnf: Cnf3, config: Config | None = None, rng: random.Random | None = None
+    cnf: Cnf3,
+    config: Config | None = None,
+    rng: random.Random | None = None,
+    polys: list[SparsePoly] | None = None,
 ) -> ReductionTranscript:
     """Run the full reduction on one formula and record everything.
 
     Deterministic mode draws no randomness: it scans the roots of unity and
     tests every clause polynomial directly.  Randomized mode combines the
-    clause polynomials into (g1, g2), forms the single polynomial h, and
-    declares h feasible exactly when some root of unity is a common root of
-    g1 and g2 modulo p."""
+    clause polynomials into (g1, g2), draws the non-residue that fixes the
+    single polynomial h = g1**2 - qnr*g2**2, and declares h feasible exactly
+    when some root of unity is a common root of g1 and g2 modulo p.  h itself
+    is never expanded here.  polys, when given, must be encode_system(cnf)."""
     config = config or Config()
-    if cnf.num_vars > config.caps.max_vars:
-        raise CapsExceeded(
-            f"{cnf.num_vars} variables exceed the pipeline cap {config.caps.max_vars}"
-        )
-    if cnf.num_vars < 1:
-        raise ValueError("the pipeline needs at least one variable")
+    _check_size(cnf, config.caps)
     randomized = config.mode == "randomized"
     if rng is None:
         rng = random.Random(config.seed)
     n = cnf.num_vars
     q_n = primorial(n)
     k = len(cnf.clauses)
-    polys = encode_system(cnf, term_cap=config.caps.term_count)
+    if polys is None:
+        polys = encode_system(cnf, term_cap=config.caps.term_count)
 
     strategy = config.prime_strategy if randomized else "scan"
     prime = find_prime_in_progression(
@@ -254,18 +340,16 @@ def pipeline(
     gen = find_generator(p, rng if randomized else None)
     omega = pow(gen, (p - 1) // q_n, p)
 
-    max_degree = big_n = avec = bvec = qnr = g1 = g2 = h = None
-    if k == 0:
-        matches = list(range(q_n))  # empty conjunction: every encoding works
-    elif randomized:
+    max_degree = big_n = avec = bvec = qnr = g1 = g2 = None
+    scan_polys = polys  # empty conjunction: every encoding works
+    if randomized and k > 0:
         g1, g2, avec, bvec = random_combine(polys, rng)
         if avec is not None:
             max_degree = max(max(f.degree for f in polys), 1)
             big_n = 18 * max_degree * k * k
-        h, qnr = pair_to_single(g1, g2, p, rng)
-        matches = _scan_roots([g1, g2], omega, p, q_n, config.threads)
-    else:
-        matches = _scan_roots(polys, omega, p, q_n, config.threads)
+        qnr = None if p == 2 else find_qnr(p, rng)
+        scan_polys = [g1, g2]
+    matches = _scan_roots(scan_polys, omega, p, n)
 
     witness = None
     for t in matches:
@@ -292,7 +376,6 @@ def pipeline(
         qnr=qnr,
         g1=g1,
         g2=g2,
-        h=h,
         match_count=len(matches),
         first_match=matches[0] if matches else None,
         verdict=bool(matches),
@@ -304,15 +387,18 @@ def run_with_majority(
     cnf: Cnf3, config: Config | None = None
 ) -> tuple[bool, tuple[int, ...] | None, list[ReductionTranscript]]:
     """Repeat the pipeline config.repeats times (once in deterministic mode)
-    on independent seeded streams and take the majority verdict."""
+    on independent seeded streams and take the majority verdict.  The clause
+    polynomials are encoded once for all the runs."""
     config = config or Config()
+    _check_size(cnf, config.caps)
+    polys = encode_system(cnf, term_cap=config.caps.term_count)
     repeats = config.repeats if config.mode == "randomized" else 1
     base = random.Random(config.seed)
     child_seeds = [base.getrandbits(64) for _ in range(repeats)]
     transcripts = []
     for child in child_seeds:
         run_config = config.with_(seed=child)
-        transcripts.append(pipeline(cnf, run_config, random.Random(child)))
+        transcripts.append(pipeline(cnf, run_config, random.Random(child), polys))
     yes = sum(1 for t in transcripts if t.verdict)
     verdict = yes * 2 > len(transcripts)
     witness = None
@@ -327,26 +413,43 @@ def run_with_majority(
 # -- transcript re-verification ----------------------------------------------------
 
 
-def verify_transcript(obj) -> tuple[bool, list[dict]]:
+def verify_transcript(
+    obj, caps: Caps | None = None, encodings: dict | None = None
+) -> tuple[bool, list[dict]]:
     """Re-check every reproducible claim in a transcript (given as a dict or a
     ReductionTranscript) without re-running any randomness.  Returns
-    (all_ok, per-check results)."""
+    (all_ok, per-check results).  A formula with more than caps.max_vars
+    variables raises CapsExceeded before any work that grows with it.
+    encodings, a dict shared by the calls on the runs of one report, keeps
+    each formula's clause polynomials so that they are encoded once."""
+    caps = caps or Caps()
+    encodings = {} if encodings is None else encodings
     checks: list[dict] = []
 
     def check(name, ok, detail=""):
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
         return ok
 
+    v1, recorded_h = False, None
     try:
-        t = obj if isinstance(obj, ReductionTranscript) else ReductionTranscript.from_obj(obj)
+        if isinstance(obj, ReductionTranscript):
+            t = obj
+        else:
+            t = ReductionTranscript.from_obj(obj)
+            v1 = obj["format"] == TRANSCRIPT_FORMAT_V1
+            if v1 and obj["h"] is not None:
+                recorded_h = poly_from_obj(obj["h"])
     except (KeyError, ValueError, TypeError) as exc:
         check("parse", False, str(exc))
         return False, checks
     check("parse", True)
 
     cnf = t.cnf
+    widest = max(t.n, cnf.num_vars)
+    if widest > caps.max_vars:
+        raise CapsExceeded(f"{widest} variables exceed the pipeline cap {caps.max_vars}")
     ok_shape = (
-        t.n == cnf.num_vars
+        t.n == cnf.num_vars >= 1
         and t.k == len(cnf.clauses)
         and t.q_n == primorial(t.n)
     )
@@ -369,7 +472,9 @@ def verify_transcript(obj) -> tuple[bool, list[dict]]:
     if not omega_ok:
         return False, checks
 
-    polys = encode_system(cnf)
+    if cnf not in encodings:
+        encodings[cnf] = encode_system(cnf, term_cap=caps.term_count)
+    polys = encodings[cnf]
     if t.mode == "randomized" and t.k > 0:
         if t.a is not None:
             d = max(max(f.degree for f in polys), 1)
@@ -393,23 +498,21 @@ def verify_transcript(obj) -> tuple[bool, list[dict]]:
         check("g2", t.g2 == g2)
         if p == 2:
             check("qnr", t.qnr is None, "p = 2 uses the x^2+xy+y^2 form")
-            h = g1 * g1 + g1 * g2 + g2 * g2
         else:
             qnr_ok = t.qnr is not None and pow(t.qnr, (p - 1) // 2, p) == p - 1
             check("qnr", qnr_ok, "passes the Euler criterion")
-            h = g1 * g1 - t.qnr * (g2 * g2) if t.qnr is not None else None
-        check("h", h is not None and t.h == h)
+        if v1:
+            check("h", recorded_h == _quadratic_form(g1, g2, t.qnr))
         scan_polys = [g1, g2]
     else:
-        nulls = (t.g1, t.g2, t.h, t.a, t.b, t.qnr, t.big_n, t.max_degree)
+        nulls = (t.g1, t.g2, t.a, t.b, t.qnr, t.big_n, t.max_degree)
+        if v1:
+            nulls += (recorded_h,)
         check("no-combination", all(v is None for v in nulls),
               "deterministic runs carry no combination data")
         scan_polys = polys
 
-    if t.k == 0:
-        matches = list(range(t.q_n))
-    else:
-        matches = _scan_roots(scan_polys, t.omega, p, t.q_n)
+    matches = _scan_roots(scan_polys, t.omega, p, t.n)
     check("verdict", t.verdict == bool(matches))
     check("match-count", t.match_count == len(matches))
     check("first-match", t.first_match == (matches[0] if matches else None))

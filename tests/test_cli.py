@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from padicfeas.cli import main
 from padicfeas.plaisted import Cnf3, satisfies
@@ -149,14 +152,34 @@ def test_reduce_deterministic_reproducible(tmp_path, capsys):
     assert r1["runs"] == r2["runs"]  # deterministic runs ignore the seed
 
 
-def test_reduce_threads_flag(tmp_path, capsys):
+@pytest.mark.parametrize("text", ["5", '{"runs": [5]}', "[]", '{"runs": []}', '{"runs": 5}'])
+def test_verify_transcript_malformed_json_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, ["verify-transcript", str(bad)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_transcript_variable_cap(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
-    cnf.write_text("p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n")
-    code, out1, _ = run_cli(capsys, ["reduce", str(cnf), "--seed", "4"])
-    code, out2, _ = run_cli(capsys, ["reduce", str(cnf), "--seed", "4", "--threads", "3"])
-    r1, r2 = report(out1), report(out2)
-    assert r1["runs"] == r2["runs"]
-    assert r1["verdict"] == r2["verdict"]
+    cnf.write_text("p cnf 3 1\n1 -2 3 0\n")
+    out_file = tmp_path / "t.json"
+    run_cli(capsys, ["reduce", str(cnf), "--seed", "2", "--out", str(out_file)])
+    obj = json.loads(out_file.read_text())
+    for run in obj["runs"]:
+        run["n"] = 10
+        run["cnf"]["num_vars"] = 10
+    crafted = tmp_path / "n10.json"
+    crafted.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, ["verify-transcript", str(crafted)])
+    assert code == 3 and "cap" in err
+    assert time.perf_counter() - start < 1.0
+    code, _, _ = run_cli(capsys, ["verify-transcript", str(out_file), "--max-vars", "2"])
+    assert code == 3
+    code, _, _ = run_cli(capsys, ["verify-transcript", str(out_file), "--max-vars", "3"])
+    assert code == 0
 
 
 def test_reduce_malformed_dimacs(tmp_path, capsys):

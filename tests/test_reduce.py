@@ -1,13 +1,26 @@
+import copy
+import hashlib
 import itertools
+import json
 import random
+import time
 
 import pytest
 
+import padicfeas.reduce as reduce_mod
+from padicfeas.bigmod import find_generator, first_primes, primorial
+from padicfeas.cli import main
 from padicfeas.config import Caps, Config
 from padicfeas.errors import CapsExceeded
-from padicfeas.plaisted import Cnf3, encode_system, satisfies
+from padicfeas.plaisted import Cnf3, encode_system, format_dimacs, satisfies
+from padicfeas.primes import find_prime_in_progression
 from padicfeas.reduce import (
+    TRANSCRIPT_FORMAT,
+    TRANSCRIPT_FORMAT_V1,
     ReductionTranscript,
+    _pfa_exponents,
+    _pfa_values,
+    _scan_roots,
     pair_to_single,
     pipeline,
     random_combine,
@@ -15,11 +28,28 @@ from padicfeas.reduce import (
     transcript_dumps,
     verify_transcript,
 )
-from padicfeas.sparsepoly import SparsePoly, gcd_dense, parse_poly
+from padicfeas.sparsepoly import SparsePoly, gcd_dense, parse_poly, poly_to_obj
 
 from helpers import random_cnf, random_nonzero_sparse, truth_table_sat
 
 CANONICAL_SHAPES = [[1, 2, 3], [-1, 2, 3], [-1, -2, 3], [-1, -2, -3]]
+
+
+def seeded_formula(n, k, seed):
+    rng = random.Random(seed)
+    return Cnf3.from_signed(
+        n, [[rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3)] for _ in range(k)]
+    )
+
+
+def to_v1(run):
+    """The v1 form of a v2 transcript object: the same fields plus the
+    expanded h."""
+    old = copy.deepcopy(run)
+    old["format"] = TRANSCRIPT_FORMAT_V1
+    h = ReductionTranscript.from_obj(run).h
+    old["h"] = None if h is None else poly_to_obj(h)
+    return old
 
 
 def exhaustive_small_formulas():
@@ -253,16 +283,6 @@ def test_pipeline_single_runs_agree_in_at_least_8_of_9():
         assert agree >= 8, (i, agree)
 
 
-def test_pipeline_threads_do_not_change_results():
-    cnf = Cnf3.from_signed(4, [[1, 2, 3], [-1, -2, 4], [2, -3, -4]])
-    t1 = pipeline(cnf, Config(mode="randomized", seed=77, threads=1))
-    t4 = pipeline(cnf, Config(mode="randomized", seed=77, threads=4))
-    assert transcript_dumps(t1.to_obj()) == transcript_dumps(t4.to_obj())
-    d1 = pipeline(cnf, Config(mode="deterministic", threads=1))
-    d4 = pipeline(cnf, Config(mode="deterministic", threads=4))
-    assert transcript_dumps(d1.to_obj()) == transcript_dumps(d4.to_obj())
-
-
 def test_pipeline_sample_prime_strategy():
     cnf = Cnf3.from_signed(3, [[1, -2, 3]])
     t = pipeline(cnf, Config(mode="randomized", seed=5, prime_strategy="sample"))
@@ -270,6 +290,96 @@ def test_pipeline_sample_prime_strategy():
     assert t.prime.p % t.q_n == 1
     ok, _ = verify_transcript(t.to_obj())
     assert ok
+
+
+# -- the root scan ----------------------------------------------------------------------
+
+
+def naive_roots(polys, omega, p, q_n):
+    """Every t < q_n at which every polynomial vanishes at omega**t, one
+    modular power per term."""
+    out = []
+    for t in range(q_n):
+        x = pow(omega, t, p)
+        if all(f.eval_mod(x, p) == 0 for f in polys):
+            out.append(t)
+    return out
+
+
+def scans_by_every_rule(polys, omega, p, n, monkeypatch):
+    """_scan_roots under its own cost rule, with every polynomial transformed,
+    and with every polynomial evaluated term by term."""
+    results = [_scan_roots(polys, omega, p, n)]
+    for fixed in (-(10 ** 30), 10 ** 30):
+        monkeypatch.setattr(reduce_mod, "_DFT_FIXED_COST", fixed)
+        results.append(_scan_roots(polys, omega, p, n))
+    monkeypatch.undo()
+    return results
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("mode", ["deterministic", "randomized"])
+def test_scan_roots_is_exact_on_seeded_formulas(n, mode, monkeypatch):
+    k = {1: 2, 2: 4, 3: 7, 4: 10, 5: 8}[n]
+    for seed in range(3 if n < 5 else 1):
+        cnf = seeded_formula(n, k, 70 + seed)
+        t = pipeline(cnf, Config(mode=mode, seed=seed))
+        polys = encode_system(cnf) if mode == "deterministic" else [t.g1, t.g2]
+        want = naive_roots(polys, t.omega, t.prime.p, t.q_n)
+        for got in scans_by_every_rule(polys, t.omega, t.prime.p, n, monkeypatch):
+            assert got == want
+        assert t.match_count == len(want)
+        assert t.first_match == (want[0] if want else None)
+
+
+def random_huge_sparse(rng, p, terms):
+    """Random coefficients of any sign, some divisible by p, and exponents up
+    to 10**40, some equal modulo Q."""
+    out = []
+    for _ in range(terms):
+        c = rng.choice((rng.randint(-10 ** 20, 10 ** 20), p * rng.randint(-3, 3) or 1))
+        out.append((c, rng.randint(0, 10 ** 40)))
+    if out:
+        c, e = out[0]
+        out.append((rng.randint(1, 9), e + 30030 * rng.randint(1, 10 ** 6)))
+    return SparsePoly(out)
+
+
+def scan_setting(n, rng):
+    """A prime p = 1 (mod Q_n) and a primitive Q_n-th root of unity modulo it."""
+    q_n = primorial(n)
+    p = find_prime_in_progression(n, strategy="scan").p
+    return p, q_n, pow(find_generator(p, rng), (p - 1) // q_n, p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_prime_factor_dft_values_match_naive_evaluation(n):
+    rng = random.Random(100 + n)
+    p, q_n, omega = scan_setting(n, rng)
+    for terms in (0, 1, 3, 8):
+        f = random_huge_sparse(rng, p, terms)
+        reduced = [(c % p, e % q_n) for c, e in f.terms]
+        values = dict(zip(_pfa_exponents(first_primes(n)),
+                          _pfa_values(reduced, omega, p, first_primes(n))))
+        assert sorted(values) == list(range(q_n))
+        for t in range(q_n):
+            assert values[t] == f.eval_mod(pow(omega, t, p), p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_scan_roots_is_exact_on_random_sparse_polynomials(n, monkeypatch):
+    rng = random.Random(200 + n)
+    p, q_n, omega = scan_setting(n, rng)
+    for _ in range(6):
+        polys = [random_huge_sparse(rng, p, rng.randint(1, 6)) for _ in range(rng.randint(1, 3))]
+        # a common root at a random omega**t makes the answer non-trivial
+        t0 = rng.randrange(q_n)
+        x0 = pow(omega, t0, p)
+        polys = [f - SparsePoly.constant(f.eval_mod(x0, p)) for f in polys]
+        want = naive_roots(polys, omega, p, q_n)
+        assert t0 in want
+        for got in scans_by_every_rule(polys, omega, p, n, monkeypatch):
+            assert got == want
 
 
 # -- transcripts ----------------------------------------------------------------------
@@ -301,29 +411,34 @@ def test_transcript_round_trip_and_verify():
     assert ok
 
 
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda o: o.__setitem__("verdict", not o["verdict"]),
-        lambda o: o.__setitem__("match_count", o["match_count"] + 1),
-        lambda o: o.__setitem__("witness", None),
-        lambda o: o.__setitem__("qnr", "2"),
-        lambda o: o.__setitem__("omega", "2"),
-        lambda o: o["a"].__setitem__(0, "1"),
-        lambda o: o["g1"]["terms"].__setitem__(0, ["1", "0"]),
-        lambda o: o["prime"].__setitem__("p", "61"),
-        lambda o: o["cnf"]["clauses"].__setitem__(0, [-1, 2, 3]),
-        lambda o: o.__setitem__("big_n", "17"),
-        lambda o: o.__setitem__("first_match", "0"),
-    ],
-)
-def test_verify_transcript_detects_tampering(mutate):
+TAMPERINGS = [
+    lambda o: o.__setitem__("verdict", not o["verdict"]),
+    lambda o: o.__setitem__("match_count", o["match_count"] + 1),
+    lambda o: o.__setitem__("witness", None),
+    lambda o: o.__setitem__("qnr", "2"),
+    lambda o: o.__setitem__("omega", "2"),
+    lambda o: o["a"].__setitem__(0, "1"),
+    lambda o: o["g1"]["terms"].__setitem__(0, ["1", "0"]),
+    lambda o: o["prime"].__setitem__("p", "61"),
+    lambda o: o["cnf"]["clauses"].__setitem__(0, [-1, 2, 3]),
+    lambda o: o.__setitem__("big_n", "17"),
+    lambda o: o.__setitem__("first_match", "0"),
+]
+
+
+def tampering_subject():
     # three clauses (real combination vectors), and the all-true encoding
     # t = 0 is not a match, so first_match tampering is detectable
     cnf = Cnf3.from_signed(3, [[1, 2, 3], [-1, -2, -3], [1, -2, 3]])
-    t = pipeline(cnf, Config(mode="randomized", seed=13), random.Random(13))
+    return pipeline(cnf, Config(mode="randomized", seed=13), random.Random(13))
+
+
+@pytest.mark.parametrize("mutate", TAMPERINGS)
+def test_verify_transcript_detects_tampering(mutate):
+    t = tampering_subject()
     assert t.first_match != 0
     obj = t.to_obj()
+    assert obj["format"] == TRANSCRIPT_FORMAT and "h" not in obj
     ok, _ = verify_transcript(obj)
     assert ok
     mutate(obj)
@@ -345,3 +460,98 @@ def test_verify_transcript_deterministic_mode():
 def test_verify_transcript_rejects_unknown_format():
     ok, checks = verify_transcript({"format": "something-else"})
     assert not ok and checks[0]["name"] == "parse"
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    TAMPERINGS + [
+        lambda o: o["h"]["terms"].__setitem__(0, [str(int(o["h"]["terms"][0][0]) + 1),
+                                                  o["h"]["terms"][0][1]]),
+        lambda o: o.__setitem__("h", None),
+        lambda o: o.pop("h"),
+    ],
+)
+def test_verify_transcript_v1_detects_tampering(mutate):
+    obj = to_v1(tampering_subject().to_obj())
+    ok, checks = verify_transcript(obj)
+    assert ok, checks
+    assert any(c["name"] == "h" for c in checks)
+    mutate(obj)
+    ok, checks = verify_transcript(obj)
+    assert not ok, checks
+
+
+def test_v1_transcripts_still_verify():
+    cnf = Cnf3.from_signed(4, [[1, 2, 3], [-1, -2, 4], [2, -3, -4], [1, -4, 3]])
+    for mode in ("randomized", "deterministic"):
+        obj = to_v1(pipeline(cnf, Config(mode=mode, seed=8)).to_obj())
+        assert obj["format"] == TRANSCRIPT_FORMAT_V1
+        assert (obj["h"] is None) == (mode == "deterministic")
+        ok, checks = verify_transcript(obj)
+        assert ok, checks
+    # a deterministic v1 run must not carry an h
+    obj["h"] = {"terms": [["1", "0"]]}
+    ok, _ = verify_transcript(obj)
+    assert not ok
+
+
+# Digests of the reports that the v1 code (before transcript v2) printed for
+# `reduce` on seeded formulas.  A v2 report with the expanded h put back into
+# every run, the v1 format string, and "threads": 1 back in the config must
+# reproduce them byte for byte: the verdicts, matches, witnesses and every
+# other recorded value are unchanged.
+V1_REPORT_DIGESTS = {
+    ((1, 2, 11), 0): "ba1e1eef1054300c64898f3a085f4d42738916c66a9fe19c1f252e44145aaced",
+    ((1, 2, 11), 1): "162b256f3fba72da9e03c265f9e42e55b382de9a52f62c3f1eaa410ec2e7d987",
+    ((1, 2, 11), 2): "e9109bb0bf7410d1ac05e3f8fae3bf33c8ed29b25b19d9fea6c01dfc406f9e3c",
+    ((2, 4, 12), 0): "2228d012b01cd103e3998d9b1b536f75cff20118cd8ce8935cee794454fa00e4",
+    ((2, 4, 12), 1): "78a4653bde99645ad8f9d417f581bc2e3f00aa2ff184a1a48c649a7d4fa4d3cf",
+    ((2, 4, 12), 2): "18306c139b0154f8fb6da354718b14c4293bccd13a81f2073bb10f87518c7e61",
+    ((3, 7, 13), 0): "ae824fa2807e955435e50f732ea80fb27d322ae4401e0b12c9e9421af52e2e8f",
+    ((3, 7, 13), 1): "250444c6b1ae2e274f01e8d1e5670a29b03f874903a30ff5082e95f92785adea",
+    ((3, 7, 13), 2): "b57fafe2e27378e61f58826b60cc54aeb00f6b6948b0fe29143c636dba1814d3",
+    ((4, 12, 14), 0): "6ef8ba350c3b08525991e8207512411ac67d29c688ad497abfe1013eaaeafca2",
+    ((4, 12, 14), 1): "4ba8bb326daf9c621fc0d67fa50bbf0031941c0804c30700934efe23e88b603f",
+    ((4, 12, 14), 2): "f9bd184550004f71b37836c200fdd2cc602dee28a8db63850790aecadf769e8a",
+    ((5, 21, 15), 0): "643e9b5fe229ff0428eb89c5534db088c1ceb8095c4933948607e988d61fdf0e",
+    ((5, 21, 15), 1): "21a765c52d46fdcb10e1608999ff6a4d42219e8b4a5b068b21fd7b6171a822fe",
+    ((5, 21, 15), 2): "a9a75058bf1095dd66aae75dc488c4267cd63bd839f56e918382562d77c724df",
+    ((3, 16, 16), 0): "27fb14cd821666c32ee81ee5c630784db5b2120ccddf33525b8ff8e930ff28e3",
+    ((3, 16, 16), 1): "91de866cfd2275a046711e0ea69d0a3bca470f45cded9c24a0f8eab64754b0a7",
+    ((3, 16, 16), 2): "cd26f2689a3289c7a8133dc95f7b0b30c0822ac3d3353cb740f6c47951b3cf61",
+}
+V1_REPORT_ARGS = [
+    ["--seed", "3"],
+    ["--mode", "deterministic"],
+    ["--seed", "4", "--prime-strategy", "sample", "--repeats", "3"],
+]
+
+
+@pytest.mark.parametrize("formula", sorted({f for f, _ in V1_REPORT_DIGESTS}))
+def test_v2_report_is_the_v1_report_without_h(formula, tmp_path, capsys):
+    path = tmp_path / "f.cnf"
+    path.write_text(format_dimacs(seeded_formula(*formula)))
+    for i, args in enumerate(V1_REPORT_ARGS):
+        main(["reduce", str(path)] + args)
+        report = json.loads(capsys.readouterr().out)
+        assert "threads" not in report["config"]
+        report["config"]["threads"] = 1
+        for j, run in enumerate(report["runs"]):
+            assert run["format"] == TRANSCRIPT_FORMAT and "h" not in run
+            report["runs"][j] = to_v1(run)
+        text = transcript_dumps(report)
+        assert hashlib.sha256(text.encode()).hexdigest() == V1_REPORT_DIGESTS[formula, i]
+
+
+def test_verify_transcript_caps_variables_before_any_work():
+    obj = pipeline(Cnf3.from_signed(3, [[1, -2, 3]]), Config(seed=2)).to_obj()
+    obj["n"] = 10
+    obj["cnf"]["num_vars"] = 10
+    # Q_10 is about 6.5e9: any table of that length would not finish
+    for candidate in (obj, to_v1(obj)):
+        start = time.perf_counter()
+        with pytest.raises(CapsExceeded):
+            verify_transcript(candidate)
+        assert time.perf_counter() - start < 1.0
+    with pytest.raises(CapsExceeded):
+        verify_transcript(obj | {"n": 3}, Caps(max_vars=3))

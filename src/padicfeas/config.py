@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class Config:
         return replace(self, **kwargs)
 
     def to_obj(self) -> dict:
-        caps = self.caps
         return {
             "seed": str(self.seed),
             "mode": self.mode,
@@ -51,14 +50,5 @@ class Config:
             "prime_strategy": self.prime_strategy,
             "sample_c": self.sample_c,
             "sample_cprime": self.sample_cprime,
-            "caps": {
-                "degree": caps.degree,
-                "gcd_degree": caps.gcd_degree,
-                "term_count": caps.term_count,
-                "k_max": caps.k_max,
-                "sieve_limit": caps.sieve_limit,
-                "rho_iterations": caps.rho_iterations,
-                "trial_division_bound": caps.trial_division_bound,
-                "max_vars": caps.max_vars,
-            },
+            "caps": asdict(self.caps),
         }

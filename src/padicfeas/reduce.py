@@ -176,12 +176,16 @@ def random_combine(polys, rng: random.Random):
     n_bound = 18 * d * k * k
     a = tuple(rng.randint(1, n_bound) for _ in range(k))
     b = tuple(rng.randint(1, n_bound) for _ in range(k))
-    g1 = SparsePoly.zero()
-    g2 = SparsePoly.zero()
-    for ai, bi, f in zip(a, b, polys):
-        g1 = g1 + ai * f
-        g2 = g2 + bi * f
-    return g1, g2, a, b
+    return _combine(a, polys), _combine(b, polys), a, b
+
+
+def _combine(coeffs, polys) -> SparsePoly:
+    """sum(a * f for a, f in zip(coeffs, polys)), accumulated in one pass."""
+    acc: dict[int, int] = {}
+    for a, f in zip(coeffs, polys):
+        for c, e in f.terms:
+            acc[e] = acc.get(e, 0) + a * c
+    return SparsePoly((c, e) for e, c in acc.items())
 
 
 def _quadratic_form(f: SparsePoly, g: SparsePoly, qnr: int | None) -> SparsePoly:
@@ -484,11 +488,8 @@ def verify_transcript(
                 t.b
             ) == t.k
             check("combination-range", ok_range)
-            g1 = SparsePoly.zero()
-            g2 = SparsePoly.zero()
-            for ai, bi, f in zip(t.a, t.b, polys):
-                g1 = g1 + ai * f
-                g2 = g2 + bi * f
+            g1 = _combine(t.a, polys)
+            g2 = _combine(t.b, polys)
         else:
             check("combination-bound", t.big_n is None and t.max_degree is None,
                   "pass-through for k <= 2")

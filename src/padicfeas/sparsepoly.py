@@ -204,40 +204,29 @@ def size_p(f: SparsePoly, p: int) -> int:
     return size(f) + _ceil_log2(2 + p)
 
 
-# -- named wrappers ----------------------------------------------------------
-
-
-def add(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    return f + g
-
-
-def mul(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    return f * g
-
-
-def square(f: SparsePoly) -> SparsePoly:
-    return f.square()
-
-
 # -- exact division ----------------------------------------------------------
 
 
 def exact_div(f: SparsePoly, g: SparsePoly, *, term_cap: int = 1_000_000) -> SparsePoly:
-    """Quotient q with f = q*g, by sparse long division from the top term.
+    """Integer quotient q with f = q*g, by sparse long division from the top
+    term in integer arithmetic.
 
-    Raises InexactDivision if the remainder is nonzero or the quotient is not
-    an integer polynomial, and CapsExceeded if the working term count blows
-    past term_cap (a dense-blowup guard, not a correctness limit).
+    Each step divides the top remainder coefficient by lc(g).  Raises
+    InexactDivision("quotient is not an integer polynomial") as soon as that
+    division leaves a remainder, InexactDivision("nonzero remainder") when
+    a term below deg(g) is left over, and CapsExceeded if the working term
+    count blows past term_cap (a dense-blowup guard, not a correctness limit).
     """
     if g.is_zero:
         raise ValueError("division by the zero polynomial")
     if f.is_zero:
         return SparsePoly.zero()
     cg, eg = g.terms[-1]
-    rem: dict[int, Fraction] = {e: Fraction(c) for c, e in f.terms}
+    lower = g.terms[:-1]  # the leading term cancels exactly
+    rem = {e: c for c, e in f.terms}
     heap = [-e for e in rem]
     heapq.heapify(heap)
-    quot: dict[int, Fraction] = {}
+    quot = []  # one term per step, exponents strictly descending
     while rem:
         if len(rem) + len(quot) > term_cap:
             raise CapsExceeded(f"exact_div exceeded the term cap of {term_cap}")
@@ -247,26 +236,23 @@ def exact_div(f: SparsePoly, g: SparsePoly, *, term_cap: int = 1_000_000) -> Spa
             continue  # stale heap entry
         if er < eg:
             raise InexactDivision("nonzero remainder")
-        qc = cr / cg
+        qc, r = divmod(cr, cg)
+        if r:
+            raise InexactDivision("quotient is not an integer polynomial")
         qe = er - eg
-        quot[qe] = quot.get(qe, Fraction(0)) + qc
-        for c, e in g.terms[:-1]:  # the leading term cancels exactly
+        quot.append((qc, qe))
+        for c, e in lower:
             te = qe + e
-            new = rem.get(te, Fraction(0)) - qc * c
+            new = rem.get(te, 0) - qc * c
             if new == 0:
                 rem.pop(te, None)
             else:
                 if te not in rem:
                     heapq.heappush(heap, -te)
                 rem[te] = new
-    out = []
-    for e, c in quot.items():
-        if c == 0:
-            continue
-        if c.denominator != 1:
-            raise InexactDivision("quotient is not an integer polynomial")
-        out.append((int(c), e))
-    return SparsePoly(out)
+    out = SparsePoly()
+    out._terms = tuple(reversed(quot))
+    return out
 
 
 # -- dense helpers (desk-scale oracles) --------------------------------------
@@ -407,12 +393,17 @@ def poly_to_obj(f: SparsePoly) -> dict:
 def poly_from_obj(obj) -> SparsePoly:
     if not isinstance(obj, dict) or "terms" not in obj:
         raise ValueError("polynomial object must be a mapping with a 'terms' key")
+    if not isinstance(obj["terms"], (list, tuple)):
+        raise ValueError("'terms' must be a list of [coefficient, exponent] pairs")
     terms = []
     prev = -1
     for entry in obj["terms"]:
-        if len(entry) != 2:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValueError("each term must be a [coefficient, exponent] pair")
-        c, e = int(entry[0]), int(entry[1])
+        try:
+            c, e = int(entry[0]), int(entry[1])
+        except TypeError as exc:
+            raise ValueError(f"term {entry!r} is not a pair of integers") from exc
         if c == 0:
             raise ValueError("zero coefficients are not allowed in the file format")
         if e <= prev:

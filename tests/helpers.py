@@ -12,6 +12,7 @@ import math
 import random
 from fractions import Fraction
 
+from padicfeas.errors import InexactDivision
 from padicfeas.plaisted import Cnf3, satisfies
 from padicfeas.sparsepoly import SparsePoly
 
@@ -143,3 +144,26 @@ def dense_to_sparse_primitive(a) -> SparsePoly:
     if ints[-1] < 0:
         ints = [-c for c in ints]
     return SparsePoly((c, e) for e, c in enumerate(ints) if c)
+
+
+def sparse_exact_div(f: SparsePoly, g: SparsePoly) -> SparsePoly:
+    """f / g by schoolbook long division over the rationals on a dict of
+    terms.  Raises InexactDivision unless the remainder is zero and every
+    quotient coefficient is an integer."""
+    cg, eg = g.terms[-1]
+    rem = {e: Fraction(c) for c, e in f.terms}
+    quot = {}
+    while rem and max(rem) >= eg:
+        top = max(rem)
+        qc = rem[top] / cg
+        quot[top - eg] = qc
+        for c, e in g.terms:
+            te = top - eg + e
+            rem[te] = rem.get(te, 0) - qc * c
+            if rem[te] == 0:
+                del rem[te]
+    if rem:
+        raise InexactDivision("nonzero remainder")
+    if any(c.denominator != 1 for c in quot.values()):
+        raise InexactDivision("quotient is not an integer polynomial")
+    return SparsePoly((int(c), e) for e, c in quot.items())

@@ -55,6 +55,15 @@ def test_decide_poly_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ['{"terms": 7}', '{"terms": [5]}', '{"terms": [[null, 1]]}'])
+def test_decide_malformed_poly_file_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, ["decide", str(bad), "--prime", "3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_decide_caps_exit(tmp_path, capsys):
     f = tmp_path / "big.txt"
     f.write_text("x^1000 - 2")

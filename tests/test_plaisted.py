@@ -21,7 +21,14 @@ from padicfeas.plaisted import (
 from padicfeas.primes import find_prime_in_progression
 from padicfeas.sparsepoly import SparsePoly, exact_div, size
 
-from helpers import dense, dense_divmod, dense_gcd_monic, dense_mul, dense_to_sparse_primitive
+from helpers import (
+    dense,
+    dense_divmod,
+    dense_gcd_monic,
+    dense_mul,
+    dense_to_sparse_primitive,
+    sparse_exact_div,
+)
 
 ALL_SHAPES = list(itertools.product((False, True), repeat=3))
 
@@ -224,6 +231,26 @@ def test_encode_system():
     assert len(polys) == 2
     assert polys[1] == SparsePoly(((1, 0), (1, 15)))
     assert encode_system(Cnf3(3, ())) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_encode_system_matches_rational_expansion(n):
+    rng = random.Random(300 + n)
+    clauses = [[rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 3))]
+               for _ in range(24)]
+    cnf = Cnf3.from_signed(n, clauses)
+    polys = encode_system(cnf)
+    assert len(polys) == len(cnf.clauses)
+    for clause, poly in zip(cnf.clauses, polys):
+        expected = SparsePoly.one()
+        factors = clause_poly(clause, n).factors
+        for m, e in factors:
+            for _ in range(max(e, 0)):
+                expected = expected * binom(m)
+        for m, e in factors:
+            for _ in range(max(-e, 0)):
+                expected = sparse_exact_div(expected, binom(m))
+        assert poly == expected, clause
 
 
 # -- assignment/root correspondence ----------------------------------------------

@@ -78,6 +78,27 @@ def test_random_combine_bound_and_ranges():
     assert g1 == expect1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_random_combine_equals_the_term_by_term_sum(n):
+    rng = random.Random(40 + n)
+    systems = [encode_system(seeded_formula(n, k, 50 * n + k)) for k in (3, 8, 21)]
+    systems.append([random_nonzero_sparse(rng, max_exp=30) for _ in range(6)])
+    for i, polys in enumerate(systems):
+        g1, g2, a, b = random_combine(polys, random.Random(i))
+        k = len(polys)
+        n_bound = 18 * max(max(f.degree for f in polys), 1) * k * k
+        old = random.Random(i)
+        assert a == tuple(old.randint(1, n_bound) for _ in range(k))
+        assert b == tuple(old.randint(1, n_bound) for _ in range(k))
+        e1 = e2 = SparsePoly.zero()
+        for ai, bi, f in zip(a, b, polys):
+            e1 = e1 + ai * f
+            e2 = e2 + bi * f
+        assert (g1, g2) == (e1, e2)
+    f = parse_poly("x^3 - 2*x + 1")
+    assert reduce_mod._combine((2, 1), [f, -2 * f]).is_zero
+
+
 def test_random_combine_passthrough_and_errors():
     rng = random.Random(1)
     f, g = parse_poly("x-1"), parse_poly("x-2")

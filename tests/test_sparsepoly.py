@@ -18,7 +18,14 @@ from padicfeas.sparsepoly import (
     to_dense,
 )
 
-from helpers import dense, dense_gcd_monic, dense_to_sparse_primitive, random_sparse
+from helpers import (
+    dense,
+    dense_gcd_monic,
+    dense_to_sparse_primitive,
+    random_nonzero_sparse,
+    random_sparse,
+    sparse_exact_div,
+)
 
 X = SparsePoly.x_power
 
@@ -123,6 +130,42 @@ def test_exact_div_round_trip():
         if g.is_zero:
             continue
         assert exact_div(f * g, g) == f
+
+
+def outcome(div, f, g):
+    try:
+        return div(f, g)
+    except InexactDivision:
+        return InexactDivision
+
+
+def test_exact_div_matches_rational_oracle():
+    rng = random.Random(2024)
+    cases = [
+        (parse_poly("x^2 + x"), parse_poly("2*x")),  # quotient (x + 1)/2
+        (parse_poly("3*x^4 - 3"), parse_poly("3*x^2 + 3")),
+        (parse_poly("2*x^3 + 4*x + 1"), parse_poly("2*x")),  # integral steps, remainder 1
+        (parse_poly("x^3 - 1"), parse_poly("-x + 1")),
+    ]
+    for _ in range(400):
+        g = random_nonzero_sparse(rng, max_coeff=6)
+        q = random_sparse(rng, max_exp=20)
+        r = random_sparse(rng, max_exp=max(g.degree - 1, 0), max_coeff=3)
+        cases += [(q * g, g), (q * g, 2 * g), (q * g + r, g), (random_sparse(rng), g)]
+    inexact = exact = 0
+    for f, g in cases:
+        expected = outcome(sparse_exact_div, f, g)
+        assert outcome(exact_div, f, g) == expected, (f, g)
+        if expected is InexactDivision:
+            inexact += 1
+        else:
+            exact += 1
+            assert expected * g == f
+    assert exact > 400 and inexact > 400
+    with pytest.raises(InexactDivision, match="not an integer polynomial"):
+        exact_div(parse_poly("x^2 + x"), parse_poly("2*x"))
+    with pytest.raises(InexactDivision, match="nonzero remainder"):
+        exact_div(parse_poly("2*x^3 + 4*x + 1"), parse_poly("2*x"))
 
 
 def test_exact_div_term_cap():
@@ -256,6 +299,9 @@ def test_serialization_rejects_malformed():
         poly_from_obj({"nope": []})
     with pytest.raises(ValueError):
         poly_from_obj({"terms": [["1"]]})
+    for terms in (7, [5], [[None, 1]], [["1", {}]], "12"):
+        with pytest.raises(ValueError):
+            poly_from_obj({"terms": terms})
 
 
 def test_parse_poly():

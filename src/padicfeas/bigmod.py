@@ -80,6 +80,11 @@ def ord_p(n: int, p: int):
         raise ValueError(f"{p} is not prime")
     if n == 0:
         return INFINITY
+    return _valuation(n, p)
+
+
+def _valuation(n: int, p: int) -> int:
+    """ord_p(n) for n != 0, without re-checking that p is prime."""
     n = abs(n)
     v = 0
     while n % p == 0:
@@ -240,25 +245,6 @@ def multiplicative_order(a: int, m: int, **budget) -> int:
         while t % q == 0 and pow(a, t // q, m) == 1:
             t //= q
     return t
-
-
-class OrderBackend:
-    """Interface for multiplicative-order computation in (Z/mZ)*.
-
-    Exists so an alternative backend (e.g. a simulated period-finding
-    routine) can be swapped in; only the classical backend ships.
-    """
-
-    def order(self, a: int, m: int) -> int:
-        raise NotImplementedError
-
-
-class ClassicalOrderBackend(OrderBackend):
-    def order(self, a: int, m: int) -> int:
-        return multiplicative_order(a, m)
-
-
-DEFAULT_ORDER_BACKEND = ClassicalOrderBackend()
 
 
 @functools.lru_cache(maxsize=None)

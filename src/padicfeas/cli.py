@@ -324,3 +324,7 @@ def main(argv=None) -> int:
 
 def main_entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -12,16 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bigmod import (
-    DEFAULT_ORDER_BACKEND,
-    Modulus,
-    OrderBackend,
-    decompose_2adic_unit,
-    find_generator,
-    is_prime,
-    ord_p,
-    solvable_in_cyclic,
-)
+from .bigmod import Modulus, _valuation, find_generator, is_prime, ord_p
 from .config import Caps
 from .errors import CapsExceeded
 from .sparsepoly import (
@@ -136,21 +127,16 @@ def hensel_lift(f: SparsePoly, seed: HenselSeed, p: int, target_ell: int) -> int
 # -- binomial decision --------------------------------------------------------
 
 
-def decide_binomial(
-    c1: int,
-    a1: int,
-    c2: int,
-    a2: int,
-    p: int,
-    order_backend: OrderBackend = DEFAULT_ORDER_BACKEND,
-) -> PadicDecision:
+def decide_binomial(c1: int, a1: int, c2: int, a2: int, p: int) -> PadicDecision:
     """Decide whether c1*x**a1 + c2*x**a2 has a root in the p-adic rationals.
 
-    After normalizing to x**d = alpha with alpha a p-adic unit, feasibility
-    for odd p (and for p = 2 with d odd) is a divisibility condition on the
-    multiplicative order of alpha in (Z/p**ell Z)* with ell = 1 + 2*ord_p(d);
-    for p = 2 with d even it is read off the (-1)**a * 5**b decomposition of
-    alpha modulo 2**ell.
+    After normalizing to x**d = alpha with alpha a p-adic unit, one modular
+    power decides; the order of alpha is never computed.  With v = ord_p(d),
+    x**d = alpha is solvable for odd p (and for p = 2 with d odd) exactly
+    when alpha**((p-1)/gcd(d, p-1)) = 1 (mod p**(v+1)), and for p = 2 with
+    v >= 1 exactly when alpha = 1 (mod 2**(v+2)).  Both are the paper's test
+    modulo p**ell, ell = 1 + 2v: the first is alpha**(N/gcd(d, N)) = 1 in the
+    cyclic group (Z/p**ell Z)* of order N = p**(ell-1)*(p-1).
     """
     if c1 == 0 or c2 == 0:
         raise ValueError("coefficients must be nonzero")
@@ -171,29 +157,28 @@ def decide_binomial(
     # x**d = alpha with alpha = -c2/c1, nonzero.
     d = a1 - a2
     num, den = -c2, c1
-    vnum, vden = ord_p(num, p), ord_p(den, p)
+    vnum, vden = _valuation(num, p), _valuation(den, p)
     if (vnum - vden) % d != 0:
         return PadicDecision(False, RULE_VALUATION_MISMATCH)
 
-    ell = 1 + 2 * ord_p(d, p)
-    m = p ** ell
+    v = _valuation(d, p)
     unum = num // p ** vnum
     uden = den // p ** vden
+    if p == 2 and v > 0:
+        # The units of Z_2 are {+-1} x (1 + 4 Z_2), so their d-th powers are
+        # exactly 1 + 2**(v+2) Z_2.
+        m = 1 << (v + 2)
+        return PadicDecision(unum * pow(uden, -1, m) % m == 1, RULE_TWO_ADIC)
+
+    # The units of Z_p are mu_(p-1) x (1 + p Z_p), and 1 + p Z_p is isomorphic
+    # to Z_p for odd p, so the d-th powers are mu_(p-1)**gcd(d, p-1) x
+    # (1 + p**(v+1) Z_p); for p = 2 with d odd every unit is a d-th power.
+    # alpha**(N/gcd(d, N)) modulo p**ell tests the same with an exponent and a
+    # modulus about p**v times larger: seconds once v is in the thousands.
+    m = p ** (v + 1)
     alpha = unum * pow(uden, -1, m) % m
-
-    if p != 2 or ell <= 2:
-        group_order = p ** (ell - 1) * (p - 1)
-        t = order_backend.order(alpha, m)
-        return PadicDecision(
-            solvable_in_cyclic(t, d, group_order), RULE_CYCLIC_ORDER
-        )
-
-    # p = 2 with ell >= 3 (so d is even): units split as {+-1} x <5>.
-    sign, b = decompose_2adic_unit(alpha, ell)
-    half_group = 1 << (ell - 2)
-    order_5b = half_group // math.gcd(b, half_group) if b else 1
-    feasible = sign == 0 and solvable_in_cyclic(order_5b, d, half_group)
-    return PadicDecision(feasible, RULE_TWO_ADIC)
+    feasible = pow(alpha, (p - 1) // math.gcd(d, p - 1), m) == 1
+    return PadicDecision(feasible, RULE_CYCLIC_ORDER)
 
 
 # -- roots of unity in a prime field ------------------------------------------

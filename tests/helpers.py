@@ -12,6 +12,12 @@ import math
 import random
 from fractions import Fraction
 
+from padicfeas.bigmod import (
+    decompose_2adic_unit,
+    multiplicative_order,
+    ord_p,
+    solvable_in_cyclic,
+)
 from padicfeas.errors import InexactDivision
 from padicfeas.plaisted import Cnf3, satisfies
 from padicfeas.sparsepoly import SparsePoly
@@ -35,6 +41,46 @@ def naive_order(a: int, m: int) -> int:
         x = x * a % m
         t += 1
     return t
+
+
+# A 256-bit prime p for which factor(p - 1) exhausts its default budget, so
+# the order route cannot decide binomials over Q_p.
+P256_HARD = int(
+    "1061206852532668136443761674146031365505"
+    "18703637353323082256951950028664619221"
+)
+
+
+def order_route_binomial(c1: int, a1: int, c2: int, a2: int, p: int) -> tuple[bool, str]:
+    """(feasible, rule) for c1*x**a1 + c2*x**a2 over Q_p by the order route.
+
+    Normalizes to x**d = alpha, then reads solvability modulo p**ell,
+    ell = 1 + 2*ord_p(d), off the multiplicative order of alpha (odd p, or d
+    odd) or off alpha = (-1)**a * 5**b (p = 2, d even).  It factors the group
+    order, so it only suits small p and small ord_p(d).
+    """
+    if a1 < a2:
+        c1, a1, c2, a2 = c2, a2, c1, a1
+    if a1 == a2:
+        return (c1 + c2 == 0 or a1 > 0), "zero-root"
+    if a2 > 0:
+        return True, "zero-root"
+    d = a1 - a2
+    num, den = -c2, c1
+    vnum, vden = ord_p(num, p), ord_p(den, p)
+    if (vnum - vden) % d != 0:
+        return False, "valuation-mismatch"
+    ell = 1 + 2 * ord_p(d, p)
+    m = p ** ell
+    alpha = (num // p ** vnum) * pow(den // p ** vden, -1, m) % m
+    if p != 2 or ell == 1:
+        group_order = p ** (ell - 1) * (p - 1)
+        t = multiplicative_order(alpha, m)
+        return solvable_in_cyclic(t, d, group_order), "cyclic-order"
+    sign, b = decompose_2adic_unit(alpha, ell)
+    half_group = 1 << (ell - 2)
+    order_5b = half_group // math.gcd(b, half_group)
+    return sign == 0 and solvable_in_cyclic(order_5b, d, half_group), "two-adic"
 
 
 def truth_table_sat(cnf: Cnf3):

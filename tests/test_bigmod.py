@@ -5,7 +5,6 @@ import pytest
 
 from padicfeas.bigmod import (
     INFINITY,
-    ClassicalOrderBackend,
     Modulus,
     crt,
     decompose_2adic_unit,
@@ -80,12 +79,6 @@ def test_multiplicative_order_exhaustive_small_moduli():
             assert pow(a, t, m) == 1
             for q, _ in factor(t).items() if t > 1 else ():
                 assert pow(a, t // q, m) != 1
-
-
-def test_order_backend():
-    backend = ClassicalOrderBackend()
-    assert backend.order(2, 7) == 3
-    assert backend.order(5, 2 ** 5) == multiplicative_order(5, 32)
 
 
 def test_is_prime_examples():

@@ -1,10 +1,21 @@
+import contextlib
+import io
 import json
+import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import padicfeas
 from padicfeas.cli import main
 from padicfeas.plaisted import Cnf3, satisfies
+
+from helpers import P256_HARD, order_route_binomial
 
 
 def run_cli(capsys, argv):
@@ -38,6 +49,82 @@ def test_decide_binomial_huge_exponents(capsys):
     code, out, _ = run_cli(capsys, ["decide-binomial", "1", big, "-2", "0", "--prime", "7"])
     assert code in (0, 1)
     assert report(out)["input"]["a1"] == big
+
+
+def _run_module(module, argv):
+    env = dict(os.environ)
+    env.pop("PADICFEAS_SEED", None)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(padicfeas.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("module", ["padicfeas", "padicfeas.cli"])
+def test_python_m_runs_the_cli(module, capsys):
+    for argv in (
+        ["decide-binomial", "1", "2", "-3", "0", "--prime", "5"],
+        ["decide-binomial", "1", "2", "-4", "0", "--prime", "5"],
+        ["decide-binomial", "1", "2", "-2", "0", "--prime", "6"],
+    ):
+        expected = run_cli(capsys, argv)
+        proc = _run_module(module, argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    assert expected[0] == 2
+    assert _run_module(module, []).returncode == 2
+
+
+MAX_DIGITS = 4000
+SMALL = 10**6
+
+
+@st.composite
+def _integers(draw, kinds, signs):
+    """Zero, small values, values of up to MAX_DIGITS digits, and b**k * r
+    with large k, which give large p-adic valuations; the kind is drawn from
+    kinds and the sign from signs."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return 0
+    if kind == "small":
+        n = draw(st.integers(1, 70))
+    elif kind == "digits":
+        n = draw(st.integers(1, 10**MAX_DIGITS - 1))
+    else:
+        b = draw(st.sampled_from((2, 3, 5, 7, 1009)))
+        k = draw(st.integers(0, int((MAX_DIGITS - 3) / math.log10(b))))
+        n = b**k * draw(st.integers(1, 999))
+    return draw(st.sampled_from(signs)) * n
+
+
+_COEFFICIENTS = _integers(("small", "digits", "power") * 3 + ("zero",), (1, -1))
+_EXPONENTS = _integers(("small", "digits", "power", "zero") * 2, (1,) * 7 + (-1,))
+_PRIMES = st.one_of(
+    st.sampled_from((2, 3, 5, 7, 11, 13)),
+    st.sampled_from((1009, 2**61 - 1, 2**255 - 19, P256_HARD)),
+    st.sampled_from((4, 6, 9, 91, 561, 2**61 + 1, (2**61 - 1) ** 2)),  # composite
+    st.integers(-(10**6), 1),  # zero, one and negative
+    st.integers(2, 10**4),  # prime or composite
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_COEFFICIENTS, _EXPONENTS, _COEFFICIENTS, _EXPONENTS, _PRIMES)
+def test_decide_binomial_arguments_fuzz(c1, a1, c2, a2, p):
+    argv = ["decide-binomial", *map(str, (c1, a1, c2, a2)), "--prime", str(p)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and not out.getvalue()
+        return
+    assert report(out.getvalue())["feasible"] is (code == 0)
+    if max(abs(c1), abs(c2), a1, a2, p) < SMALL:  # small enough for the order route
+        feasible, rule = order_route_binomial(c1, a1, c2, a2, p)
+        assert (code, report(out.getvalue())["rule"]) == (0 if feasible else 1, rule)
 
 
 def test_decide_poly_file(tmp_path, capsys):

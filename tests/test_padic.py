@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from padicfeas.bigmod import ord_p
+from padicfeas import bigmod, padic
+from padicfeas.bigmod import is_prime, ord_p
 from padicfeas.config import Caps
 from padicfeas.errors import CapsExceeded
 from padicfeas.padic import (
@@ -23,7 +24,7 @@ from padicfeas.padic import (
 )
 from padicfeas.sparsepoly import SparsePoly, parse_poly
 
-from helpers import random_nonzero_sparse
+from helpers import P256_HARD, order_route_binomial, random_nonzero_sparse
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -173,6 +174,145 @@ def test_general_binomials_agree_with_bruteforce():
         f = SparsePoly(((c1, a1), (c2, a2)))
         fast = decide_binomial(c1, a1, c2, a2, p).feasible
         assert fast == decide_bruteforce_qp(f, p), (p, c1, a1, c2, a2)
+
+
+def _binomial_case(rng: random.Random, p: int, stratum: int):
+    """Coefficients are units times p**(0..2), and d comes from one of four
+    strata.  Two in five cases take the units so that x**d = -u2/u1 is
+    solvable, which random units rarely are for p = 2 and large ord_2(d), and
+    half share one valuation, so that more cases pass the valuation test."""
+    if stratum == 0:
+        d = rng.randint(1, 60)
+    elif stratum == 1:  # p | d
+        d = p ** rng.randint(1, 3) * rng.randint(1, 30)
+    elif stratum == 2:  # 2**v | d
+        d = (2 * rng.randint(0, 20) + 1) << rng.randint(1, 12)
+    else:  # equal exponents or a shared power of x
+        d = rng.randint(0, 5)
+
+    def unit():
+        while True:
+            u = rng.choice((-1, 1)) * rng.randint(1, 10**4)
+            if u % p:
+                return u
+
+    u1, u2 = unit(), unit()
+    if d and rng.random() < 0.4:  # -u2/u1 a d-th power modulo p**(2 + 2*ord_p(d))
+        u2 = -u1 * pow(unit(), d, p ** (2 + 2 * ord_p(d, p)))
+    a2 = rng.randint(0, 3) if stratum == 3 else 0
+    v1 = rng.randint(0, 2)
+    v2 = v1 if rng.random() < 0.5 else rng.randint(0, 2)
+    case = (u1 * p**v1, a2 + d, u2 * p**v2, a2)
+    if rng.random() < 0.5:  # swapped term order
+        case = (case[2], case[3], case[0], case[1])
+    return case + (p,)
+
+
+def test_decide_binomial_agrees_with_the_order_route():
+    rng = random.Random(20261018)
+    rules = {}
+    for i in range(12_000):
+        case = _binomial_case(rng, PRIMES[i % len(PRIMES)], i // len(PRIMES) % 4)
+        d = decide_binomial(*case)
+        assert (d.feasible, d.rule) == order_route_binomial(*case), case
+        rules[d.rule, d.feasible] = rules.get((d.rule, d.feasible), 0) + 1
+    for key in (
+        (RULE_CYCLIC_ORDER, True),
+        (RULE_CYCLIC_ORDER, False),
+        (RULE_TWO_ADIC, True),
+        (RULE_TWO_ADIC, False),
+        (RULE_VALUATION_MISMATCH, False),
+        (RULE_ZERO_ROOT, True),
+        (RULE_ZERO_ROOT, False),
+    ):
+        assert rules.get(key, 0) >= 50, (key, rules)
+
+
+def _random_prime(rng: random.Random, bits: int) -> int:
+    while True:
+        p = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if is_prime(p):
+            return p
+
+
+def _non_residue(rng: random.Random, p: int) -> int:
+    while True:
+        r = rng.randrange(2, p)
+        if pow(r, (p - 1) // 2, p) == p - 1:  # Euler's criterion
+            return r
+
+
+def _known_binomials(rng: random.Random):
+    """(d, alpha, p, feasible) for x**d = alpha, with the answer known by
+    construction.  alpha = beta**d mod p**(1 + 2*ord_p(d)) is a root of
+    x**d - alpha to that precision with 2*ord_p(d * beta**(d-1)) below it,
+    so Hensel's lemma lifts beta to a root.  For even d, x**d is a square, and
+    a non-residue modulo p, or 3 or 5 in Q_2, is not.  For 3 | d, x**d is a
+    cube, and the unit cubes modulo 9 are +-1, so 4 is not one."""
+    p256, p61 = P256_HARD, _random_prime(rng, 61)
+    cases = []
+    for p, d in (
+        (p256, 6),
+        (p61, 2 * p61 * (rng.randrange(1, p61) | 1)),
+        (2, 2**3000),
+        (3, 3**2000),
+        (3, 2 * 3**2000),
+    ):
+        m = p ** (1 + 2 * ord_p(d, p))
+        beta = rng.randrange(1, p**2)
+        if beta % p == 0:
+            beta += 1
+        cases.append((d, pow(beta, d, m), p, True))
+    cases += [
+        (6, _non_residue(rng, p256), p256, False),
+        (2 * p61 * 3, _non_residue(rng, p61), p61, False),
+        (2**3000, 3, 2, False),
+        (2**3000, 5, 2, False),
+        (3**2000, 4, 3, False),
+        (2 * 3**2000, 2, 3, False),
+    ]
+    return cases
+
+
+def test_decide_binomial_answers_what_the_order_route_cannot(monkeypatch):
+    def off_the_path(*args, **kwargs):
+        raise AssertionError("the binomial decider factors or takes an order")
+
+    for name in ("factor", "multiplicative_order", "decompose_2adic_unit"):
+        monkeypatch.setattr(bigmod, name, off_the_path)
+    rng = random.Random(77)
+    for d, alpha, p, feasible in _known_binomials(rng):
+        rule = RULE_TWO_ADIC if p == 2 else RULE_CYCLIC_ORDER
+        for c in (1, -7, 11):  # the same alpha from other unit coefficients
+            if c % p == 0:
+                continue
+            got = decide_binomial(c, d, -c * alpha, 0, p)
+            assert (got.feasible, got.rule) == (feasible, rule), (d, alpha, p)
+            got = decide_binomial(-c * alpha, 0, c, d, p)
+            assert (got.feasible, got.rule) == (feasible, rule), (d, alpha, p)
+
+
+def test_decide_binomial_tests_primality_once(monkeypatch):
+    calls = []
+    real = bigmod.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(bigmod, "is_prime", counting)
+    monkeypatch.setattr(padic, "is_prime", counting)
+    p256 = 2**255 - 19
+    for case in (
+        (1, 6, -5, 0, p256),
+        (25, 0, -1, 2 * p256, p256),
+        (1, 3 << 40, -17, 0, 2),
+        (9, 0, -1, 4, 3),
+        (1, 4, 3, 0, 7),
+    ):
+        calls.clear()
+        decide_binomial(*case)
+        assert calls == [case[-1]], case
 
 
 # -- roots of unity ----------------------------------------------------------------

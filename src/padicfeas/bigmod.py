@@ -1,6 +1,6 @@
 """Arbitrary-precision integer and modular arithmetic.
 
-Valuations, modular powering, multiplicative orders, primality, factoring,
+Valuations, multiplicative orders, primality, factoring,
 quadratic non-residues, primorials, and the unit-group decomposition modulo
 powers of two.  Everything here is a pure function of its inputs; random
 choices always come from an explicitly passed ``random.Random``.
@@ -93,35 +93,11 @@ def _valuation(n: int, p: int) -> int:
     return v
 
 
-def mod_pow(b: int, e: int, m) -> int:
-    """b**e mod m by binary exponentiation (m may be an int or a Modulus)."""
-    if isinstance(m, Modulus):
-        m = m.value
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
-    return pow(b, e, m)
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 def crt(pairs: list[tuple[int, int]]) -> tuple[int, int]:
     """Combine congruences x = r_i (mod m_i) into (x, lcm); moduli must be coprime."""
     r, m = 0, 1
     for ri, mi in pairs:
-        g, s, _ = xgcd(m, mi)
-        if g != 1:
-            raise ValueError("moduli are not pairwise coprime")
+        s = pow(m, -1, mi)  # raises ValueError when m and mi share a factor
         r = (r + (ri - r) * s % mi * m) % (m * mi)
         m *= mi
     return r, m
@@ -222,26 +198,26 @@ def factor(
     return out
 
 
-def euler_phi(n: int, **budget) -> int:
+def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("totient requires n >= 1")
     if n == 1:
         return 1
     phi = 1
-    for p, e in factor(n, **budget).items():
+    for p, e in factor(n).items():
         phi *= p ** (e - 1) * (p - 1)
     return phi
 
 
-def multiplicative_order(a: int, m: int, **budget) -> int:
+def multiplicative_order(a: int, m: int) -> int:
     """Least t >= 1 with a**t = 1 (mod m), via the factored group order."""
     if m < 2:
         raise ValueError("modulus must be at least 2")
     a %= m
     if math.gcd(a, m) != 1:
         raise ValueError(f"{a} is not a unit modulo {m}")
-    t = euler_phi(m, **budget)
-    for q in factor(t, **budget) if t > 1 else {}:
+    t = euler_phi(m)
+    for q in factor(t) if t > 1 else {}:
         while t % q == 0 and pow(a, t // q, m) == 1:
             t //= q
     return t
@@ -337,7 +313,7 @@ def decompose_2adic_unit(alpha: int, ell: int) -> tuple[int, int]:
     return a, b
 
 
-def find_generator(p: int, rng: random.Random | None = None, **budget) -> int:
+def find_generator(p: int, rng: random.Random | None = None) -> int:
     """A generator of the multiplicative group modulo a prime p.
 
     With an rng, tries random candidates first (each succeeds with
@@ -347,7 +323,7 @@ def find_generator(p: int, rng: random.Random | None = None, **budget) -> int:
         raise ValueError(f"{p} is not prime")
     if p == 2:
         return 1
-    qs = list(factor(p - 1, **budget))
+    qs = list(factor(p - 1))
 
     def is_gen(g):
         return all(pow(g, (p - 1) // q, p) != 1 for q in qs)

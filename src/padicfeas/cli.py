@@ -40,7 +40,7 @@ def _resolve_seed(args) -> int:
 
 
 def _print_report(report: dict, summary: str):
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(transcript_dumps(report))
     sys.stderr.write(summary + "\n")
 
 

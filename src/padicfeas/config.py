@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass(frozen=True)
@@ -10,12 +10,9 @@ class Caps:
     """Resource limits; exceeding any of them raises instead of degrading."""
 
     degree: int = 512              # dense operations (brute-force decision, resultants)
-    gcd_degree: int = 100_000      # dense gcd
     term_count: int = 1_000_000    # intermediate sparse terms during exact division
     k_max: int = 1_000_000         # sequential prime-scan bound on k
     sieve_limit: int = 100_000_000
-    rho_iterations: int = 1_000_000
-    trial_division_bound: int = 1_000_000
     max_vars: int = 6              # formula size accepted by the reduction pipeline
 
 
@@ -27,8 +24,6 @@ class Config:
     mode: str = "randomized"       # "randomized" | "deterministic"
     repeats: int = 5               # independent repetitions for majority vote
     prime_strategy: str = "scan"   # "scan" | "sample"
-    sample_c: int = 2              # sample k uniformly from {1, ..., 2**(n**sample_c)}
-    sample_cprime: int = 2         # allow at most 9 * n**sample_cprime sampling trials
     caps: Caps = field(default_factory=Caps)
 
     def __post_init__(self):
@@ -39,16 +34,11 @@ class Config:
         if self.repeats < 1:
             raise ValueError("repeats must be positive")
 
-    def with_(self, **kwargs) -> "Config":
-        return replace(self, **kwargs)
-
     def to_obj(self) -> dict:
         return {
             "seed": str(self.seed),
             "mode": self.mode,
             "repeats": self.repeats,
             "prime_strategy": self.prime_strategy,
-            "sample_c": self.sample_c,
-            "sample_cprime": self.sample_cprime,
             "caps": asdict(self.caps),
         }

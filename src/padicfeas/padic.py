@@ -10,13 +10,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bigmod import Modulus, _valuation, find_generator, is_prime, ord_p
 from .config import Caps
 from .errors import CapsExceeded
 from .sparsepoly import (
     SparsePoly,
+    _primitive,
+    exact_div,
     from_dense,
     gcd_dense,
     resultant_dense,
@@ -210,41 +211,12 @@ def roots_of_unity_mod_p(
 
 
 def _squarefree_primitive(dense: list[int]) -> list[int]:
-    """Primitive integer representative of f / gcd(f, f'), same root set as f."""
+    """Primitive integer representative of f / gcd(f, f'), same root set as f.
+    The gcd is primitive, so by Gauss's lemma the quotient is an integer
+    polynomial and the division is exact in the integers."""
     f = from_dense(dense)
-    fp = f.derivative()
-    if fp.is_zero:
-        g = SparsePoly.one()
-    else:
-        g = gcd_dense(f, fp, degree_cap=len(dense))
-    # exact dense division of f by g over the rationals
-    a = [Fraction(c) for c in dense]
-    b = [Fraction(c) for c in to_dense(g, len(dense))]
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        top = a[-1] / b[-1]
-        q[shift] = top
-        for i, c in enumerate(b):
-            a[shift + i] -= top * c
-    lcm_den = 1
-    for c in q:
-        lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
-    ints = [int(c * lcm_den) for c in q]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    g0 = 0
-    for c in ints:
-        g0 = math.gcd(g0, c)
-    if g0:
-        ints = [c // g0 for c in ints]
-    if ints and ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    g = gcd_dense(f, f.derivative(), degree_cap=len(dense))
+    return _primitive(to_dense(exact_div(f, g), len(dense)))
 
 
 def _eval_dense_mod(coeffs: list[int], x: int, m: int) -> int:

@@ -24,6 +24,9 @@ DENSITY_NOTE = (
     "not a verification of the underlying hypothesis"
 )
 
+SAMPLE_C = 2       # sample k uniformly from {1, ..., 2**(n**SAMPLE_C)}
+SAMPLE_CPRIME = 2  # allow at most 9 * n**SAMPLE_CPRIME sampling trials
+
 
 @dataclass(frozen=True)
 class ProgressionPrime:
@@ -57,8 +60,6 @@ def find_prime_in_progression(
     strategy: str = "scan",
     rng: random.Random | None = None,
     caps: Caps | None = None,
-    sample_c: int = 2,
-    sample_cprime: int = 2,
 ) -> ProgressionPrime:
     """Find a prime p = 1 + k*Q_n; raises PrimeSearchExhausted (with the trial
     count) rather than ever returning an unverified candidate."""
@@ -77,8 +78,8 @@ def find_prime_in_progression(
     if strategy == "sample":
         if rng is None:
             raise ValueError("the sampling strategy needs an rng")
-        interval = 2 ** (n ** sample_c)
-        max_trials = 9 * n ** sample_cprime
+        interval = 2 ** (n ** SAMPLE_C)
+        max_trials = 9 * n ** SAMPLE_CPRIME
         for trial in range(1, max_trials + 1):
             k = rng.randint(1, interval)
             p = 1 + k * q

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress, repeat
 from math import prod
 from operator import mod, mul
@@ -172,11 +172,17 @@ def random_combine(polys, rng: random.Random):
         return polys[0], polys[0], None, None
     if k == 2:
         return polys[0], polys[1], None, None
-    d = max(max(f.degree for f in polys), 1)  # all-constant systems: empty zero sets
-    n_bound = 18 * d * k * k
+    _, n_bound = _combination_bound(polys)
     a = tuple(rng.randint(1, n_bound) for _ in range(k))
     b = tuple(rng.randint(1, n_bound) for _ in range(k))
     return _combine(a, polys), _combine(b, polys), a, b
+
+
+def _combination_bound(polys) -> tuple[int, int]:
+    """(d, 18*d*k**2) for k polynomials of largest degree d, where d is at
+    least 1 (all-constant systems have empty zero sets)."""
+    d = max(max(f.degree for f in polys), 1)
+    return d, 18 * d * len(polys) ** 2
 
 
 def _combine(coeffs, polys) -> SparsePoly:
@@ -297,6 +303,15 @@ def _scan_roots(polys, omega: int, p: int, n: int) -> list[int]:
     return list(survivors)
 
 
+def _decode_witness(cnf: Cnf3, matches, omega: int, p: int) -> tuple[int, ...] | None:
+    """The assignment of the first matching root of unity that satisfies cnf."""
+    for t in matches:
+        bits = root_to_assignment(pow(omega, t, p), p, cnf.num_vars)
+        if satisfies(cnf, bits):
+            return bits
+    return None
+
+
 def _check_size(cnf: Cnf3, caps: Caps):
     if cnf.num_vars > caps.max_vars:
         raise CapsExceeded(
@@ -333,12 +348,7 @@ def pipeline(
 
     strategy = config.prime_strategy if randomized else "scan"
     prime = find_prime_in_progression(
-        n,
-        strategy=strategy,
-        rng=rng if randomized else None,
-        caps=config.caps,
-        sample_c=config.sample_c,
-        sample_cprime=config.sample_cprime,
+        n, strategy=strategy, rng=rng if randomized else None, caps=config.caps
     )
     p = prime.p
     gen = find_generator(p, rng if randomized else None)
@@ -349,18 +359,11 @@ def pipeline(
     if randomized and k > 0:
         g1, g2, avec, bvec = random_combine(polys, rng)
         if avec is not None:
-            max_degree = max(max(f.degree for f in polys), 1)
-            big_n = 18 * max_degree * k * k
+            max_degree, big_n = _combination_bound(polys)
         qnr = None if p == 2 else find_qnr(p, rng)
         scan_polys = [g1, g2]
     matches = _scan_roots(scan_polys, omega, p, n)
-
-    witness = None
-    for t in matches:
-        bits = root_to_assignment(pow(omega, t, p), p, n)
-        if satisfies(cnf, bits):
-            witness = bits
-            break
+    witness = _decode_witness(cnf, matches, omega, p)
 
     return ReductionTranscript(
         mode=config.mode,
@@ -401,7 +404,7 @@ def run_with_majority(
     child_seeds = [base.getrandbits(64) for _ in range(repeats)]
     transcripts = []
     for child in child_seeds:
-        run_config = config.with_(seed=child)
+        run_config = replace(config, seed=child)
         transcripts.append(pipeline(cnf, run_config, random.Random(child), polys))
     yes = sum(1 for t in transcripts if t.verdict)
     verdict = yes * 2 > len(transcripts)
@@ -443,7 +446,7 @@ def verify_transcript(
             v1 = obj["format"] == TRANSCRIPT_FORMAT_V1
             if v1 and obj["h"] is not None:
                 recorded_h = poly_from_obj(obj["h"])
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         check("parse", False, str(exc))
         return False, checks
     check("parse", True)
@@ -481,18 +484,21 @@ def verify_transcript(
     polys = encodings[cnf]
     if t.mode == "randomized" and t.k > 0:
         if t.a is not None:
-            d = max(max(f.degree for f in polys), 1)
-            ok_n = t.max_degree == d and t.big_n == 18 * d * t.k ** 2
+            d, bound = _combination_bound(polys)
+            ok_n = t.max_degree == d and t.big_n == bound
             check("combination-bound", ok_n, f"N = 18*{d}*{t.k}^2")
-            ok_range = all(1 <= v <= t.big_n for v in t.a + t.b) and len(t.a) == len(
-                t.b
-            ) == t.k
+            ok_range = (
+                t.b is not None
+                and t.big_n is not None
+                and len(t.a) == len(t.b) == t.k
+                and all(1 <= v <= t.big_n for v in t.a + t.b)
+            )
             check("combination-range", ok_range)
             g1 = _combine(t.a, polys)
-            g2 = _combine(t.b, polys)
+            g2 = _combine(t.b or (), polys)
         else:
-            check("combination-bound", t.big_n is None and t.max_degree is None,
-                  "pass-through for k <= 2")
+            check("combination-bound", t.big_n is None and t.max_degree is None
+                  and t.b is None, "pass-through for k <= 2")
             g1 = polys[0]
             g2 = polys[-1]
         check("g1", t.g1 == g1)
@@ -518,14 +524,9 @@ def verify_transcript(
     check("match-count", t.match_count == len(matches))
     check("first-match", t.first_match == (matches[0] if matches else None))
 
-    expected_witness = None
-    for m in matches:
-        bits = root_to_assignment(pow(t.omega, m, p), p, t.n)
-        if satisfies(cnf, bits):
-            expected_witness = bits
-            break
-    check("witness", t.witness == expected_witness)
+    check("witness", t.witness == _decode_witness(cnf, matches, t.omega, p))
     if t.witness is not None:
-        check("witness-satisfies", satisfies(cnf, t.witness))
+        check("witness-satisfies",
+              len(t.witness) == cnf.num_vars and satisfies(cnf, t.witness))
 
     return all(c["ok"] for c in checks), checks

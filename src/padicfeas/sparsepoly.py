@@ -68,16 +68,6 @@ class SparsePoly:
         return self._terms[-1][1] if self._terms else None
 
     @property
-    def num_terms(self) -> int:
-        return len(self._terms)
-
-    @property
-    def leading_coefficient(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self._terms[-1][0]
-
-    @property
     def constant_term(self) -> int:
         if self._terms and self._terms[0][1] == 0:
             return self._terms[0][0]
@@ -153,10 +143,6 @@ class SparsePoly:
 
     def square(self) -> "SparsePoly":
         return self * self
-
-    def scale_x(self, e: int) -> "SparsePoly":
-        """Multiply by x**e."""
-        return SparsePoly((c, exp + e) for c, exp in self._terms)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -293,7 +279,11 @@ def _primitive(a: list[int]) -> list[int]:
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of lc(b)**(deg a - deg b + 1) * a modulo b (integers)."""
+    """Remainder of lc(b)**s * a modulo b in the integers, with s the number
+    of elimination steps.  Each step multiplies by lc(b) once and can lower
+    the degree by more than one, so s <= deg a - deg b + 1: the result is
+    the classical pseudo-remainder divided by a power of lc(b), which
+    gcd_dense, taking primitive parts, does not see."""
     a = list(a)
     db = len(b) - 1
     lb = b[-1]
@@ -400,10 +390,11 @@ def poly_from_obj(obj) -> SparsePoly:
     for entry in obj["terms"]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValueError("each term must be a [coefficient, exponent] pair")
-        try:
-            c, e = int(entry[0]), int(entry[1])
-        except TypeError as exc:
-            raise ValueError(f"term {entry!r} is not a pair of integers") from exc
+        c, e = entry
+        # JSON integers or decimal strings: int() would also take floats and bools
+        if type(c) not in (int, str) or type(e) not in (int, str):
+            raise ValueError(f"term {entry!r} is not a pair of integers")
+        c, e = int(c), int(e)
         if c == 0:
             raise ValueError("zero coefficients are not allowed in the file format")
         if e <= prev:

@@ -14,12 +14,10 @@ from padicfeas.bigmod import (
     find_qnr,
     first_primes,
     is_prime,
-    mod_pow,
     multiplicative_order,
     ord_p,
     primorial,
     solvable_in_cyclic,
-    xgcd,
 )
 from padicfeas.errors import FactorBudgetExceeded
 
@@ -33,21 +31,6 @@ def test_ord_p_examples():
     assert ord_p(-24, 2) == 3
     with pytest.raises(ValueError):
         ord_p(10, 4)
-
-
-def test_mod_pow_examples():
-    # independent route: reduce the exponent by the brute-force order
-    t = naive_order(3, 7)
-    assert t == 6
-    assert pow(3, 2 ** 20 % t, 7) == 4
-    assert mod_pow(3, 2 ** 20, 7) == 4
-    assert mod_pow(5, 0, 13) == 1
-    assert mod_pow(2, 10, 1024) == 0
-    assert mod_pow(2, 10, Modulus(2, 10)) == 0
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 7)
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 1)
 
 
 def test_modulus_invariants():
@@ -212,12 +195,6 @@ def test_decompose_2adic_unit_is_a_bijection():
 
 
 def test_xgcd_and_crt():
-    rng = random.Random(5)
-    for _ in range(200):
-        a, b = rng.randint(-999, 999), rng.randint(-999, 999)
-        g, x, y = xgcd(a, b)
-        assert a * x + b * y == g
-        assert abs(g) == math.gcd(a, b)
     r, m = crt([(1, 3), (2, 5), (3, 7)])
     assert m == 105 and r % 3 == 1 and r % 5 == 2 and r % 7 == 3
     with pytest.raises(ValueError):

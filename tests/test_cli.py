@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 
 import padicfeas
 from padicfeas.cli import main
+from padicfeas.config import Config
 from padicfeas.plaisted import Cnf3, satisfies
+from padicfeas.reduce import TRANSCRIPT_FORMAT_V1, pipeline
+from padicfeas.sparsepoly import poly_to_obj
 
 from helpers import P256_HARD, order_route_binomial
 
@@ -142,7 +145,12 @@ def test_decide_poly_file(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("text", ['{"terms": 7}', '{"terms": [5]}', '{"terms": [[null, 1]]}'])
+@pytest.mark.parametrize("text", [
+    '{"terms": 7}', '{"terms": [5]}', '{"terms": [[null, 1]]}',
+    # coefficients and exponents are JSON integers or decimal strings only
+    '{"terms": [[1.5, 2]]}', '{"terms": [[true, 2]]}', '{"terms": [[1, 2.0]]}',
+    '{"terms": [[1, false]]}',
+])
 def test_decide_malformed_poly_file_exits_2(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -310,3 +318,118 @@ def test_config_echoed_in_report(tmp_path, capsys):
     assert r["config"]["seed"] == "8"
     assert r["config"]["repeats"] == 3
     assert r["config"]["mode"] == "randomized"
+
+
+# -- loader fuzzing --------------------------------------------------------------
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=6,
+)
+_POLY_FILES = st.one_of(
+    # dense polynomials of degree <= 8, entries as JSON integers or strings
+    st.lists(st.tuples(st.integers(-30, 30), st.booleans()), min_size=1, max_size=9).map(
+        lambda coeffs: json.dumps({"terms": [[str(c) if as_text else c, e]
+                                             for e, (c, as_text) in enumerate(coeffs) if c]})),
+    st.lists(st.lists(_SCALARS, min_size=2, max_size=2), max_size=3).map(
+        lambda terms: json.dumps({"terms": terms})),
+    _JSON.map(lambda terms: json.dumps({"terms": terms})),
+    _JSON.map(json.dumps),
+    st.text(alphabet="x^*+-0123456789 ", max_size=16),
+)
+_JUNK_LINES = st.one_of(
+    st.tuples(st.integers(-1, 4), st.integers(-1, 4)).map(lambda h: "p cnf %d %d" % h),
+    st.lists(st.integers(-4, 4), max_size=5).map(lambda lits: " ".join(map(str, lits))),
+    st.sampled_from(("c comment", "%", "p cnf", "p dnf 3 1", "1 x 0", "0")),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _dimacs_files(draw):
+    """A header and clauses, mostly well formed, with junk lines mixed in."""
+    clause = st.one_of(
+        st.lists(st.sampled_from((1, 2, 3, -1, -2, -3)), min_size=1, max_size=3),
+        st.lists(st.integers(-5, 5), max_size=4),
+    )
+    clauses = draw(st.lists(clause, max_size=5))
+    num_vars = draw(st.sampled_from((3, 3, 3, 2, 1, 0, -1, 4)))
+    declared = draw(st.sampled_from((len(clauses),) * 3 + (len(clauses) + 1,)))
+    lines = [f"p cnf {num_vars} {declared}"] + [" ".join(map(str, c + [0])) for c in clauses]
+    for line in draw(st.lists(_JUNK_LINES, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines)
+
+
+def _run_loader(tmp_path_factory, argv, text):
+    """Run a subcommand on text written to a file; no exception may escape."""
+    path = tmp_path_factory.getbasetemp() / "fuzz-input"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], str(path), *argv[1:]])
+    assert code in (0, 1, 2, 3), err.getvalue()
+    if code in (2, 3):
+        assert err.getvalue().startswith("error: ") and not out.getvalue()
+    return code, out.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_POLY_FILES, st.sampled_from(("decide", "degenerate")), st.sampled_from((2, 3, 7, 4, -3)))
+def test_decide_poly_file_fuzz(tmp_path_factory, text, command, p):
+    argv = [command, "--prime", str(p), "--degree-cap", "8"]
+    code, out = _run_loader(tmp_path_factory, argv, text)
+    if code in (0, 1):
+        r = report(out)
+        assert r.get("feasible", r.get("degenerate_root")) is (code == 0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_dimacs_files(), st.sampled_from(("randomized", "deterministic")))
+def test_reduce_dimacs_fuzz(tmp_path_factory, text, mode):
+    argv = ["reduce", "--max-vars", "3", "--repeats", "1", "--mode", mode]
+    code, out = _run_loader(tmp_path_factory, argv, text)
+    if code in (0, 1):
+        r = report(out)
+        assert r["verdict"] is (code == 0)
+        if r["verdict"]:
+            cnf = Cnf3.from_signed(r["runs"][0]["cnf"]["num_vars"], r["runs"][0]["cnf"]["clauses"])
+            assert satisfies(cnf, r["witness"])
+
+
+def _valid_runs():
+    """Valid n <= 3 transcripts: a randomized run with combination vectors, a
+    deterministic one, and the v1 form of the randomized one."""
+    randomized = pipeline(Cnf3.from_signed(3, [[1, 2, 3], [-1, -2, -3], [1, -2, 3]]),
+                          Config(seed=13))
+    deterministic = pipeline(Cnf3.from_signed(2, [[1, 2], [-1, 2]]), Config(mode="deterministic"))
+    v1 = randomized.to_obj() | {"format": TRANSCRIPT_FORMAT_V1,
+                                "h": poly_to_obj(randomized.h)}
+    return [randomized.to_obj(), deterministic.to_obj(), v1]
+
+
+_RUNS = _valid_runs()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(range(len(_RUNS))),
+    st.data(),
+    st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=6),
+              st.lists(_SCALARS, max_size=4)),
+    st.booleans(),
+)
+def test_verify_transcript_field_fuzz(tmp_path_factory, index, data, value, as_report):
+    run = dict(_RUNS[index])
+    field = data.draw(st.sampled_from(sorted(run)))
+    run[field] = value
+    obj = {"runs": [run]} if as_report else run
+    argv = ["verify-transcript", "--max-vars", "3"]
+    code, out = _run_loader(tmp_path_factory, argv, json.dumps(obj))
+    if code in (0, 1):
+        assert report(out)["ok"] is (code == 0)

@@ -22,9 +22,17 @@ from padicfeas.padic import (
     hensel_lift_trace,
     roots_of_unity_mod_p,
 )
-from padicfeas.sparsepoly import SparsePoly, parse_poly
+from padicfeas.sparsepoly import SparsePoly, from_dense, parse_poly, to_dense
 
-from helpers import P256_HARD, order_route_binomial, random_nonzero_sparse
+from helpers import (
+    P256_HARD,
+    dense,
+    dense_divmod,
+    dense_gcd_monic,
+    dense_to_sparse_primitive,
+    order_route_binomial,
+    random_nonzero_sparse,
+)
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -388,6 +396,40 @@ def test_bruteforce_negative_valuation_roots():
 def test_bruteforce_repeated_roots():
     assert decide_bruteforce_qp(parse_poly("x^2 - 2*x + 1"), 7)  # (x-1)^2
     assert decide_bruteforce_qp(parse_poly("x-3").square() * parse_poly("x^2+1"), 5)
+
+
+def squarefree_oracle(f: SparsePoly) -> SparsePoly:
+    """f / gcd(f, f') by Euclid and long division over the rationals, as the
+    primitive integer polynomial with positive leading coefficient."""
+    a = dense(f)
+    q, r = dense_divmod(a, dense_gcd_monic(a, dense(f.derivative())))
+    assert not r
+    return dense_to_sparse_primitive(q)
+
+
+def test_squarefree_part_matches_rational_oracle():
+    rng = random.Random(41)
+    seen = dict.fromkeys(("repeated", "x^k", "negative", "content"), 0)
+    for _ in range(400):
+        content = rng.choice((1, 1, 2, 6, 9, 35))
+        f = SparsePoly.constant(rng.choice((1, -1)) * content)
+        multiplicities = []
+        for _ in range(rng.randint(1, 3)):
+            coeffs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 2))]
+            coeffs.append(rng.choice((1, 2, 3, -1, -2)))  # degree 1 or 2
+            m = rng.choice((1, 1, 2, 3))
+            multiplicities.append(m)
+            for _ in range(m):
+                f = f * from_dense(coeffs)
+        k = rng.choice((0, 0, 1, 2, 3))
+        f = f * SparsePoly.x_power(k)
+        seen["repeated"] += max(multiplicities) > 1
+        seen["x^k"] += k > 0
+        seen["negative"] += f.terms[-1][0] < 0
+        seen["content"] += content > 1
+        ours = padic._squarefree_primitive(to_dense(f, f.degree))
+        assert from_dense(ours) == squarefree_oracle(f), f
+    assert min(seen.values()) >= 50, seen
 
 
 def test_bruteforce_caps():

@@ -444,6 +444,9 @@ TAMPERINGS = [
     lambda o: o["cnf"]["clauses"].__setitem__(0, [-1, 2, 3]),
     lambda o: o.__setitem__("big_n", "17"),
     lambda o: o.__setitem__("first_match", "0"),
+    lambda o: o.__setitem__("big_n", None),
+    lambda o: o.__setitem__("b", None),
+    lambda o: o.__setitem__("witness", [1, 0]),
 ]
 
 
@@ -518,7 +521,8 @@ def test_v1_transcripts_still_verify():
 
 # Digests of the reports that the v1 code (before transcript v2) printed for
 # `reduce` on seeded formulas.  A v2 report with the expanded h put back into
-# every run, the v1 format string, and "threads": 1 back in the config must
+# every run, the v1 format string, and the config keys removed since then
+# ("threads": 1, the sampling exponents and three unread caps) put back must
 # reproduce them byte for byte: the verdicts, matches, witnesses and every
 # other recorded value are unchanged.
 V1_REPORT_DIGESTS = {
@@ -541,6 +545,9 @@ V1_REPORT_DIGESTS = {
     ((3, 16, 16), 1): "91de866cfd2275a046711e0ea69d0a3bca470f45cded9c24a0f8eab64754b0a7",
     ((3, 16, 16), 2): "cd26f2689a3289c7a8133dc95f7b0b30c0822ac3d3353cb740f6c47951b3cf61",
 }
+REMOVED_CONFIG = {"threads": 1, "sample_c": 2, "sample_cprime": 2}
+REMOVED_CAPS = {"gcd_degree": 100_000, "rho_iterations": 1_000_000,
+                "trial_division_bound": 1_000_000}
 V1_REPORT_ARGS = [
     ["--seed", "3"],
     ["--mode", "deterministic"],
@@ -555,8 +562,11 @@ def test_v2_report_is_the_v1_report_without_h(formula, tmp_path, capsys):
     for i, args in enumerate(V1_REPORT_ARGS):
         main(["reduce", str(path)] + args)
         report = json.loads(capsys.readouterr().out)
-        assert "threads" not in report["config"]
-        report["config"]["threads"] = 1
+        config = report["config"]
+        assert not REMOVED_CONFIG.keys() & config.keys()
+        assert not REMOVED_CAPS.keys() & config["caps"].keys()
+        config.update(REMOVED_CONFIG)
+        config["caps"].update(REMOVED_CAPS)
         for j, run in enumerate(report["runs"]):
             assert run["format"] == TRANSCRIPT_FORMAT and "h" not in run
             report["runs"][j] = to_v1(run)

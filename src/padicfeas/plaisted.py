@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .bigmod import crt, first_primes, is_prime, primorial
 from .errors import InexactDivision
-from .sparsepoly import SparsePoly, exact_div
+from .sparsepoly import SparsePoly, exact_div, parse_int
 
 Literal = tuple[int, bool]  # (1-based variable index, negated?)
 
@@ -80,12 +80,12 @@ def parse_dimacs(text: str) -> Cnf3:
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise ValueError(f"malformed problem line: {line!r}")
-            num_vars, num_clauses = int(fields[2]), int(fields[3])
+            num_vars, num_clauses = parse_int(fields[2]), parse_int(fields[3])
             continue
         if num_vars is None:
             raise ValueError("clause data before the problem line")
         for tok in line.split():
-            lit = int(tok)
+            lit = parse_int(tok)
             if lit == 0:
                 if not current:
                     raise ValueError("empty clauses are not representable")
@@ -138,9 +138,6 @@ class BinomialProduct:
     @classmethod
     def from_dict(cls, n: int, factors: dict[int, int]) -> "BinomialProduct":
         return cls(n, tuple(sorted((m, e) for m, e in factors.items() if e != 0)))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
 
 
 def literal_poly(lit: Literal, n: int) -> BinomialProduct:

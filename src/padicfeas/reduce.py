@@ -6,11 +6,10 @@ set equals the system's with probability at least 8/9; an anisotropic
 quadratic form collapses the pair to one polynomial h.  Feasibility over the
 p-adics is then decided exactly by enumerating the Q-th roots of unity modulo
 a prime p = 1 (mod Q): each common root among them lifts to a true root
-because x**Q - 1 is separable modulo p.  Evaluating a polynomial at every
-Q-th root of unity is a length-Q discrete Fourier transform over F_p, which
-the scan computes by the Good-Thomas prime-factor algorithm when that is
-cheaper than evaluating term by term.  Every run is recorded in a transcript
-that can be re-verified without re-running any randomness.
+because x**Q - 1 is separable modulo p.  The scan has one path: period
+tables from short Good-Thomas prime-factor DFTs over F_p, repeated and
+summed.  Every run is recorded in a transcript that can be re-verified
+without re-running any randomness.
 """
 
 from __future__ import annotations
@@ -18,16 +17,16 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
-from itertools import compress, repeat
-from math import prod
-from operator import mod, mul
+from itertools import repeat
+from math import gcd, prod
+from operator import add, mod, mul
 
 from .bigmod import find_generator, find_qnr, first_primes, is_prime, primorial
 from .config import Caps, Config
 from .errors import CapsExceeded
 from .plaisted import Cnf3, encode_system, root_to_assignment, satisfies
 from .primes import ProgressionPrime, find_prime_in_progression
-from .sparsepoly import SparsePoly, poly_from_obj, poly_to_obj
+from .sparsepoly import SparsePoly, parse_int, poly_from_obj, poly_to_obj
 
 # v2 omits h, which g1, g2 and qnr fix; v1 transcripts, which record it, still verify.
 TRANSCRIPT_FORMAT = "padicfeas-transcript-v2"
@@ -112,40 +111,46 @@ class ReductionTranscript:
             raise ValueError(f"unknown transcript format {obj.get('format')!r}")
 
         def opt_int(v):
-            return None if v is None else int(v)
+            return None if v is None else parse_int(v)
+
+        def opt_ints(v):
+            if v is not None and type(v) is not list:
+                raise ValueError(f"{v!r} is not a list of integers")
+            return None if v is None else tuple(map(parse_int, v))
 
         def opt_poly(v):
             return None if v is None else poly_from_obj(v)
 
         prime = ProgressionPrime(
-            n=int(obj["prime"]["n"]),
-            q_n=int(obj["prime"]["q_n"]),
-            k=int(obj["prime"]["k"]),
-            p=int(obj["prime"]["p"]),
-            trials_used=int(obj["prime"]["trials_used"]),
+            n=parse_int(obj["prime"]["n"]),
+            q_n=parse_int(obj["prime"]["q_n"]),
+            k=parse_int(obj["prime"]["k"]),
+            p=parse_int(obj["prime"]["p"]),
+            trials_used=parse_int(obj["prime"]["trials_used"]),
         )
         return cls(
             mode=obj["mode"],
-            n=int(obj["n"]),
-            q_n=int(obj["q_n"]),
-            k=int(obj["k"]),
-            cnf=Cnf3.from_signed(int(obj["cnf"]["num_vars"]), obj["cnf"]["clauses"]),
+            n=parse_int(obj["n"]),
+            q_n=parse_int(obj["q_n"]),
+            k=parse_int(obj["k"]),
+            cnf=Cnf3.from_signed(parse_int(obj["cnf"]["num_vars"]),
+                                 [opt_ints(c) for c in obj["cnf"]["clauses"]]),
             seed=opt_int(obj["seed"]),
             prime=prime,
             prime_strategy=obj["prime_strategy"],
-            generator=int(obj["generator"]),
-            omega=int(obj["omega"]),
+            generator=parse_int(obj["generator"]),
+            omega=parse_int(obj["omega"]),
             max_degree=opt_int(obj["max_degree"]),
             big_n=opt_int(obj["big_n"]),
-            a=None if obj["a"] is None else tuple(int(v) for v in obj["a"]),
-            b=None if obj["b"] is None else tuple(int(v) for v in obj["b"]),
+            a=opt_ints(obj["a"]),
+            b=opt_ints(obj["b"]),
             qnr=opt_int(obj["qnr"]),
             g1=opt_poly(obj["g1"]),
             g2=opt_poly(obj["g2"]),
-            match_count=int(obj["match_count"]),
+            match_count=parse_int(obj["match_count"]),
             first_match=opt_int(obj["first_match"]),
             verdict=bool(obj["verdict"]),
-            witness=None if obj["witness"] is None else tuple(obj["witness"]),
+            witness=opt_ints(obj["witness"]),
         )
 
 
@@ -211,16 +216,6 @@ def pair_to_single(f: SparsePoly, g: SparsePoly, p: int, rng: random.Random):
     return _quadratic_form(f, g, a), a
 
 
-# The scan's cost rule counts term evaluations: evaluating directly costs
-# |survivors| * terms of them, and one prime-factor DFT costs
-# Q * sum(p_i) + _DFT_FIXED_COST.  In pure-Python timings on random 3CNF
-# clause polynomials and their combinations (n = 3, 4, 5; Q = 30, 210, 2310;
-# 2 to 211 terms), one DFT multiply-add cost about one term evaluation at
-# n = 4 and half of one at n = 5, and each transform had a fixed cost of about
-# 500 term evaluations, which is what decides the small cases at n = 3 and 4.
-_DFT_FIXED_COST = 500
-
-
 def _pfa_values(terms, omega: int, p: int, primes) -> list[int]:
     """Values modulo p of sum c*x**e, over the (c, e) terms, at x = omega**t
     for every t < Q = prod(primes), in the order of _pfa_exponents.
@@ -242,10 +237,10 @@ def _pfa_values(terms, omega: int, p: int, primes) -> list[int]:
         vals[pos] += c
     for q in primes:
         m = q_n // q
-        w = pow(omega, m, p)
+        ws = [pow(omega, m * j, p) for j in range(q)]
         rows = [vals[j * m:(j + 1) * m] for j in range(q)]
         for k in range(q):
-            scaled = [row if j * k == 0 else map(mul, row, repeat(pow(w, j * k, p)))
+            scaled = [row if j * k == 0 else map(mul, row, repeat(ws[j * k % q]))
                       for j, row in enumerate(rows)]
             vals[k::q] = map(mod, map(sum, zip(*scaled)), repeat(p))
     return vals
@@ -263,43 +258,40 @@ def _pfa_exponents(primes) -> list[int]:
 
 def _scan_roots(polys, omega: int, p: int, n: int) -> list[int]:
     """Exponents t in [0, Q_n), ascending, at which every polynomial vanishes
-    at omega**t modulo p.
+    at omega**t modulo p, by one path built on term periods.
 
-    The polynomials filter the exponents in turn.  Each one is reduced modulo
-    (x**Q_n - 1, p) and then either evaluated term by term at the surviving
-    exponents or transformed at all of them by _pfa_values, whichever costs
-    less by the counts of the cost rule above.  A combination g1 of many
-    clause polynomials is transformed and leaves few survivors for g2; small
-    clause polynomials are evaluated, which stops at the first polynomial
-    that does not vanish, as a scan over t would."""
+    A term c*x**e has period P = Q_n/gcd(Q_n, e): its value at omega**t
+    depends only on t mod P.  Each polynomial splits into parts by term
+    period, and each part is folded into a maximal period P that its own
+    period divides.  Its exponents are then multiples of M = Q_n/P, and
+    _pfa_values over P's own primes at omega**M gives its P-long value table.
+    The tables, each repeated M times, sum to the polynomial's values.  A
+    clause polynomial is one part of its clause's length.  The polynomials
+    filter the exponents in turn and stop once none survive."""
     primes = first_primes(n)
     q_n = primorial(n)
-    dft_cost = q_n * sum(primes) + _DFT_FIXED_COST
-    table = exponents = None
+    orders: dict[int, list[int]] = {}  # per period: positions of _pfa_values in order of t
     survivors = range(q_n)
     for f in polys:
         if not survivors:
             break
-        terms = [(c % p, e % q_n) for c, e in f.terms if c % p]
-        if len(survivors) * len(terms) > dft_cost:
-            if exponents is None:
-                exponents = _pfa_exponents(primes)
-            values = _pfa_values(terms, omega, p, primes)
-            zeros = set(compress(exponents, [not v for v in values]))
-            survivors = [t for t in survivors if t in zeros]
-        else:
-            if table is None:
-                table = [1] * q_n
-                for i in range(1, q_n):
-                    table[i] = table[i - 1] * omega % p
-            kept = []
-            for t in survivors:
-                acc = 0
-                for c, e in terms:
-                    acc += c * table[e * t % q_n]
-                if not acc % p:
-                    kept.append(t)
-            survivors = kept
+        parts: dict[int, list] = {}
+        for c, e in f.terms:
+            if c % p:
+                parts.setdefault(q_n // gcd(q_n, e), []).append((c % p, e))
+        folded: dict[int, list] = {}
+        for period in sorted(parts, reverse=True):
+            top = next((big for big in folded if big % period == 0), period)
+            folded.setdefault(top, []).extend(parts[period])
+        values = [0] * q_n
+        for period, terms in folded.items():
+            m = q_n // period
+            own = [q for q in primes if period % q == 0]
+            part = _pfa_values([(c, e // m) for c, e in terms], pow(omega, m, p), p, own)
+            if period not in orders:
+                orders[period] = sorted(range(period), key=_pfa_exponents(own).__getitem__)
+            values = list(map(add, values, [part[i] for i in orders[period]] * m))
+        survivors = [t for t in survivors if not values[t] % p]
     return list(survivors)
 
 

@@ -342,7 +342,7 @@ def resultant_dense(f: SparsePoly, g: SparsePoly, degree_cap: int = 100_000) -> 
 # -- text and object formats --------------------------------------------------
 
 _TERM_RE = re.compile(
-    r"^(?P<sign>[+-])?(?P<coef>\d+)?(?P<x>\*?x(?:\^(?P<exp>\d+))?)?$"
+    r"^(?P<sign>[+-])?(?P<coef>\d+)?(?P<x>\*?x(?:\^(?P<exp>\d+))?)?$", re.ASCII
 )
 
 
@@ -374,6 +374,18 @@ def parse_poly(text: str) -> SparsePoly:
     return SparsePoly(terms)
 
 
+def parse_int(v) -> int:
+    """v as an int: a JSON integer, or an optional '-' and ASCII digits.  int()
+    alone also takes floats, bools, '+', '_', spaces and non-ASCII digits."""
+    if type(v) is int:
+        return v
+    if type(v) is str:
+        digits = v[1:] if v.startswith("-") else v
+        if digits.isascii() and digits.isdigit():
+            return int(v)
+    raise ValueError(f"{v!r} is not an integer")
+
+
 def poly_to_obj(f: SparsePoly) -> dict:
     """Serializable form: {'terms': [[coeff, exp], ...]} with decimal strings,
     exponents strictly increasing."""
@@ -390,11 +402,7 @@ def poly_from_obj(obj) -> SparsePoly:
     for entry in obj["terms"]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValueError("each term must be a [coefficient, exponent] pair")
-        c, e = entry
-        # JSON integers or decimal strings: int() would also take floats and bools
-        if type(c) not in (int, str) or type(e) not in (int, str):
-            raise ValueError(f"term {entry!r} is not a pair of integers")
-        c, e = int(c), int(e)
+        c, e = parse_int(entry[0]), parse_int(entry[1])
         if c == 0:
             raise ValueError("zero coefficients are not allowed in the file format")
         if e <= prev:

@@ -150,6 +150,10 @@ def test_decide_poly_file(tmp_path, capsys):
     # coefficients and exponents are JSON integers or decimal strings only
     '{"terms": [[1.5, 2]]}', '{"terms": [[true, 2]]}', '{"terms": [[1, 2.0]]}',
     '{"terms": [[1, false]]}',
+    # strings are an optional '-' and ASCII digits only: no space, '_', '+' or other digits
+    '{"terms": [["-2", "0"], [" 1_0", "\u0662"]]}', '{"terms": [[" 1", "2"]]}',
+    '{"terms": [["1_0", "2"]]}', '{"terms": [["+1", "2"]]}', '{"terms": [["1", "\u0662"]]}',
+    '{"terms": [["", "2"]]}', '{"terms": [["-", "2"]]}', "x^\u0662 - 2",
 ])
 def test_decide_malformed_poly_file_exits_2(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"

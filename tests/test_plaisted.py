@@ -100,6 +100,11 @@ def test_dimacs_rejects_malformed():
         parse_dimacs("p cnf 3 1\n1 2\n")  # missing terminator
     with pytest.raises(ValueError):
         parse_dimacs("p cnf 2 1\n1 -3 0\n")  # index out of range
+    # tokens are an optional '-' and ASCII digits only
+    for bad in ("p cnf 30 1\n+1 2 0\n", "p cnf 30 1\n1_0 2 0\n", "p cnf \u0663 1\n1 2 0\n",
+                "p cnf 30 1\n\u0661 2 0\n"):
+        with pytest.raises(ValueError):
+            parse_dimacs(bad)
 
 
 # -- literal and clause polynomials --------------------------------------------------

@@ -327,28 +327,16 @@ def naive_roots(polys, omega, p, q_n):
     return out
 
 
-def scans_by_every_rule(polys, omega, p, n, monkeypatch):
-    """_scan_roots under its own cost rule, with every polynomial transformed,
-    and with every polynomial evaluated term by term."""
-    results = [_scan_roots(polys, omega, p, n)]
-    for fixed in (-(10 ** 30), 10 ** 30):
-        monkeypatch.setattr(reduce_mod, "_DFT_FIXED_COST", fixed)
-        results.append(_scan_roots(polys, omega, p, n))
-    monkeypatch.undo()
-    return results
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("mode", ["deterministic", "randomized"])
-def test_scan_roots_is_exact_on_seeded_formulas(n, mode, monkeypatch):
+def test_scan_roots_is_exact_on_seeded_formulas(n, mode):
     k = {1: 2, 2: 4, 3: 7, 4: 10, 5: 8}[n]
     for seed in range(3 if n < 5 else 1):
         cnf = seeded_formula(n, k, 70 + seed)
         t = pipeline(cnf, Config(mode=mode, seed=seed))
         polys = encode_system(cnf) if mode == "deterministic" else [t.g1, t.g2]
         want = naive_roots(polys, t.omega, t.prime.p, t.q_n)
-        for got in scans_by_every_rule(polys, t.omega, t.prime.p, n, monkeypatch):
-            assert got == want
+        assert _scan_roots(polys, t.omega, t.prime.p, n) == want
         assert t.match_count == len(want)
         assert t.first_match == (want[0] if want else None)
 
@@ -388,19 +376,48 @@ def test_prime_factor_dft_values_match_naive_evaluation(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_scan_roots_is_exact_on_random_sparse_polynomials(n, monkeypatch):
+def test_scan_roots_is_exact_on_random_sparse_polynomials(n):
     rng = random.Random(200 + n)
     p, q_n, omega = scan_setting(n, rng)
-    for _ in range(6):
-        polys = [random_huge_sparse(rng, p, rng.randint(1, 6)) for _ in range(rng.randint(1, 3))]
+    # two clause polynomials of different periods (for n >= 2) and a random part
+    clauses = encode_system(Cnf3.from_signed(n, [[1], [-n]]))
+    mixed = clauses[0] + clauses[1] + random_huge_sparse(rng, p, 3)
+    systems = [[random_huge_sparse(rng, p, rng.randint(1, 6)) for _ in range(rng.randint(1, 3))]
+               for _ in range(6)] + [[mixed]]
+    for polys in systems:
         # a common root at a random omega**t makes the answer non-trivial
         t0 = rng.randrange(q_n)
         x0 = pow(omega, t0, p)
         polys = [f - SparsePoly.constant(f.eval_mod(x0, p)) for f in polys]
         want = naive_roots(polys, omega, p, q_n)
         assert t0 in want
-        for got in scans_by_every_rule(polys, omega, p, n, monkeypatch):
-            assert got == want
+        assert _scan_roots(polys, omega, p, n) == want
+    # a constant (period 1) and a polynomial whose coefficients are all 0 mod p
+    for polys in ([SparsePoly.constant(p + 1)], [p * random_huge_sparse(rng, p, 4)]):
+        want = naive_roots(polys, omega, p, q_n)
+        assert want == ([] if polys[0].degree == 0 else list(range(q_n)))
+        assert _scan_roots(polys, omega, p, n) == want
+
+
+def test_pipeline_matches_the_truth_table_at_six_variables():
+    """At n = 6 the deterministic matches are exactly the exponents t whose
+    assignment (p_i | t) satisfies the formula; randomized matches include
+    them, and both transcripts verify."""
+    primes = first_primes(6)
+    for seed, k in enumerate((10, 20, 40)):
+        cnf = seeded_formula(6, k, 600 + seed)
+        good = {bits for bits in itertools.product((0, 1), repeat=6) if satisfies(cnf, bits)}
+        sat = [t for t in range(primorial(6))
+               if tuple(int(t % q == 0) for q in primes) in good]
+        det = pipeline(cnf, Config(mode="deterministic"))
+        assert _scan_roots(encode_system(cnf), det.omega, det.prime.p, 6) == sat
+        assert (det.match_count, det.first_match) == (len(sat), sat[0] if sat else None)
+        rnd = pipeline(cnf, Config(mode="randomized", seed=seed))
+        assert set(sat) <= set(_scan_roots([rnd.g1, rnd.g2], rnd.omega, rnd.prime.p, 6))
+        assert rnd.match_count >= len(sat)
+        for t in (det, rnd):
+            ok, checks = verify_transcript(t.to_obj())
+            assert ok, checks
 
 
 # -- transcripts ----------------------------------------------------------------------
@@ -447,6 +464,9 @@ TAMPERINGS = [
     lambda o: o.__setitem__("big_n", None),
     lambda o: o.__setitem__("b", None),
     lambda o: o.__setitem__("witness", [1, 0]),
+    # integer fields: JSON integers or an optional '-' and ASCII digits
+    lambda o: o["prime"].__setitem__("p", " " + o["prime"]["p"]),
+    lambda o: o.__setitem__("n", float(o["n"])),
 ]
 
 

@@ -299,7 +299,8 @@ def test_serialization_rejects_malformed():
         poly_from_obj({"nope": []})
     with pytest.raises(ValueError):
         poly_from_obj({"terms": [["1"]]})
-    for terms in (7, [5], [[None, 1]], [["1", {}]], "12"):
+    for terms in (7, [5], [[None, 1]], [["1", {}]], "12", [[" 1", "0"]], [["1_0", "0"]],
+                  [["+1", "0"]], [["1", "\u0662"]], [["", "0"]], [["-", "0"]], [["1", "1.0"]]):
         with pytest.raises(ValueError):
             poly_from_obj({"terms": terms})
 
@@ -312,7 +313,7 @@ def test_parse_poly():
     assert parse_poly("2x^3+1") == SparsePoly([(2, 3), (1, 0)])
     exp = 10 ** 25
     assert parse_poly(f"x^{exp} - 1") == binom(exp)
-    for bad in ("", "y + 1", "x^", "3**x", "1 + + 2"):
+    for bad in ("", "y + 1", "x^", "3**x", "1 + + 2", "x^\u0662", "\u0663*x"):
         with pytest.raises(ValueError):
             parse_poly(bad)
 

@@ -84,12 +84,23 @@ def ord_p(n: int, p: int):
 
 
 def _valuation(n: int, p: int) -> int:
-    """ord_p(n) for n != 0, without re-checking that p is prime."""
+    """ord_p(n) for n != 0, without re-checking that p is prime: the lowest
+    set bit for p = 2; otherwise divide by p, p**2, p**4, ... while they
+    divide, then by the same powers from the largest down, so a valuation v
+    costs O(log v) divisions instead of v."""
     n = abs(n)
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    powers = [p]  # powers[j] = p**(2**j)
+    while n % powers[-1] == 0:
+        n //= powers[-1]
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+    for j in range(len(powers) - 2, -1, -1):
+        if n % powers[j] == 0:
+            n //= powers[j]
+            v += 1 << j
     return v
 
 

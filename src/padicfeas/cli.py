@@ -22,7 +22,7 @@ from .padic import bruteforce_decision, decide_binomial, has_degenerate_root_qp
 from .plaisted import parse_dimacs, satisfies
 from .primes import DENSITY_NOTE, find_prime_in_progression, prime_density_experiment
 from .reduce import run_with_majority, transcript_dumps, verify_transcript
-from .sparsepoly import parse_poly, poly_from_obj, poly_to_obj
+from .sparsepoly import parse_int, parse_poly, poly_from_obj, poly_to_obj
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -35,7 +35,7 @@ def _resolve_seed(args) -> int:
         return args.seed
     env = os.environ.get("PADICFEAS_SEED")
     if env is not None:
-        return int(env)
+        return parse_int(env)
     return 0
 
 
@@ -263,47 +263,47 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("decide-binomial", help="decide c1*x^a1 + c2*x^a2 over Q_p")
     for name in ("c1", "a1", "c2", "a2"):
-        pb.add_argument(name, type=int)
-    pb.add_argument("--prime", type=int, required=True)
+        pb.add_argument(name, type=parse_int)
+    pb.add_argument("--prime", type=parse_int, required=True)
     pb.set_defaults(func=_cmd_decide_binomial)
 
     pd = sub.add_parser("decide", help="decide a polynomial file over Q_p (brute force)")
     pd.add_argument("poly_file")
-    pd.add_argument("--prime", type=int, required=True)
-    pd.add_argument("--degree-cap", type=int, default=None)
+    pd.add_argument("--prime", type=parse_int, required=True)
+    pd.add_argument("--degree-cap", type=parse_int, default=None)
     pd.set_defaults(func=_cmd_decide)
 
     pg = sub.add_parser("degenerate", help="detect a repeated degree-1 factor over Q_p")
     pg.add_argument("poly_file")
-    pg.add_argument("--prime", type=int, required=True)
-    pg.add_argument("--degree-cap", type=int, default=None)
+    pg.add_argument("--prime", type=parse_int, required=True)
+    pg.add_argument("--degree-cap", type=parse_int, default=None)
     pg.set_defaults(func=_cmd_degenerate)
 
     pr = sub.add_parser("reduce", help="run the 3SAT reduction pipeline on a DIMACS file")
     pr.add_argument("cnf_file")
     pr.add_argument("--mode", choices=("randomized", "deterministic"), default="randomized")
-    pr.add_argument("--seed", type=int, default=None)
-    pr.add_argument("--repeats", type=int, default=5)
+    pr.add_argument("--seed", type=parse_int, default=None)
+    pr.add_argument("--repeats", type=parse_int, default=5)
     pr.add_argument("--prime-strategy", choices=("scan", "sample"), default="scan")
-    pr.add_argument("--max-vars", type=int, default=None)
+    pr.add_argument("--max-vars", type=parse_int, default=None)
     pr.add_argument("--out", default=None, help="also write the report to this file")
     pr.set_defaults(func=_cmd_reduce)
 
     pf = sub.add_parser("find-prime", help="find a prime p = 1 + k*Q_n")
-    pf.add_argument("n", type=int)
+    pf.add_argument("n", type=parse_int)
     pf.add_argument("--strategy", choices=("scan", "sample"), default="scan")
-    pf.add_argument("--seed", type=int, default=None)
-    pf.add_argument("--k-max", dest="k_max", type=int, default=None)
+    pf.add_argument("--seed", type=parse_int, default=None)
+    pf.add_argument("--k-max", dest="k_max", type=parse_int, default=None)
     pf.set_defaults(func=_cmd_find_prime)
 
     pe = sub.add_parser("density", help="count primes = 1 (mod M) up to x vs Li(x)/phi(M)")
-    pe.add_argument("pairs", type=int, nargs="+", metavar="M_OR_X")
-    pe.add_argument("--sieve-cap", type=int, default=None)
+    pe.add_argument("pairs", type=parse_int, nargs="+", metavar="M_OR_X")
+    pe.add_argument("--sieve-cap", type=parse_int, default=None)
     pe.set_defaults(func=_cmd_density)
 
     pv = sub.add_parser("verify-transcript", help="re-verify a reduction transcript")
     pv.add_argument("file")
-    pv.add_argument("--max-vars", type=int, default=None)
+    pv.add_argument("--max-vars", type=parse_int, default=None)
     pv.set_defaults(func=_cmd_verify_transcript)
 
     return parser

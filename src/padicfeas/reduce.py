@@ -9,7 +9,9 @@ a prime p = 1 (mod Q): each common root among them lifts to a true root
 because x**Q - 1 is separable modulo p.  The scan has one path: period
 tables from short Good-Thomas prime-factor DFTs over F_p, repeated and
 summed.  Every run is recorded in a transcript that can be re-verified
-without re-running any randomness.
+without re-running any randomness.  A transcript records the combination
+vectors a and b, not the polynomials: g1 and g2 are rebuilt from a, b and
+the formula's clause polynomials, and h from g1, g2 and the non-residue.
 """
 
 from __future__ import annotations
@@ -26,17 +28,27 @@ from .config import Caps, Config
 from .errors import CapsExceeded
 from .plaisted import Cnf3, encode_system, root_to_assignment, satisfies
 from .primes import ProgressionPrime, find_prime_in_progression
-from .sparsepoly import SparsePoly, parse_int, poly_from_obj, poly_to_obj
+from .sparsepoly import SparsePoly, parse_int, poly_from_obj
 
-# v2 omits h, which g1, g2 and qnr fix; v1 transcripts, which record it, still verify.
-TRANSCRIPT_FORMAT = "padicfeas-transcript-v2"
+# v3 omits g1 and g2, which a, b and the formula fix, as v2 omitted h, which
+# g1, g2 and qnr fix.  v1 and v2 transcripts still verify, and each must carry
+# the polynomials its format records; they are checked against rebuilt ones.
+TRANSCRIPT_FORMAT = "padicfeas-transcript-v3"
+TRANSCRIPT_FORMAT_V2 = "padicfeas-transcript-v2"
 TRANSCRIPT_FORMAT_V1 = "padicfeas-transcript-v1"
+_RECORDED = {
+    TRANSCRIPT_FORMAT: (),
+    TRANSCRIPT_FORMAT_V2: ("g1", "g2"),
+    TRANSCRIPT_FORMAT_V1: ("g1", "g2", "h"),
+}
 
 
 @dataclass(frozen=True)
 class ReductionTranscript:
     """Full record of one pipeline run; every field is reproducible from
-    (cnf, seed, config) and re-checkable without the rng."""
+    (cnf, seed, config) and re-checkable without the rng.  The pair (g1, g2)
+    and the single polynomial h are not fields: a, b and the formula fix the
+    pair, and the pair and qnr fix h, so each is rebuilt on read."""
 
     mode: str
     n: int
@@ -53,23 +65,34 @@ class ReductionTranscript:
     a: tuple[int, ...] | None
     b: tuple[int, ...] | None
     qnr: int | None              # None for p = 2 (the x^2+xy+y^2 form) and k <= 2 n/a
-    g1: SparsePoly | None
-    g2: SparsePoly | None
     match_count: int
     first_match: int | None      # least exponent t with omega**t a common root
     verdict: bool
     witness: tuple[int, ...] | None
 
+    def pair(self) -> tuple[SparsePoly | None, SparsePoly | None]:
+        """(g1, g2), rebuilt from a, b and the clause polynomials on each
+        call; (None, None) in deterministic mode and for an empty formula."""
+        if self.mode != "randomized" or self.k == 0:
+            return None, None
+        return _pair(self.a, self.b, encode_system(self.cnf))
+
+    @property
+    def g1(self) -> SparsePoly | None:
+        return self.pair()[0]
+
+    @property
+    def g2(self) -> SparsePoly | None:
+        return self.pair()[1]
+
     @property
     def h(self) -> SparsePoly | None:
         """The single polynomial of the reduction, expanded on each read;
         None in deterministic mode."""
-        return None if self.g1 is None else _quadratic_form(self.g1, self.g2, self.qnr)
+        g1, g2 = self.pair()
+        return None if g1 is None else _quadratic_form(g1, g2, self.qnr)
 
     def to_obj(self) -> dict:
-        def poly(f):
-            return None if f is None else poly_to_obj(f)
-
         return {
             "format": TRANSCRIPT_FORMAT,
             "mode": self.mode,
@@ -93,8 +116,6 @@ class ReductionTranscript:
             "a": None if self.a is None else [str(v) for v in self.a],
             "b": None if self.b is None else [str(v) for v in self.b],
             "qnr": None if self.qnr is None else str(self.qnr),
-            "g1": poly(self.g1),
-            "g2": poly(self.g2),
             "match_count": self.match_count,
             "first_match": None if self.first_match is None else str(self.first_match),
             "verdict": self.verdict,
@@ -103,11 +124,11 @@ class ReductionTranscript:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ReductionTranscript":
-        """Parse a v2 or v1 transcript; a v1 transcript's recorded h is left
-        to verify_transcript."""
+        """Parse a v3, v2 or v1 transcript; the polynomials that v2 and v1
+        record are left to verify_transcript."""
         if not isinstance(obj, dict):
             raise ValueError("a transcript must be a JSON object")
-        if obj.get("format") not in (TRANSCRIPT_FORMAT, TRANSCRIPT_FORMAT_V1):
+        if obj.get("format") not in _RECORDED:
             raise ValueError(f"unknown transcript format {obj.get('format')!r}")
 
         def opt_int(v):
@@ -117,9 +138,6 @@ class ReductionTranscript:
             if v is not None and type(v) is not list:
                 raise ValueError(f"{v!r} is not a list of integers")
             return None if v is None else tuple(map(parse_int, v))
-
-        def opt_poly(v):
-            return None if v is None else poly_from_obj(v)
 
         prime = ProgressionPrime(
             n=parse_int(obj["prime"]["n"]),
@@ -145,8 +163,6 @@ class ReductionTranscript:
             a=opt_ints(obj["a"]),
             b=opt_ints(obj["b"]),
             qnr=opt_int(obj["qnr"]),
-            g1=opt_poly(obj["g1"]),
-            g2=opt_poly(obj["g2"]),
             match_count=parse_int(obj["match_count"]),
             first_match=opt_int(obj["first_match"]),
             verdict=bool(obj["verdict"]),
@@ -173,14 +189,12 @@ def random_combine(polys, rng: random.Random):
         raise ValueError("need at least one polynomial")
     if any(f.is_zero for f in polys):
         raise ValueError("zero polynomials are not allowed")
-    if k == 1:
-        return polys[0], polys[0], None, None
-    if k == 2:
-        return polys[0], polys[1], None, None
-    _, n_bound = _combination_bound(polys)
-    a = tuple(rng.randint(1, n_bound) for _ in range(k))
-    b = tuple(rng.randint(1, n_bound) for _ in range(k))
-    return _combine(a, polys), _combine(b, polys), a, b
+    a = b = None
+    if k > 2:
+        _, n_bound = _combination_bound(polys)
+        a = tuple(rng.randint(1, n_bound) for _ in range(k))
+        b = tuple(rng.randint(1, n_bound) for _ in range(k))
+    return (*_pair(a, b, polys), a, b)
 
 
 def _combination_bound(polys) -> tuple[int, int]:
@@ -188,6 +202,14 @@ def _combination_bound(polys) -> tuple[int, int]:
     least 1 (all-constant systems have empty zero sets)."""
     d = max(max(f.degree for f in polys), 1)
     return d, 18 * d * len(polys) ** 2
+
+
+def _pair(a, b, polys) -> tuple[SparsePoly, SparsePoly]:
+    """(g1, g2): the combinations of polys by a and b, or, when a is None
+    (k <= 2), the first and last polynomial themselves."""
+    if a is None:
+        return polys[0], polys[-1]
+    return _combine(a, polys), _combine(b or (), polys)
 
 
 def _combine(coeffs, polys) -> SparsePoly:
@@ -346,7 +368,7 @@ def pipeline(
     gen = find_generator(p, rng if randomized else None)
     omega = pow(gen, (p - 1) // q_n, p)
 
-    max_degree = big_n = avec = bvec = qnr = g1 = g2 = None
+    max_degree = big_n = avec = bvec = qnr = None
     scan_polys = polys  # empty conjunction: every encoding works
     if randomized and k > 0:
         g1, g2, avec, bvec = random_combine(polys, rng)
@@ -373,8 +395,6 @@ def pipeline(
         a=avec,
         b=bvec,
         qnr=qnr,
-        g1=g1,
-        g2=g2,
         match_count=len(matches),
         first_match=matches[0] if matches else None,
         verdict=bool(matches),
@@ -417,10 +437,13 @@ def verify_transcript(
 ) -> tuple[bool, list[dict]]:
     """Re-check every reproducible claim in a transcript (given as a dict or a
     ReductionTranscript) without re-running any randomness.  Returns
-    (all_ok, per-check results).  A formula with more than caps.max_vars
-    variables raises CapsExceeded before any work that grows with it.
-    encodings, a dict shared by the calls on the runs of one report, keeps
-    each formula's clause polynomials so that they are encoded once."""
+    (all_ok, per-check results).  g1 and g2 are rebuilt from a, b and the
+    clause polynomials; the g1, g2 and h that a v2 or v1 transcript records
+    (or that any run carries) are checked against the rebuilt ones.  A
+    formula with more than caps.max_vars variables raises CapsExceeded
+    before any work that grows with it.  encodings, a dict shared by the
+    calls on the runs of one report, keeps each formula's clause polynomials
+    so that they are encoded once."""
     caps = caps or Caps()
     encodings = {} if encodings is None else encodings
     checks: list[dict] = []
@@ -429,15 +452,15 @@ def verify_transcript(
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
         return ok
 
-    v1, recorded_h = False, None
+    recorded: dict[str, SparsePoly | None] = {}
     try:
         if isinstance(obj, ReductionTranscript):
             t = obj
         else:
             t = ReductionTranscript.from_obj(obj)
-            v1 = obj["format"] == TRANSCRIPT_FORMAT_V1
-            if v1 and obj["h"] is not None:
-                recorded_h = poly_from_obj(obj["h"])
+            for name in ("g1", "g2", "h"):
+                if name in _RECORDED[obj["format"]] or obj.get(name) is not None:
+                    recorded[name] = None if obj[name] is None else poly_from_obj(obj[name])
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         check("parse", False, str(exc))
         return False, checks
@@ -486,27 +509,23 @@ def verify_transcript(
                 and all(1 <= v <= t.big_n for v in t.a + t.b)
             )
             check("combination-range", ok_range)
-            g1 = _combine(t.a, polys)
-            g2 = _combine(t.b or (), polys)
         else:
             check("combination-bound", t.big_n is None and t.max_degree is None
                   and t.b is None, "pass-through for k <= 2")
-            g1 = polys[0]
-            g2 = polys[-1]
-        check("g1", t.g1 == g1)
-        check("g2", t.g2 == g2)
+        g1, g2 = _pair(t.a, t.b, polys)
+        for name, f in (("g1", g1), ("g2", g2)):
+            if name in recorded:
+                check(name, recorded[name] == f)
         if p == 2:
             check("qnr", t.qnr is None, "p = 2 uses the x^2+xy+y^2 form")
         else:
             qnr_ok = t.qnr is not None and pow(t.qnr, (p - 1) // 2, p) == p - 1
             check("qnr", qnr_ok, "passes the Euler criterion")
-        if v1:
-            check("h", recorded_h == _quadratic_form(g1, g2, t.qnr))
+        if "h" in recorded:
+            check("h", recorded["h"] == _quadratic_form(g1, g2, t.qnr))
         scan_polys = [g1, g2]
     else:
-        nulls = (t.g1, t.g2, t.a, t.b, t.qnr, t.big_n, t.max_degree)
-        if v1:
-            nulls += (recorded_h,)
+        nulls = (t.a, t.b, t.qnr, t.big_n, t.max_degree, *recorded.values())
         check("no-combination", all(v is None for v in nulls),
               "deterministic runs carry no combination data")
         scan_polys = polys

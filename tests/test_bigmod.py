@@ -6,6 +6,7 @@ import pytest
 from padicfeas.bigmod import (
     INFINITY,
     Modulus,
+    _valuation,
     crt,
     decompose_2adic_unit,
     euler_phi,
@@ -31,6 +32,29 @@ def test_ord_p_examples():
     assert ord_p(-24, 2) == 3
     with pytest.raises(ValueError):
         ord_p(10, 4)
+
+
+def naive_valuation(n, p):
+    n, v = abs(n), 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v
+
+
+def test_valuation_matches_the_naive_loop():
+    rng = random.Random(77)
+    # the naive loop divides a p**v-sized number v times, so the 61-bit
+    # prime gets smaller valuations
+    tops = {2: 10**4, 3: 10**4, 5: 10**4, 7: 10**4, 1009: 10**4, 2**61 - 1: 300}
+    for p, top in tops.items():
+        assert _valuation(1, p) == _valuation(-1, p) == 0
+        for _ in range(12):
+            j = rng.randint(0, top.bit_length() - 1)
+            v = rng.choice((0, 1, 2, 2**j - 1, 2**j, rng.randint(0, top)))
+            unit = rng.randrange(1, 10**6)
+            unit += unit % p == 0  # coprime to p
+            n = rng.choice((1, -1)) * p**v * unit
+            assert _valuation(n, p) == naive_valuation(n, p) == v
 
 
 def test_modulus_invariants():

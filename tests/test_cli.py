@@ -15,16 +15,28 @@ import padicfeas
 from padicfeas.cli import main
 from padicfeas.config import Config
 from padicfeas.plaisted import Cnf3, satisfies
-from padicfeas.reduce import TRANSCRIPT_FORMAT_V1, pipeline
+from padicfeas.reduce import TRANSCRIPT_FORMAT_V1, TRANSCRIPT_FORMAT_V2, pipeline
 from padicfeas.sparsepoly import poly_to_obj
 
 from helpers import P256_HARD, order_route_binomial
 
 
 def run_cli(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects its input this way
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# integer arguments are an optional '-' and ASCII digits, as in input files
+BAD_INTEGERS = [" 2", "7_0", "\u0667", "+1"]  # U+0667 is the Arabic-Indic digit 7
+
+
+def assert_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and "error:" in err and "Traceback" not in err, argv
 
 
 def report(out):
@@ -45,6 +57,9 @@ def test_decide_binomial_exit_codes(capsys):
 
     code, _, err = run_cli(capsys, ["decide-binomial", "1", "2", "-2", "0", "--prime", "6"])
     assert code == 2 and "not prime" in err
+
+    for bad in BAD_INTEGERS:
+        assert_rejected(capsys, ["decide-binomial", "1", "2", "-2", "0", "--prime", bad])
 
 
 def test_decide_binomial_huge_exponents(capsys):
@@ -190,6 +205,15 @@ def test_find_prime(capsys):
     assert int(report(out)["p"]) % 210 == 1
     code, _, _ = run_cli(capsys, ["find-prime", "5", "--k-max", "0"])
     assert code == 3
+    for bad in BAD_INTEGERS:
+        assert_rejected(capsys, ["find-prime", bad])
+        assert_rejected(capsys, ["find-prime", "4", "--strategy", "sample", "--seed", bad])
+    # n beyond the search limit is refused before any primality test
+    for argv in (["find-prime", "100000"], ["find-prime", "28", "--strategy", "sample"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3 and out == "" and err.startswith("error:") and "limit" in err
+        assert time.perf_counter() - start < 1.0
 
 
 def test_density(capsys):
@@ -203,6 +227,9 @@ def test_density(capsys):
     assert code == 2  # odd number of values
     code, _, err = run_cli(capsys, ["density", "30", "100000", "--sieve-cap", "100"])
     assert code == 3 and "cap" in err.lower()
+    for bad in BAD_INTEGERS:
+        assert_rejected(capsys, ["density", "1", bad])
+        assert_rejected(capsys, ["density", bad, "10000"])
 
 
 def test_reduce_and_verify(tmp_path, capsys):
@@ -312,6 +339,11 @@ def test_seed_from_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("PADICFEAS_SEED")
     code, out_flag, _ = run_cli(capsys, ["reduce", str(cnf), "--seed", "5"])
     assert out_env == out_flag
+    for bad in BAD_INTEGERS:
+        assert_rejected(capsys, ["reduce", str(cnf), "--seed", bad])
+        monkeypatch.setenv("PADICFEAS_SEED", bad)
+        assert_rejected(capsys, ["reduce", str(cnf)])
+        assert_rejected(capsys, ["find-prime", "3"])
 
 
 def test_config_echoed_in_report(tmp_path, capsys):
@@ -408,13 +440,14 @@ def test_reduce_dimacs_fuzz(tmp_path_factory, text, mode):
 
 def _valid_runs():
     """Valid n <= 3 transcripts: a randomized run with combination vectors, a
-    deterministic one, and the v1 form of the randomized one."""
+    deterministic one, and the v2 and v1 forms of the randomized one."""
     randomized = pipeline(Cnf3.from_signed(3, [[1, 2, 3], [-1, -2, -3], [1, -2, 3]]),
                           Config(seed=13))
     deterministic = pipeline(Cnf3.from_signed(2, [[1, 2], [-1, 2]]), Config(mode="deterministic"))
-    v1 = randomized.to_obj() | {"format": TRANSCRIPT_FORMAT_V1,
-                                "h": poly_to_obj(randomized.h)}
-    return [randomized.to_obj(), deterministic.to_obj(), v1]
+    v2 = randomized.to_obj() | {"format": TRANSCRIPT_FORMAT_V2, "g1": poly_to_obj(randomized.g1),
+                                "g2": poly_to_obj(randomized.g2)}
+    v1 = v2 | {"format": TRANSCRIPT_FORMAT_V1, "h": poly_to_obj(randomized.h)}
+    return [randomized.to_obj(), deterministic.to_obj(), v2, v1]
 
 
 _RUNS = _valid_runs()

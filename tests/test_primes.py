@@ -7,6 +7,7 @@ from padicfeas.bigmod import euler_phi, primorial
 from padicfeas.config import Caps
 from padicfeas.errors import CapsExceeded, PrimeSearchExhausted
 from padicfeas.primes import (
+    SEARCH_MAX_N,
     DensityReport,
     ProgressionPrime,
     find_prime_in_progression,
@@ -64,6 +65,19 @@ def test_sampling_strategy_finds_primes():
         find_prime_in_progression(3, strategy="sample")  # rng required
     with pytest.raises(ValueError):
         find_prime_in_progression(3, strategy="roulette")
+
+
+def test_search_refuses_large_n_before_any_test(monkeypatch):
+    def no_tests(p):
+        raise AssertionError("a primality test ran")
+
+    monkeypatch.setattr("padicfeas.primes.is_prime", no_tests)
+    for strategy, limit in SEARCH_MAX_N.items():
+        for n in (limit + 1, 100_000):
+            with pytest.raises(CapsExceeded):
+                find_prime_in_progression(n, strategy=strategy, rng=random.Random(0))
+    with pytest.raises(ValueError):
+        find_prime_in_progression(10**6, strategy="roulette")
 
 
 def test_search_exhaustion_is_explicit():

@@ -17,6 +17,7 @@ from padicfeas.primes import find_prime_in_progression
 from padicfeas.reduce import (
     TRANSCRIPT_FORMAT,
     TRANSCRIPT_FORMAT_V1,
+    TRANSCRIPT_FORMAT_V2,
     ReductionTranscript,
     _pfa_exponents,
     _pfa_values,
@@ -42,13 +43,26 @@ def seeded_formula(n, k, seed):
     )
 
 
-def to_v1(run):
-    """The v1 form of a v2 transcript object: the same fields plus the
-    expanded h."""
+def _poly_obj(f):
+    return None if f is None else poly_to_obj(f)
+
+
+def to_v2(run):
+    """The v2 form of a v3 transcript object: the same fields plus the
+    rebuilt g1 and g2."""
     old = copy.deepcopy(run)
+    old["format"] = TRANSCRIPT_FORMAT_V2
+    g1, g2 = ReductionTranscript.from_obj(run).pair()
+    old["g1"], old["g2"] = _poly_obj(g1), _poly_obj(g2)
+    return old
+
+
+def to_v1(run):
+    """The v1 form of a v3 transcript object: its v2 form plus the expanded
+    h."""
+    old = to_v2(run)
     old["format"] = TRANSCRIPT_FORMAT_V1
-    h = ReductionTranscript.from_obj(run).h
-    old["h"] = None if h is None else poly_to_obj(h)
+    old["h"] = _poly_obj(ReductionTranscript.from_obj(run).h)
     return old
 
 
@@ -455,8 +469,6 @@ TAMPERINGS = [
     lambda o: o.__setitem__("witness", None),
     lambda o: o.__setitem__("qnr", "2"),
     lambda o: o.__setitem__("omega", "2"),
-    lambda o: o["a"].__setitem__(0, "1"),
-    lambda o: o["g1"]["terms"].__setitem__(0, ["1", "0"]),
     lambda o: o["prime"].__setitem__("p", "61"),
     lambda o: o["cnf"]["clauses"].__setitem__(0, [-1, 2, 3]),
     lambda o: o.__setitem__("big_n", "17"),
@@ -467,6 +479,23 @@ TAMPERINGS = [
     # integer fields: JSON integers or an optional '-' and ASCII digits
     lambda o: o["prime"].__setitem__("p", " " + o["prime"]["p"]),
     lambda o: o.__setitem__("n", float(o["n"])),
+    # combination vectors out of their range or of the wrong length
+    lambda o: o["a"].__setitem__(0, "0"),
+    lambda o: o["a"].__setitem__(0, str(int(o["big_n"]) + 1)),
+    lambda o: o["b"].pop(),
+]
+# Edits that only contradict a recorded g1: in v3, g1 is rebuilt from a, so an
+# in-range change of a[0] is a different but consistent run, and there is no
+# g1 to edit.
+V2_TAMPERINGS = [
+    lambda o: o["a"].__setitem__(0, "1"),
+    lambda o: o["g1"]["terms"].__setitem__(0, ["1", "0"]),
+]
+V1_TAMPERINGS = [
+    lambda o: o["h"]["terms"].__setitem__(0, [str(int(o["h"]["terms"][0][0]) + 1),
+                                              o["h"]["terms"][0][1]]),
+    lambda o: o.__setitem__("h", None),
+    lambda o: o.pop("h"),
 ]
 
 
@@ -482,7 +511,7 @@ def test_verify_transcript_detects_tampering(mutate):
     t = tampering_subject()
     assert t.first_match != 0
     obj = t.to_obj()
-    assert obj["format"] == TRANSCRIPT_FORMAT and "h" not in obj
+    assert obj["format"] == TRANSCRIPT_FORMAT and not {"g1", "g2", "h"} & obj.keys()
     ok, _ = verify_transcript(obj)
     assert ok
     mutate(obj)
@@ -506,15 +535,18 @@ def test_verify_transcript_rejects_unknown_format():
     assert not ok and checks[0]["name"] == "parse"
 
 
-@pytest.mark.parametrize(
-    "mutate",
-    TAMPERINGS + [
-        lambda o: o["h"]["terms"].__setitem__(0, [str(int(o["h"]["terms"][0][0]) + 1),
-                                                  o["h"]["terms"][0][1]]),
-        lambda o: o.__setitem__("h", None),
-        lambda o: o.pop("h"),
-    ],
-)
+@pytest.mark.parametrize("mutate", TAMPERINGS + V2_TAMPERINGS)
+def test_verify_transcript_v2_detects_tampering(mutate):
+    obj = to_v2(tampering_subject().to_obj())
+    ok, checks = verify_transcript(obj)
+    assert ok, checks
+    assert {"g1", "g2"} <= {c["name"] for c in checks}
+    mutate(obj)
+    ok, checks = verify_transcript(obj)
+    assert not ok, checks
+
+
+@pytest.mark.parametrize("mutate", TAMPERINGS + V2_TAMPERINGS + V1_TAMPERINGS)
 def test_verify_transcript_v1_detects_tampering(mutate):
     obj = to_v1(tampering_subject().to_obj())
     ok, checks = verify_transcript(obj)
@@ -539,12 +571,40 @@ def test_v1_transcripts_still_verify():
     assert not ok
 
 
+@pytest.mark.parametrize("convert", [lambda o: o, to_v2, to_v1])
+@pytest.mark.parametrize("name", ["g1", "g2", "h"])
+def test_deterministic_runs_carry_no_polynomials(convert, name):
+    """A deterministic run of any format that carries a g1, g2 or h fails
+    the no-combination check."""
+    cnf = Cnf3.from_signed(3, [[1, 2, 3], [-1, 2, -3]])
+    obj = convert(pipeline(cnf, Config(mode="deterministic")).to_obj())
+    assert verify_transcript(obj)[0]
+    obj[name] = {"terms": [["1", "0"]]}
+    ok, checks = verify_transcript(obj)
+    assert not ok
+    assert [c["name"] for c in checks if not c["ok"]] == ["no-combination"]
+
+
+def test_pair_is_rebuilt_from_the_drawn_combination(monkeypatch):
+    """g1 and g2 read from a transcript, also after a round trip through its
+    v3 object, are the pair that random_combine drew in the run."""
+    drawn = []
+    real = reduce_mod.random_combine
+    monkeypatch.setattr(reduce_mod, "random_combine",
+                        lambda polys, rng: drawn.append(real(polys, rng)) or drawn[-1])
+    for clauses in ([[1, 2, 3]], [[1, 2, 3], [-1, 2, -3]], [[1, 2, 3], [-1, -2, -3], [1, -2, 3]]):
+        t = pipeline(Cnf3.from_signed(3, clauses), Config(seed=5))
+        g1, g2, a, b = drawn[-1]
+        assert (t.a, t.b) == (a, b)
+        assert t.pair() == (g1, g2) == ReductionTranscript.from_obj(t.to_obj()).pair()
+
+
 # Digests of the reports that the v1 code (before transcript v2) printed for
-# `reduce` on seeded formulas.  A v2 report with the expanded h put back into
-# every run, the v1 format string, and the config keys removed since then
-# ("threads": 1, the sampling exponents and three unread caps) put back must
-# reproduce them byte for byte: the verdicts, matches, witnesses and every
-# other recorded value are unchanged.
+# `reduce` on seeded formulas.  A v3 report with the rebuilt g1 and g2 and the
+# expanded h put back into every run, the v1 format string, and the config
+# keys removed since then ("threads": 1, the sampling exponents and three
+# unread caps) put back must reproduce them byte for byte: the verdicts,
+# matches, witnesses and every other recorded value are unchanged.
 V1_REPORT_DIGESTS = {
     ((1, 2, 11), 0): "ba1e1eef1054300c64898f3a085f4d42738916c66a9fe19c1f252e44145aaced",
     ((1, 2, 11), 1): "162b256f3fba72da9e03c265f9e42e55b382de9a52f62c3f1eaa410ec2e7d987",
@@ -575,21 +635,60 @@ V1_REPORT_ARGS = [
 ]
 
 
-@pytest.mark.parametrize("formula", sorted({f for f, _ in V1_REPORT_DIGESTS}))
-def test_v2_report_is_the_v1_report_without_h(formula, tmp_path, capsys):
+# Digests of the reports that the v2 code (before transcript v3) printed for
+# the same formulas and arguments.  A v3 report with the rebuilt g1 and g2 put
+# back into every run and the v2 format string must reproduce them.
+V2_REPORT_DIGESTS = {
+    ((1, 2, 11), 0): "6fb601bf86249288398aff52e710b0b8bc020cf9c421718ccbe8042dec5ac4d6",
+    ((1, 2, 11), 1): "3131900e127e07e0b9c6fda6299db3f9a22bcb8c84a7590b58f540ddafe1bc37",
+    ((1, 2, 11), 2): "3748f7b46e88d1a76924cd095005b197d4fd5b10601e729c42433620ff96dfb1",
+    ((2, 4, 12), 0): "2841a433c873a2ac9feef0e18792233e76f41f0d94d3166d2014622bc30918c4",
+    ((2, 4, 12), 1): "d0c9dc8ab192ba80865326f2503696971d48b347bd1e6c08d06b154fe86a6313",
+    ((2, 4, 12), 2): "22501e2e88781b8db541b62b9e4a5a8b41a430ec8902d0b102a2e6bffc28ed23",
+    ((3, 7, 13), 0): "95ed4acf2dd5fc77b33e9b599f7acb05c6673332d0452e7e94c62b30dd595149",
+    ((3, 7, 13), 1): "b05608c197fe6e29e0f0c9ed6b21d0c4509fc4c25602b2c84ccc0438fa85fc5f",
+    ((3, 7, 13), 2): "b9544334dbdb151fc7ef3cc76e60f9c2ae424e74e19b4f8cbb0685d7e7fdcfad",
+    ((4, 12, 14), 0): "757704cbd8bf0800ecdbc3760569b34c605a97f896c9701fea2317206aa57a74",
+    ((4, 12, 14), 1): "fbd9ef07e95a48957f3bc34e3c7abe2da1583265ff5745a1cfecdfdb56573e6c",
+    ((4, 12, 14), 2): "29cf71954af6db1d56c357d4feb05e6728d302dad9e963615e5784f92e7eae25",
+    ((5, 21, 15), 0): "712895b6389d26a7caf328d3c5ddc3781ae2cb9ba7214b0a068079b5c56d5e7d",
+    ((5, 21, 15), 1): "b54b8c43dcfceb9badc7363b7f7bac01211235ba677fb6772c7fa35b5f7fe12c",
+    ((5, 21, 15), 2): "035a615ff07f7d2f834f202dd491322a2c5f5611366bfc8cdd22ab96f5cfabad",
+    ((3, 16, 16), 0): "afbba63bc498aa1dc0b659c764a9b8c686c2cdc4a2743b38744de22f8d4ffbe1",
+    ((3, 16, 16), 1): "61ebbbbc0b9289726a90e62aeb8412404028c1f259888c519a8bee898874568a",
+    ((3, 16, 16), 2): "f167b50980604dff0da2fb8c98fb9d756537da886934f79947a5cc48b3296081",
+}
+
+
+def reduce_reports(formula, tmp_path, capsys):
+    """The report of `reduce` on a seeded formula, for each V1_REPORT_ARGS."""
     path = tmp_path / "f.cnf"
     path.write_text(format_dimacs(seeded_formula(*formula)))
-    for i, args in enumerate(V1_REPORT_ARGS):
+    for args in V1_REPORT_ARGS:
         main(["reduce", str(path)] + args)
         report = json.loads(capsys.readouterr().out)
+        for run in report["runs"]:
+            assert run["format"] == TRANSCRIPT_FORMAT and not {"g1", "g2", "h"} & run.keys()
+        yield report
+
+
+@pytest.mark.parametrize("formula", sorted({f for f, _ in V2_REPORT_DIGESTS}))
+def test_v3_report_is_the_v2_report_without_g1_and_g2(formula, tmp_path, capsys):
+    for i, report in enumerate(reduce_reports(formula, tmp_path, capsys)):
+        report["runs"] = [to_v2(run) for run in report["runs"]]
+        text = transcript_dumps(report)
+        assert hashlib.sha256(text.encode()).hexdigest() == V2_REPORT_DIGESTS[formula, i]
+
+
+@pytest.mark.parametrize("formula", sorted({f for f, _ in V1_REPORT_DIGESTS}))
+def test_v2_report_is_the_v1_report_without_h(formula, tmp_path, capsys):
+    for i, report in enumerate(reduce_reports(formula, tmp_path, capsys)):
         config = report["config"]
         assert not REMOVED_CONFIG.keys() & config.keys()
         assert not REMOVED_CAPS.keys() & config["caps"].keys()
         config.update(REMOVED_CONFIG)
         config["caps"].update(REMOVED_CAPS)
-        for j, run in enumerate(report["runs"]):
-            assert run["format"] == TRANSCRIPT_FORMAT and "h" not in run
-            report["runs"][j] = to_v1(run)
+        report["runs"] = [to_v1(run) for run in report["runs"]]
         text = transcript_dumps(report)
         assert hashlib.sha256(text.encode()).hexdigest() == V1_REPORT_DIGESTS[formula, i]
 
@@ -599,7 +698,7 @@ def test_verify_transcript_caps_variables_before_any_work():
     obj["n"] = 10
     obj["cnf"]["num_vars"] = 10
     # Q_10 is about 6.5e9: any table of that length would not finish
-    for candidate in (obj, to_v1(obj)):
+    for candidate in (obj, to_v2(obj), to_v1(obj)):
         start = time.perf_counter()
         with pytest.raises(CapsExceeded):
             verify_transcript(candidate)

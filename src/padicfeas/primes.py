@@ -174,8 +174,8 @@ def prime_density_experiment(m: int, x: int, caps: Caps | None = None) -> Densit
     caps = caps or Caps()
     if m < 1:
         raise ValueError("modulus must be positive")
-    if x < 2:
-        raise ValueError("x must be at least 2")
+    if x < 3:
+        raise ValueError("x must be at least 3 (Li(2) = 0 predicts no primes)")
     if x > caps.sieve_limit:
         raise CapsExceeded(f"x = {x} exceeds the sieve cap {caps.sieve_limit}")
     target = 1 % m

@@ -6,12 +6,14 @@ set equals the system's with probability at least 8/9; an anisotropic
 quadratic form collapses the pair to one polynomial h.  Feasibility over the
 p-adics is then decided exactly by enumerating the Q-th roots of unity modulo
 a prime p = 1 (mod Q): each common root among them lifts to a true root
-because x**Q - 1 is separable modulo p.  The scan has one path: period
-tables from short Good-Thomas prime-factor DFTs over F_p, repeated and
-summed.  Every run is recorded in a transcript that can be re-verified
-without re-running any randomness.  A transcript records the combination
-vectors a and b, not the polynomials: g1 and g2 are rebuilt from a, b and
-the formula's clause polynomials, and h from g1, g2 and the non-residue.
+because x**Q - 1 is separable modulo p.  The scan reads g1 and g2 (or, in
+deterministic mode, each clause polynomial) as rows of integers over the
+clause polynomials: per row and clause period, one DFT over F_p computed as
+a single big-integer product with a chirp, its table repeated and summed.
+Every run is recorded in a transcript that can be re-verified without
+re-running any randomness.  A transcript records the combination vectors a
+and b, not the polynomials: g1 and g2 are rebuilt from a, b and the
+formula's clause polynomials, and h from g1, g2 and the non-residue.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
-from itertools import repeat
-from math import gcd, prod
-from operator import add, mod, mul
+from functools import cache
+from itertools import accumulate, compress, cycle, islice, repeat
+from math import gcd, lcm
+from operator import add, mod, mul, neg, not_
+from struct import Struct
 
 from .bigmod import find_generator, find_qnr, first_primes, is_prime, primorial
 from .config import Caps, Config
@@ -139,13 +143,13 @@ class ReductionTranscript:
                 raise ValueError(f"{v!r} is not a list of integers")
             return None if v is None else tuple(map(parse_int, v))
 
-        prime = ProgressionPrime(
-            n=parse_int(obj["prime"]["n"]),
-            q_n=parse_int(obj["prime"]["q_n"]),
-            k=parse_int(obj["prime"]["k"]),
-            p=parse_int(obj["prime"]["p"]),
-            trials_used=parse_int(obj["prime"]["trials_used"]),
-        )
+        def flag(v):
+            if type(v) is not bool:
+                raise ValueError(f"{v!r} is not true or false")
+            return v
+
+        prime = ProgressionPrime(**{field: parse_int(obj["prime"][field])
+                                    for field in ("n", "q_n", "k", "p", "trials_used")})
         return cls(
             mode=obj["mode"],
             n=parse_int(obj["n"]),
@@ -165,7 +169,7 @@ class ReductionTranscript:
             qnr=opt_int(obj["qnr"]),
             match_count=parse_int(obj["match_count"]),
             first_match=opt_int(obj["first_match"]),
-            verdict=bool(obj["verdict"]),
+            verdict=flag(obj["verdict"]),
             witness=opt_ints(obj["witness"]),
         )
 
@@ -191,10 +195,14 @@ def random_combine(polys, rng: random.Random):
         raise ValueError("zero polynomials are not allowed")
     a = b = None
     if k > 2:
-        _, n_bound = _combination_bound(polys)
-        a = tuple(rng.randint(1, n_bound) for _ in range(k))
-        b = tuple(rng.randint(1, n_bound) for _ in range(k))
+        a, b = _draw(k, _combination_bound(polys)[1], rng)
     return (*_pair(a, b, polys), a, b)
+
+
+def _draw(k: int, bound: int, rng: random.Random):
+    """The combination vectors (a, b): k integers each, uniform in
+    {1, ..., bound}, a drawn first."""
+    return tuple(tuple(rng.randint(1, bound) for _ in range(k)) for _ in "ab")
 
 
 def _combination_bound(polys) -> tuple[int, int]:
@@ -238,83 +246,112 @@ def pair_to_single(f: SparsePoly, g: SparsePoly, p: int, rng: random.Random):
     return _quadratic_form(f, g, a), a
 
 
-def _pfa_values(terms, omega: int, p: int, primes) -> list[int]:
-    """Values modulo p of sum c*x**e, over the (c, e) terms, at x = omega**t
-    for every t < Q = prod(primes), in the order of _pfa_exponents.
-
-    This is the length-Q DFT over F_p by the Good-Thomas prime-factor
-    algorithm.  Put the coefficient of x**e at the digits (e mod q_i) of a
-    q_1 x ... x q_n array, and read position (k_1, ..., k_n) of the output as
-    t = sum k_i * Q/q_i (mod Q).  Then omega**(e*t) = prod w_i**((e mod q_i) * k_i)
-    with w_i = omega**(Q/q_i), so the transform is a length-q_i DFT along each
-    axis in turn: about Q * sum(q_i) multiply-adds.  Each pass transforms the
-    outermost axis and writes it back as the innermost, so every pass reads
-    contiguous slices and the axes end in their starting order."""
-    q_n = prod(primes)
-    vals = [0] * q_n
-    for c, e in terms:
-        pos = 0
-        for q in primes:
-            pos = pos * q + e % q
-        vals[pos] += c
-    for q in primes:
-        m = q_n // q
-        ws = [pow(omega, m * j, p) for j in range(q)]
-        rows = [vals[j * m:(j + 1) * m] for j in range(q)]
-        for k in range(q):
-            scaled = [row if j * k == 0 else map(mul, row, repeat(ws[j * k % q]))
-                      for j, row in enumerate(rows)]
-            vals[k::q] = map(mod, map(sum, zip(*scaled)), repeat(p))
-    return vals
-
-
-def _pfa_exponents(primes) -> list[int]:
-    """The exponent t of each position of _pfa_values's output."""
-    q_n = prod(primes)
-    ts = [0]
-    for q in primes:
-        step = q_n // q
-        ts = [(t + k * step) % q_n for t in ts for k in range(q)]
-    return ts
-
-
-def _scan_roots(polys, omega: int, p: int, n: int) -> list[int]:
-    """Exponents t in [0, Q_n), ascending, at which every polynomial vanishes
-    at omega**t modulo p, by one path built on term periods.
-
-    A term c*x**e has period P = Q_n/gcd(Q_n, e): its value at omega**t
-    depends only on t mod P.  Each polynomial splits into parts by term
-    period, and each part is folded into a maximal period P that its own
-    period divides.  Its exponents are then multiples of M = Q_n/P, and
-    _pfa_values over P's own primes at omega**M gives its P-long value table.
-    The tables, each repeated M times, sum to the polynomial's values.  A
-    clause polynomial is one part of its clause's length.  The polynomials
-    filter the exponents in turn and stop once none survive."""
-    primes = first_primes(n)
-    q_n = primorial(n)
-    orders: dict[int, list[int]] = {}  # per period: positions of _pfa_values in order of t
-    survivors = range(q_n)
-    for f in polys:
-        if not survivors:
-            break
-        parts: dict[int, list] = {}
+def _layout(polys, q_n: int) -> list[tuple[int, list[int]]]:
+    """Each polynomial as (P, c) with c_j the sum of its coefficients at
+    exponents e = j*q_n/P (mod q_n), so that its value at omega**t is
+    sum_j c_j * w**(j*t), w = omega**(q_n/P): it depends only on t mod P.  P is
+    the largest period q_n/gcd(q_n, exponents) in the system that the
+    polynomial's own one divides (for a clause polynomial, the product of its
+    clause's primes; Plaisted 1984), so that polynomials combine by period."""
+    own = [q_n // gcd(q_n, *(e for _, e in f.terms)) for f in polys]
+    layout = []
+    for f, period in zip(polys, own):
+        top = max(big for big in own if big % period == 0)
+        step, coeffs = q_n // top, [0] * top
         for c, e in f.terms:
-            if c % p:
-                parts.setdefault(q_n // gcd(q_n, e), []).append((c % p, e))
-        folded: dict[int, list] = {}
-        for period in sorted(parts, reverse=True):
-            top = next((big for big in folded if big % period == 0), period)
-            folded.setdefault(top, []).extend(parts[period])
-        values = [0] * q_n
-        for period, terms in folded.items():
-            m = q_n // period
-            own = [q for q in primes if period % q == 0]
-            part = _pfa_values([(c, e // m) for c, e in terms], pow(omega, m, p), p, own)
-            if period not in orders:
-                orders[period] = sorted(range(period), key=_pfa_exponents(own).__getitem__)
-            values = list(map(add, values, [part[i] for i in orders[period]] * m))
-        survivors = [t for t in survivors if not values[t] % p]
-    return list(survivors)
+            coeffs[e // step % top] += c
+        layout.append((top, coeffs))
+    return layout
+
+
+def _encode(cnf: Cnf3, term_cap: int):
+    """The clause polynomials of cnf and their _layout."""
+    polys = encode_system(cnf, term_cap=term_cap)
+    return polys, _layout(polys, primorial(cnf.num_vars))
+
+
+def _pack(values, width: int) -> int:
+    """The integer whose width-byte little-endian slots hold values in order."""
+    return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(width), repeat("little"))),
+                          "little")
+
+
+def _chirp(period: int, w: int, p: int):
+    """What the DFTs at w, a primitive period-th root of unity modulo p, share:
+    the width in bytes of a slot (a sum of period products of residues), the
+    inverse chirp w**-C(j, 2) for j < period, the packed reversed chirp
+    w**C(s, 2) for s < 2*period - 1 and a Struct that cuts period slots."""
+    powers = list(accumulate(repeat(w, period - 1), lambda x, _: x * w % p, initial=1))
+    tri = list(map(mod, accumulate(range(2 * period - 2), initial=0), repeat(period)))
+    width = ((period * (p - 1) ** 2).bit_length() + 7) // 8
+    inverse = list(map(powers.__getitem__, map(neg, tri[:period])))
+    packed = _pack(map(powers.__getitem__, reversed(tri)), width)
+    return width, inverse, packed, Struct(f"{width}s" * period)
+
+
+def _dft(coeffs, chirp, p: int) -> list[int]:
+    """[sum_j coeffs[j] * w**(j*k) mod p for k < period] by one big-integer
+    product (Bluestein 1970).  As j*k = C(j+k, 2) - C(j, 2) - C(k, 2), value k
+    is w**-C(k, 2) times sum_j a_j * w**C(j+k, 2), a_j = coeffs[j] * w**-C(j, 2):
+    slot 2*period - 2 - k of the packed a_j times the packed reversed chirp,
+    that is slot k, read big-endian, of the window from slot period - 1 on."""
+    width, inverse, packed, cut = chirp
+    period = len(inverse)
+    a = _pack(map(mod, map(mul, coeffs, inverse), repeat(p)), width)
+    product = (a * packed).to_bytes((3 * period - 2) * width, "big")
+    slots = map(int.from_bytes, cut.unpack_from(product, (period - 1) * width), repeat("big"))
+    return list(map(mod, map(mul, slots, inverse), repeat(p)))
+
+
+def _rows(randomized: bool, a, b, k: int) -> list:
+    """The integer rows over the k clause polynomials (missing entries are 0)
+    that a run scans: a and b, the first and last polynomial when a is None
+    (k <= 2), or, not randomized, every polynomial on its own."""
+    if not randomized:
+        return [(0,) * i + (1,) for i in range(k)]
+    return [(1,), (0,) * (k - 1) + (1,)] if a is None else [a, b or ()]
+
+
+def _scan_roots(layout, rows, omega: int, p: int, n: int) -> list[int]:
+    """Exponents t in [0, Q_n), ascending, at which every row's combination
+    of the laid-out polynomials vanishes at omega**t modulo p.
+
+    Per row and period, the row's coefficients are summed from the layout and
+    made a value table by one _dft (the chirps serve the whole scan); the
+    row's value at t sums its tables at t mod their periods.  While at least
+    as many exponents survive as the lcm L of the periods, the tables are
+    summed to length L and their zeros, repeated, mask the survivors; after
+    that each survivor sums its own entries.  Rows stop once none survive."""
+    q_n = primorial(n)
+
+    @cache
+    def chirp(period):
+        return _chirp(period, pow(omega, q_n // period, p), p)
+
+    mask, survivors = int.from_bytes(b"\1" * q_n, "little"), None  # byte t: does t survive?
+    for row in rows:
+        if not (mask if survivors is None else survivors):
+            break
+        coeffs: dict[int, list[int]] = {}
+        for r, (period, poly) in zip(row, layout):
+            if r % p:
+                coeffs[period] = list(map(add, coeffs.get(period, repeat(0)),
+                                          map(mul, poly, repeat(r % p))))
+        tables = [_dft(c, chirp(period), p) for period, c in coeffs.items()]
+        size = lcm(*map(len, tables))
+        if tables and survivors is None and mask.bit_count() >= size:
+            values = map(sum, islice(zip(*map(cycle, tables)), size))
+            zeros = bytes(map(not_, map(mod, values, repeat(p))))
+            mask &= int.from_bytes(zeros * (q_n // size), "little")
+        elif tables:
+            if survivors is None:
+                survivors = list(compress(range(q_n), mask.to_bytes(q_n, "little")))
+            values = map(sum, zip(*[map(table.__getitem__, map(mod, survivors, repeat(len(table))))
+                                    for table in tables]))
+            survivors = list(compress(survivors, map(not_, map(mod, values, repeat(p)))))
+    if survivors is None:
+        survivors = list(compress(range(q_n), mask.to_bytes(q_n, "little")))
+    return survivors
 
 
 def _decode_witness(cnf: Cnf3, matches, omega: int, p: int) -> tuple[int, ...] | None:
@@ -328,9 +365,7 @@ def _decode_witness(cnf: Cnf3, matches, omega: int, p: int) -> tuple[int, ...] |
 
 def _check_size(cnf: Cnf3, caps: Caps):
     if cnf.num_vars > caps.max_vars:
-        raise CapsExceeded(
-            f"{cnf.num_vars} variables exceed the pipeline cap {caps.max_vars}"
-        )
+        raise CapsExceeded(f"{cnf.num_vars} variables exceed the pipeline cap {caps.max_vars}")
     if cnf.num_vars < 1:
         raise ValueError("the pipeline needs at least one variable")
 
@@ -339,16 +374,17 @@ def pipeline(
     cnf: Cnf3,
     config: Config | None = None,
     rng: random.Random | None = None,
-    polys: list[SparsePoly] | None = None,
+    encoded: tuple | None = None,
 ) -> ReductionTranscript:
     """Run the full reduction on one formula and record everything.
 
     Deterministic mode draws no randomness: it scans the roots of unity and
-    tests every clause polynomial directly.  Randomized mode combines the
-    clause polynomials into (g1, g2), draws the non-residue that fixes the
-    single polynomial h = g1**2 - qnr*g2**2, and declares h feasible exactly
-    when some root of unity is a common root of g1 and g2 modulo p.  h itself
-    is never expanded here.  polys, when given, must be encode_system(cnf)."""
+    tests every clause polynomial directly.  Randomized mode draws the rows a
+    and b that combine the clause polynomials into (g1, g2) and the
+    non-residue that fixes h = g1**2 - qnr*g2**2, and declares h feasible
+    exactly when some root of unity is a common root of g1 and g2 modulo p;
+    the scan reads a and b, so g1, g2 and h are never expanded here.
+    encoded, when given, must be _encode(cnf, config.caps.term_count)."""
     config = config or Config()
     _check_size(cnf, config.caps)
     randomized = config.mode == "randomized"
@@ -357,48 +393,30 @@ def pipeline(
     n = cnf.num_vars
     q_n = primorial(n)
     k = len(cnf.clauses)
-    if polys is None:
-        polys = encode_system(cnf, term_cap=config.caps.term_count)
+    polys, layout = encoded or _encode(cnf, config.caps.term_count)
 
     strategy = config.prime_strategy if randomized else "scan"
-    prime = find_prime_in_progression(
-        n, strategy=strategy, rng=rng if randomized else None, caps=config.caps
-    )
+    prime = find_prime_in_progression(n, strategy=strategy, rng=rng if randomized else None,
+                                      caps=config.caps)
     p = prime.p
     gen = find_generator(p, rng if randomized else None)
     omega = pow(gen, (p - 1) // q_n, p)
 
     max_degree = big_n = avec = bvec = qnr = None
-    scan_polys = polys  # empty conjunction: every encoding works
-    if randomized and k > 0:
-        g1, g2, avec, bvec = random_combine(polys, rng)
-        if avec is not None:
+    combined = randomized and k > 0  # empty conjunction: every encoding works
+    if combined:
+        if k > 2:
             max_degree, big_n = _combination_bound(polys)
-        qnr = None if p == 2 else find_qnr(p, rng)
-        scan_polys = [g1, g2]
-    matches = _scan_roots(scan_polys, omega, p, n)
-    witness = _decode_witness(cnf, matches, omega, p)
+            avec, bvec = _draw(k, big_n, rng)
+        qnr = find_qnr(p, rng)  # p = 1 + k*q_n is odd
+    matches = _scan_roots(layout, _rows(combined, avec, bvec, k), omega, p, n)
 
     return ReductionTranscript(
-        mode=config.mode,
-        n=n,
-        q_n=q_n,
-        k=k,
-        cnf=cnf,
-        seed=config.seed if randomized else None,
-        prime=prime,
-        prime_strategy=strategy,
-        generator=gen,
-        omega=omega,
-        max_degree=max_degree,
-        big_n=big_n,
-        a=avec,
-        b=bvec,
-        qnr=qnr,
-        match_count=len(matches),
-        first_match=matches[0] if matches else None,
-        verdict=bool(matches),
-        witness=witness,
+        mode=config.mode, n=n, q_n=q_n, k=k, cnf=cnf, seed=config.seed if randomized else None,
+        prime=prime, prime_strategy=strategy, generator=gen, omega=omega,
+        max_degree=max_degree, big_n=big_n, a=avec, b=bvec, qnr=qnr,
+        match_count=len(matches), first_match=matches[0] if matches else None,
+        verdict=bool(matches), witness=_decode_witness(cnf, matches, omega, p),
     )
 
 
@@ -407,25 +425,18 @@ def run_with_majority(
 ) -> tuple[bool, tuple[int, ...] | None, list[ReductionTranscript]]:
     """Repeat the pipeline config.repeats times (once in deterministic mode)
     on independent seeded streams and take the majority verdict.  The clause
-    polynomials are encoded once for all the runs."""
+    polynomials are encoded and laid out once for all the runs."""
     config = config or Config()
     _check_size(cnf, config.caps)
-    polys = encode_system(cnf, term_cap=config.caps.term_count)
+    encoded = _encode(cnf, config.caps.term_count)
     repeats = config.repeats if config.mode == "randomized" else 1
     base = random.Random(config.seed)
     child_seeds = [base.getrandbits(64) for _ in range(repeats)]
-    transcripts = []
-    for child in child_seeds:
-        run_config = replace(config, seed=child)
-        transcripts.append(pipeline(cnf, run_config, random.Random(child), polys))
-    yes = sum(1 for t in transcripts if t.verdict)
-    verdict = yes * 2 > len(transcripts)
-    witness = None
-    if verdict:
-        for t in transcripts:
-            if t.verdict and t.witness is not None and satisfies(cnf, t.witness):
-                witness = t.witness
-                break
+    transcripts = [pipeline(cnf, replace(config, seed=child), random.Random(child), encoded)
+                   for child in child_seeds]
+    verdict = sum(t.verdict for t in transcripts) * 2 > len(transcripts)
+    witnesses = (t.witness for t in transcripts if t.verdict and t.witness is not None)
+    witness = next((w for w in witnesses if satisfies(cnf, w)), None) if verdict else None
     return verdict, witness, transcripts
 
 
@@ -437,13 +448,12 @@ def verify_transcript(
 ) -> tuple[bool, list[dict]]:
     """Re-check every reproducible claim in a transcript (given as a dict or a
     ReductionTranscript) without re-running any randomness.  Returns
-    (all_ok, per-check results).  g1 and g2 are rebuilt from a, b and the
-    clause polynomials; the g1, g2 and h that a v2 or v1 transcript records
-    (or that any run carries) are checked against the rebuilt ones.  A
-    formula with more than caps.max_vars variables raises CapsExceeded
-    before any work that grows with it.  encodings, a dict shared by the
-    calls on the runs of one report, keeps each formula's clause polynomials
-    so that they are encoded once."""
+    (all_ok, per-check results).  The scan reads the rows a and b, as pipeline
+    does; g1 and g2 are rebuilt from them only to check the g1, g2 and h that
+    a v2 or v1 transcript records (or any run carries).  A formula with more
+    than caps.max_vars variables raises CapsExceeded before any work that
+    grows with it.  encodings, a dict shared by the calls on the runs of one
+    report, keeps each formula's _encode result, so it is computed once."""
     caps = caps or Caps()
     encodings = {} if encodings is None else encodings
     checks: list[dict] = []
@@ -470,18 +480,11 @@ def verify_transcript(
     widest = max(t.n, cnf.num_vars)
     if widest > caps.max_vars:
         raise CapsExceeded(f"{widest} variables exceed the pipeline cap {caps.max_vars}")
-    ok_shape = (
-        t.n == cnf.num_vars >= 1
-        and t.k == len(cnf.clauses)
-        and t.q_n == primorial(t.n)
-    )
+    ok_shape = t.n == cnf.num_vars >= 1 and t.k == len(cnf.clauses) and t.q_n == primorial(t.n)
     check("shape", ok_shape, "n, k, q_n consistent with the formula")
 
-    prime_ok = (
-        t.prime.p == 1 + t.prime.k * t.prime.q_n
-        and t.prime.q_n == t.q_n
-        and is_prime(t.prime.p)
-    )
+    prime_ok = (t.prime.p == 1 + t.prime.k * t.prime.q_n and t.prime.q_n == t.q_n
+                and is_prime(t.prime.p))
     check("prime", prime_ok, f"p = {t.prime.p}")
     if not (ok_shape and prime_ok):
         return False, checks
@@ -495,9 +498,10 @@ def verify_transcript(
         return False, checks
 
     if cnf not in encodings:
-        encodings[cnf] = encode_system(cnf, term_cap=caps.term_count)
-    polys = encodings[cnf]
-    if t.mode == "randomized" and t.k > 0:
+        encodings[cnf] = _encode(cnf, caps.term_count)
+    polys, layout = encodings[cnf]
+    combined = t.mode == "randomized" and t.k > 0
+    if combined:
         if t.a is not None:
             d, bound = _combination_bound(polys)
             ok_n = t.max_degree == d and t.big_n == bound
@@ -512,25 +516,21 @@ def verify_transcript(
         else:
             check("combination-bound", t.big_n is None and t.max_degree is None
                   and t.b is None, "pass-through for k <= 2")
-        g1, g2 = _pair(t.a, t.b, polys)
-        for name, f in (("g1", g1), ("g2", g2)):
-            if name in recorded:
-                check(name, recorded[name] == f)
-        if p == 2:
-            check("qnr", t.qnr is None, "p = 2 uses the x^2+xy+y^2 form")
-        else:
-            qnr_ok = t.qnr is not None and pow(t.qnr, (p - 1) // 2, p) == p - 1
-            check("qnr", qnr_ok, "passes the Euler criterion")
+        if recorded:
+            g1, g2 = _pair(t.a, t.b, polys)
+            for name, f in (("g1", g1), ("g2", g2)):
+                if name in recorded:
+                    check(name, recorded[name] == f)
+        qnr_ok = t.qnr is not None and pow(t.qnr, (p - 1) // 2, p) == p - 1
+        check("qnr", qnr_ok, "passes the Euler criterion")  # p = 1 + k*q_n is odd
         if "h" in recorded:
             check("h", recorded["h"] == _quadratic_form(g1, g2, t.qnr))
-        scan_polys = [g1, g2]
     else:
         nulls = (t.a, t.b, t.qnr, t.big_n, t.max_degree, *recorded.values())
         check("no-combination", all(v is None for v in nulls),
               "deterministic runs carry no combination data")
-        scan_polys = polys
 
-    matches = _scan_roots(scan_polys, t.omega, p, t.n)
+    matches = _scan_roots(layout, _rows(combined, t.a, t.b, t.k), t.omega, p, t.n)
     check("verdict", t.verdict == bool(matches))
     check("match-count", t.match_count == len(matches))
     check("first-match", t.first_match == (matches[0] if matches else None))

@@ -230,6 +230,9 @@ def test_density(capsys):
     for bad in BAD_INTEGERS:
         assert_rejected(capsys, ["density", "1", bad])
         assert_rejected(capsys, ["density", bad, "10000"])
+    # Li(2) = 0 predicts no primes, so there is no ratio to report
+    for argv in (["density", "1", "2"], ["density", "30", "100", "7", "2"]):
+        assert_rejected(capsys, argv)
 
 
 def test_reduce_and_verify(tmp_path, capsys):

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import itertools
 import json
+import math
 import random
 import time
 
@@ -19,8 +20,11 @@ from padicfeas.reduce import (
     TRANSCRIPT_FORMAT_V1,
     TRANSCRIPT_FORMAT_V2,
     ReductionTranscript,
-    _pfa_exponents,
-    _pfa_values,
+    _chirp,
+    _combine,
+    _dft,
+    _layout,
+    _rows,
     _scan_roots,
     pair_to_single,
     pipeline,
@@ -341,6 +345,12 @@ def naive_roots(polys, omega, p, q_n):
     return out
 
 
+def scan_polys(polys, omega, p, n):
+    """The scan of the polynomials themselves: one unit row each."""
+    return _scan_roots(_layout(polys, primorial(n)), _rows(False, None, None, len(polys)),
+                       omega, p, n)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("mode", ["deterministic", "randomized"])
 def test_scan_roots_is_exact_on_seeded_formulas(n, mode):
@@ -350,21 +360,21 @@ def test_scan_roots_is_exact_on_seeded_formulas(n, mode):
         t = pipeline(cnf, Config(mode=mode, seed=seed))
         polys = encode_system(cnf) if mode == "deterministic" else [t.g1, t.g2]
         want = naive_roots(polys, t.omega, t.prime.p, t.q_n)
-        assert _scan_roots(polys, t.omega, t.prime.p, n) == want
+        assert scan_polys(polys, t.omega, t.prime.p, n) == want
         assert t.match_count == len(want)
         assert t.first_match == (want[0] if want else None)
 
 
-def random_huge_sparse(rng, p, terms):
+def random_huge_sparse(rng, p, terms, step=1):
     """Random coefficients of any sign, some divisible by p, and exponents up
-    to 10**40, some equal modulo Q."""
+    to 10**40, all multiples of step, some equal modulo Q."""
     out = []
     for _ in range(terms):
         c = rng.choice((rng.randint(-10 ** 20, 10 ** 20), p * rng.randint(-3, 3) or 1))
-        out.append((c, rng.randint(0, 10 ** 40)))
+        out.append((c, step * rng.randint(0, 10 ** 40 // step)))
     if out:
         c, e = out[0]
-        out.append((rng.randint(1, 9), e + 30030 * rng.randint(1, 10 ** 6)))
+        out.append((rng.randint(1, 9), e + 30030 * step * rng.randint(1, 10 ** 6)))
     return SparsePoly(out)
 
 
@@ -376,17 +386,33 @@ def scan_setting(n, rng):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_prime_factor_dft_values_match_naive_evaluation(n):
+def test_chirp_dft_values_match_naive_evaluation(n):
+    """At every period P dividing Q_n, _dft of a polynomial in x**(Q_n/P)
+    gives its values at omega**t for t < P, and its layout's table repeats
+    them for every t < Q_n; coefficients all 0 modulo p give zeros."""
     rng = random.Random(100 + n)
     p, q_n, omega = scan_setting(n, rng)
-    for terms in (0, 1, 3, 8):
-        f = random_huge_sparse(rng, p, terms)
-        reduced = [(c % p, e % q_n) for c, e in f.terms]
-        values = dict(zip(_pfa_exponents(first_primes(n)),
-                          _pfa_values(reduced, omega, p, first_primes(n))))
-        assert sorted(values) == list(range(q_n))
-        for t in range(q_n):
-            assert values[t] == f.eval_mod(pow(omega, t, p), p)
+    primes = first_primes(n)
+    for r in range(n + 1):
+        for chosen in itertools.combinations(primes, r):
+            period = math.prod(chosen)
+            step = q_n // period
+            chirp = _chirp(period, pow(omega, step, p), p)
+            for terms in (0, 1, 3, 8):
+                f = random_huge_sparse(rng, p, terms, step)
+                coeffs = [0] * period
+                for c, e in f.terms:
+                    coeffs[e // step % period] += c
+                table = _dft(coeffs, chirp, p)
+                want = [f.eval_mod(pow(omega, t, p), p) for t in range(period)]
+                assert table == want
+                (own, laid), = _layout([f], q_n)
+                assert period % own == 0
+                table = _dft(laid, _chirp(own, pow(omega, q_n // own, p), p), p)
+                assert [table[t % own] for t in range(q_n)] == [want[t % period]
+                                                              for t in range(q_n)]
+            zeros = [p * rng.randint(-5, 5) for _ in range(period)]
+            assert _dft(zeros, chirp, p) == [0] * period
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -405,12 +431,41 @@ def test_scan_roots_is_exact_on_random_sparse_polynomials(n):
         polys = [f - SparsePoly.constant(f.eval_mod(x0, p)) for f in polys]
         want = naive_roots(polys, omega, p, q_n)
         assert t0 in want
-        assert _scan_roots(polys, omega, p, n) == want
+        assert scan_polys(polys, omega, p, n) == want
     # a constant (period 1) and a polynomial whose coefficients are all 0 mod p
     for polys in ([SparsePoly.constant(p + 1)], [p * random_huge_sparse(rng, p, 4)]):
         want = naive_roots(polys, omega, p, q_n)
         assert want == ([] if polys[0].degree == 0 else list(range(q_n)))
-        assert _scan_roots(polys, omega, p, n) == want
+        assert scan_polys(polys, omega, p, n) == want
+
+
+def random_row(rng, p, k):
+    """A row of integers for k polynomials, of length k - 2 to k + 2 (missing
+    entries count as 0, extra ones are ignored), with zeros, multiples of p,
+    negative and large entries."""
+    pick = [lambda: 0, lambda: p * rng.randint(-3, 3), lambda: rng.randint(-10 ** 12, 10 ** 12),
+            lambda: rng.randint(1, 9)]
+    return tuple(rng.choice(pick)() for _ in range(max(0, k + rng.randint(-2, 2))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rows_scan_matches_the_combined_polynomials(n):
+    """Scanning rows over the laid-out clause polynomials finds exactly the
+    common roots of the rows' combinations, for random integer rows and for
+    the rows of every mode."""
+    rng = random.Random(300 + n)
+    p, q_n, omega = scan_setting(n, rng)
+    for k in (1, 2, 3, 6, 12):
+        polys = encode_system(seeded_formula(n, k, 900 + 10 * n + k))
+        layout = _layout(polys, q_n)
+        row_sets = [[random_row(rng, p, k) for _ in range(rng.randint(1, 3))] for _ in range(4)]
+        row_sets += [[()], [(0,) * k, random_row(rng, p, k)], _rows(True, None, None, k),
+                     _rows(False, None, None, k)]
+        a, b = (tuple(rng.randint(1, 10 ** 9) for _ in range(k)) for _ in "ab")
+        row_sets += [_rows(True, a, b, k), _rows(True, a, None, k), _rows(True, a[:-1], b + b, k)]
+        for rows in row_sets:
+            want = naive_roots([_combine(row, polys) for row in rows], omega, p, q_n)
+            assert _scan_roots(layout, rows, omega, p, n) == want, rows
 
 
 def test_pipeline_matches_the_truth_table_at_six_variables():
@@ -424,10 +479,12 @@ def test_pipeline_matches_the_truth_table_at_six_variables():
         sat = [t for t in range(primorial(6))
                if tuple(int(t % q == 0) for q in primes) in good]
         det = pipeline(cnf, Config(mode="deterministic"))
-        assert _scan_roots(encode_system(cnf), det.omega, det.prime.p, 6) == sat
+        assert scan_polys(encode_system(cnf), det.omega, det.prime.p, 6) == sat
         assert (det.match_count, det.first_match) == (len(sat), sat[0] if sat else None)
         rnd = pipeline(cnf, Config(mode="randomized", seed=seed))
-        assert set(sat) <= set(_scan_roots([rnd.g1, rnd.g2], rnd.omega, rnd.prime.p, 6))
+        layout = _layout(encode_system(cnf), primorial(6))
+        rows = _rows(True, rnd.a, rnd.b, len(cnf.clauses))
+        assert set(sat) <= set(_scan_roots(layout, rows, rnd.omega, rnd.prime.p, 6))
         assert rnd.match_count >= len(sat)
         for t in (det, rnd):
             ok, checks = verify_transcript(t.to_obj())
@@ -483,6 +540,11 @@ TAMPERINGS = [
     lambda o: o["a"].__setitem__(0, "0"),
     lambda o: o["a"].__setitem__(0, str(int(o["big_n"]) + 1)),
     lambda o: o["b"].pop(),
+    # the verdict is a JSON boolean, not any value with a truth value
+    lambda o: o.__setitem__("verdict", "false"),
+    lambda o: o.__setitem__("verdict", "no"),
+    lambda o: o.__setitem__("verdict", 1),
+    lambda o: o.__setitem__("verdict", [0]),
 ]
 # Edits that only contradict a recorded g1: in v3, g1 is rebuilt from a, so an
 # in-range change of a[0] is a different but consistent run, and there is no
@@ -587,16 +649,24 @@ def test_deterministic_runs_carry_no_polynomials(convert, name):
 
 def test_pair_is_rebuilt_from_the_drawn_combination(monkeypatch):
     """g1 and g2 read from a transcript, also after a round trip through its
-    v3 object, are the pair that random_combine drew in the run."""
+    v3 object, are the combinations of the clause polynomials by the a and b
+    that the run drew (k >= 3), or the first and last clause polynomial (no
+    draw for k <= 2)."""
     drawn = []
-    real = reduce_mod.random_combine
-    monkeypatch.setattr(reduce_mod, "random_combine",
-                        lambda polys, rng: drawn.append(real(polys, rng)) or drawn[-1])
+    real = reduce_mod._draw
+    monkeypatch.setattr(reduce_mod, "_draw", lambda *args: drawn.append(real(*args)) or drawn[-1])
     for clauses in ([[1, 2, 3]], [[1, 2, 3], [-1, 2, -3]], [[1, 2, 3], [-1, -2, -3], [1, -2, 3]]):
-        t = pipeline(Cnf3.from_signed(3, clauses), Config(seed=5))
-        g1, g2, a, b = drawn[-1]
-        assert (t.a, t.b) == (a, b)
-        assert t.pair() == (g1, g2) == ReductionTranscript.from_obj(t.to_obj()).pair()
+        cnf = Cnf3.from_signed(3, clauses)
+        polys = encode_system(cnf)
+        t = pipeline(cnf, Config(seed=5))
+        if len(clauses) > 2:
+            a, b = drawn.pop()
+            pair = tuple(sum((c * f for c, f in zip(v, polys)), SparsePoly.zero()) for v in (a, b))
+        else:
+            a = b = None
+            pair = (polys[0], polys[-1])
+        assert not drawn and (t.a, t.b) == (a, b)
+        assert t.pair() == pair == ReductionTranscript.from_obj(t.to_obj()).pair()
 
 
 # Digests of the reports that the v1 code (before transcript v2) printed for

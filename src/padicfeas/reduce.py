@@ -68,7 +68,7 @@ class ReductionTranscript:
     big_n: int | None            # 18 * max_degree * k**2, randomized with k >= 3
     a: tuple[int, ...] | None
     b: tuple[int, ...] | None
-    qnr: int | None              # None for p = 2 (the x^2+xy+y^2 form) and k <= 2 n/a
+    qnr: int | None              # randomized mode with k >= 1 only
     match_count: int
     first_match: int | None      # least exponent t with omega**t a common root
     verdict: bool
@@ -148,8 +148,13 @@ class ReductionTranscript:
                 raise ValueError(f"{v!r} is not true or false")
             return v
 
-        prime = ProgressionPrime(**{field: parse_int(obj["prime"][field])
-                                    for field in ("n", "q_n", "k", "p", "trials_used")})
+        prime = ProgressionPrime(
+            n=parse_int(obj["prime"]["n"]),
+            q_n=parse_int(obj["prime"]["q_n"]),
+            k=parse_int(obj["prime"]["k"]),
+            p=parse_int(obj["prime"]["p"]),
+            trials_used=parse_int(obj["prime"]["trials_used"]),
+        )
         return cls(
             mode=obj["mode"],
             n=parse_int(obj["n"]),
@@ -254,9 +259,9 @@ def _layout(polys, q_n: int) -> list[tuple[int, list[int]]]:
     polynomial's own one divides (for a clause polynomial, the product of its
     clause's primes; Plaisted 1984), so that polynomials combine by period."""
     own = [q_n // gcd(q_n, *(e for _, e in f.terms)) for f in polys]
-    layout = []
+    periods, layout = set(own), []
     for f, period in zip(polys, own):
-        top = max(big for big in own if big % period == 0)
+        top = max(big for big in periods if big % period == 0)
         step, coeffs = q_n // top, [0] * top
         for c, e in f.terms:
             coeffs[e // step % top] += c
@@ -304,12 +309,13 @@ def _dft(coeffs, chirp, p: int) -> list[int]:
 
 
 def _rows(randomized: bool, a, b, k: int) -> list:
-    """The integer rows over the k clause polynomials (missing entries are 0)
-    that a run scans: a and b, the first and last polynomial when a is None
-    (k <= 2), or, not randomized, every polynomial on its own."""
+    """The rows over the k clause polynomials that a run scans, each a list
+    of (index, coefficient) pairs (missing entries are 0): a and b, the first
+    and last polynomial when a is None (k <= 2), or, not randomized, every
+    polynomial on its own."""
     if not randomized:
-        return [(0,) * i + (1,) for i in range(k)]
-    return [(1,), (0,) * (k - 1) + (1,)] if a is None else [a, b or ()]
+        return [[(i, 1)] for i in range(k)]
+    return [[(0, 1)], [(k - 1, 1)]] if a is None else [[*enumerate(a)], [*enumerate(b or ())]]
 
 
 def _scan_roots(layout, rows, omega: int, p: int, n: int) -> list[int]:
@@ -333,8 +339,9 @@ def _scan_roots(layout, rows, omega: int, p: int, n: int) -> list[int]:
         if not (mask if survivors is None else survivors):
             break
         coeffs: dict[int, list[int]] = {}
-        for r, (period, poly) in zip(row, layout):
-            if r % p:
+        for i, r in row:
+            if i < len(layout) and r % p:
+                period, poly = layout[i]
                 coeffs[period] = list(map(add, coeffs.get(period, repeat(0)),
                                           map(mul, poly, repeat(r % p))))
         tables = [_dft(c, chirp(period), p) for period, c in coeffs.items()]
@@ -365,7 +372,9 @@ def _decode_witness(cnf: Cnf3, matches, omega: int, p: int) -> tuple[int, ...] |
 
 def _check_size(cnf: Cnf3, caps: Caps):
     if cnf.num_vars > caps.max_vars:
-        raise CapsExceeded(f"{cnf.num_vars} variables exceed the pipeline cap {caps.max_vars}")
+        raise CapsExceeded(
+            f"{cnf.num_vars} variables exceed the pipeline cap {caps.max_vars}"
+        )
     if cnf.num_vars < 1:
         raise ValueError("the pipeline needs at least one variable")
 
@@ -396,8 +405,9 @@ def pipeline(
     polys, layout = encoded or _encode(cnf, config.caps.term_count)
 
     strategy = config.prime_strategy if randomized else "scan"
-    prime = find_prime_in_progression(n, strategy=strategy, rng=rng if randomized else None,
-                                      caps=config.caps)
+    prime = find_prime_in_progression(
+        n, strategy=strategy, rng=rng if randomized else None, caps=config.caps
+    )
     p = prime.p
     gen = find_generator(p, rng if randomized else None)
     omega = pow(gen, (p - 1) // q_n, p)
@@ -410,13 +420,28 @@ def pipeline(
             avec, bvec = _draw(k, big_n, rng)
         qnr = find_qnr(p, rng)  # p = 1 + k*q_n is odd
     matches = _scan_roots(layout, _rows(combined, avec, bvec, k), omega, p, n)
+    witness = _decode_witness(cnf, matches, omega, p)
 
     return ReductionTranscript(
-        mode=config.mode, n=n, q_n=q_n, k=k, cnf=cnf, seed=config.seed if randomized else None,
-        prime=prime, prime_strategy=strategy, generator=gen, omega=omega,
-        max_degree=max_degree, big_n=big_n, a=avec, b=bvec, qnr=qnr,
-        match_count=len(matches), first_match=matches[0] if matches else None,
-        verdict=bool(matches), witness=_decode_witness(cnf, matches, omega, p),
+        mode=config.mode,
+        n=n,
+        q_n=q_n,
+        k=k,
+        cnf=cnf,
+        seed=config.seed if randomized else None,
+        prime=prime,
+        prime_strategy=strategy,
+        generator=gen,
+        omega=omega,
+        max_degree=max_degree,
+        big_n=big_n,
+        a=avec,
+        b=bvec,
+        qnr=qnr,
+        match_count=len(matches),
+        first_match=matches[0] if matches else None,
+        verdict=bool(matches),
+        witness=witness,
     )
 
 
@@ -432,11 +457,18 @@ def run_with_majority(
     repeats = config.repeats if config.mode == "randomized" else 1
     base = random.Random(config.seed)
     child_seeds = [base.getrandbits(64) for _ in range(repeats)]
-    transcripts = [pipeline(cnf, replace(config, seed=child), random.Random(child), encoded)
-                   for child in child_seeds]
-    verdict = sum(t.verdict for t in transcripts) * 2 > len(transcripts)
-    witnesses = (t.witness for t in transcripts if t.verdict and t.witness is not None)
-    witness = next((w for w in witnesses if satisfies(cnf, w)), None) if verdict else None
+    transcripts = []
+    for child in child_seeds:
+        run_config = replace(config, seed=child)
+        transcripts.append(pipeline(cnf, run_config, random.Random(child), encoded))
+    yes = sum(1 for t in transcripts if t.verdict)
+    verdict = yes * 2 > len(transcripts)
+    witness = None
+    if verdict:
+        for t in transcripts:
+            if t.verdict and t.witness is not None and satisfies(cnf, t.witness):
+                witness = t.witness
+                break
     return verdict, witness, transcripts
 
 
@@ -480,11 +512,18 @@ def verify_transcript(
     widest = max(t.n, cnf.num_vars)
     if widest > caps.max_vars:
         raise CapsExceeded(f"{widest} variables exceed the pipeline cap {caps.max_vars}")
-    ok_shape = t.n == cnf.num_vars >= 1 and t.k == len(cnf.clauses) and t.q_n == primorial(t.n)
+    ok_shape = (
+        t.n == cnf.num_vars >= 1
+        and t.k == len(cnf.clauses)
+        and t.q_n == primorial(t.n)
+    )
     check("shape", ok_shape, "n, k, q_n consistent with the formula")
 
-    prime_ok = (t.prime.p == 1 + t.prime.k * t.prime.q_n and t.prime.q_n == t.q_n
-                and is_prime(t.prime.p))
+    prime_ok = (
+        t.prime.p == 1 + t.prime.k * t.prime.q_n
+        and t.prime.q_n == t.q_n
+        and is_prime(t.prime.p)
+    )
     check("prime", prime_ok, f"p = {t.prime.p}")
     if not (ok_shape and prime_ok):
         return False, checks

@@ -440,12 +440,20 @@ def test_scan_roots_is_exact_on_random_sparse_polynomials(n):
 
 
 def random_row(rng, p, k):
-    """A row of integers for k polynomials, of length k - 2 to k + 2 (missing
-    entries count as 0, extra ones are ignored), with zeros, multiples of p,
-    negative and large entries."""
+    """A sparse row of (index, integer) pairs for k polynomials, of length
+    k - 2 to k + 2 (missing entries count as 0, extra ones are ignored), with
+    zeros, multiples of p, negative and large entries."""
     pick = [lambda: 0, lambda: p * rng.randint(-3, 3), lambda: rng.randint(-10 ** 12, 10 ** 12),
             lambda: rng.randint(1, 9)]
-    return tuple(rng.choice(pick)() for _ in range(max(0, k + rng.randint(-2, 2))))
+    return [(i, rng.choice(pick)()) for i in range(max(0, k + rng.randint(-2, 2)))]
+
+
+def dense(row):
+    """The coefficient list of a sparse row, for _combine."""
+    out = [0] * (1 + max((i for i, _ in row), default=-1))
+    for i, r in row:
+        out[i] += r
+    return out
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -459,12 +467,12 @@ def test_rows_scan_matches_the_combined_polynomials(n):
         polys = encode_system(seeded_formula(n, k, 900 + 10 * n + k))
         layout = _layout(polys, q_n)
         row_sets = [[random_row(rng, p, k) for _ in range(rng.randint(1, 3))] for _ in range(4)]
-        row_sets += [[()], [(0,) * k, random_row(rng, p, k)], _rows(True, None, None, k),
-                     _rows(False, None, None, k)]
+        row_sets += [[[]], [[(i, 0) for i in range(k)], random_row(rng, p, k)],
+                     _rows(True, None, None, k), _rows(False, None, None, k)]
         a, b = (tuple(rng.randint(1, 10 ** 9) for _ in range(k)) for _ in "ab")
         row_sets += [_rows(True, a, b, k), _rows(True, a, None, k), _rows(True, a[:-1], b + b, k)]
         for rows in row_sets:
-            want = naive_roots([_combine(row, polys) for row in rows], omega, p, q_n)
+            want = naive_roots([_combine(dense(row), polys) for row in rows], omega, p, q_n)
             assert _scan_roots(layout, rows, omega, p, n) == want, rows
 
 
@@ -489,6 +497,20 @@ def test_pipeline_matches_the_truth_table_at_six_variables():
         for t in (det, rnd):
             ok, checks = verify_transcript(t.to_obj())
             assert ok, checks
+
+
+def test_scan_is_linear_in_repeated_clauses():
+    """Thousands of copies of one clause: a deterministic run scans one
+    one-entry row per clause and a randomized run two rows, so neither the
+    rows nor the layout grow with k**2, and both transcripts verify."""
+    cnf = Cnf3.from_signed(2, [[1]] * 5000 + [[-2]])
+    start = time.perf_counter()
+    for mode in ("deterministic", "randomized"):
+        t = pipeline(cnf, Config(mode=mode, seed=3))
+        assert t.verdict and t.witness == (1, 0)
+        ok, checks = verify_transcript(t.to_obj())
+        assert ok, checks
+    assert time.perf_counter() - start < 5.0
 
 
 # -- transcripts ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ class Caps:
     """Resource limits; exceeding any of them raises instead of degrading."""
 
     degree: int = 512              # dense operations (brute-force decision, resultants)
-    term_count: int = 1_000_000    # intermediate sparse terms during exact division
+    term_count: int = 1_000_000    # dense length of one expanded clause product
     k_max: int = 1_000_000         # sequential prime-scan bound on k
     sieve_limit: int = 100_000_000
     max_vars: int = 6              # formula size accepted by the reduction pipeline

@@ -4,16 +4,22 @@ Variable i is tied to the i-th prime p_i: at a Q-th root of unity w**t, the
 binomial x**(Q/p_i) - 1 vanishes exactly when p_i divides t, so divisibility
 patterns of t play the role of truth assignments.  A clause maps to the
 squarefree divisor of x**Q - 1 whose roots are the encodings of its
-satisfying local assignments.
+satisfying local assignments (Plaisted 1984), a product of binomials
+x**m - 1 whose exponents have a closed form.  Every m is a multiple of Q/P,
+P the product of the clause's primes, so the product is multiplied out as
+a dense coefficient list in x**(Q/P) before it becomes a SparsePoly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from math import gcd, prod
+from operator import add, neg, sub
 
 from .bigmod import crt, first_primes, is_prime, primorial
-from .errors import InexactDivision
-from .sparsepoly import SparsePoly, exact_div, parse_int
+from .errors import CapsExceeded, InexactDivision
+from .sparsepoly import SparsePoly, parse_int
 
 Literal = tuple[int, bool]  # (1-based variable index, negated?)
 
@@ -157,74 +163,78 @@ def clause_poly(clause, n: int) -> BinomialProduct:
     """The squarefree divisor of x**Q - 1 vanishing exactly at the roots of
     unity that encode local assignments satisfying the clause.
 
-    Worked out on the cube of the clause's distinct variables: with
-    T the set of satisfying local patterns, the exponents e_S solve
-    sum_{S subset of delta} e_S = [delta in T] by Moebius inversion over
-    subsets, and S contributes the factor x**(Q / prod_{s in S} p_s) - 1.
+    Worked out on the cube of the clause's distinct variables, where the set
+    S contributes the factor x**(Q / prod_{s in S} p_s) - 1 and the exponents
+    e_S solve sum_{S subset of delta} e_S = [delta satisfies the clause] by
+    Moebius inversion over subsets.  A clause fails at exactly one local
+    pattern u0 (its negated variables true, the others false), so
+    e_S = [S empty] - (-1)**|S - u0| * [u0 subset of S].  A clause with both
+    x and not-x holds everywhere and gives x**Q - 1.
     """
-    vars_ = sorted({idx for idx, _ in clause})
-    for idx in vars_:
+    lits = set(clause)
+    for idx, _ in lits:
         if not 1 <= idx <= n:
             raise ValueError(f"variable index {idx} out of range for n={n}")
-    j = len(vars_)
-    pos = {v: i for i, v in enumerate(vars_)}
-    sat_masks = set()
-    for delta in range(1 << j):
-        for idx, neg in clause:
-            value = bool(delta >> pos[idx] & 1)
-            if value != neg:
-                sat_masks.add(delta)
-                break
-    q = primorial(n)
-    primes = first_primes(n)
-    factors: dict[int, int] = {}
-    for s_mask in range(1 << j):
-        e = 0
-        sub = s_mask
-        while True:
-            inside = 1 if sub in sat_masks else 0
-            e += inside if (bin(s_mask ^ sub).count("1") % 2 == 0) else -inside
-            if sub == 0:
-                break
-            sub = (sub - 1) & s_mask
-        if e:
-            m = q
-            for i, v in enumerate(vars_):
-                if s_mask >> i & 1:
-                    m //= primes[v - 1]
-            factors[m] = e
+    q, primes = primorial(n), first_primes(n)
+    if any((idx, not neg) in lits for idx, neg in lits):
+        return BinomialProduct.from_dict(n, {q: 1})
+    terms = [(q // prod(primes[idx - 1] for idx, neg in lits if neg), -1)]
+    for idx, neg in lits:
+        if not neg:
+            terms += [(m // primes[idx - 1], -e) for m, e in terms]
+    factors = dict(terms)
+    factors[q] = factors.get(q, 0) + 1
     return BinomialProduct.from_dict(n, factors)
 
 
 def expand(bp: BinomialProduct, *, term_cap: int = 1_000_000) -> SparsePoly:
-    """Multiply out a binomial product: positive factors first (increasing m),
-    then exact division by each negative factor.  Inexact division signals a
+    """Multiply out a binomial product on a dense coefficient list in y = x**M,
+    M the gcd of its m's, as prod (1 - y**(m/M))**e times (-1)**sum(e):
+    positive factors first (each a shifted subtraction), then exact division
+    by each negative one (prefix sums over the residue classes modulo m/M, or
+    block by block, whichever loops fewer times).  Raises CapsExceeded when
+    the dense length 1 + sum_{e > 0} e*m/M exceeds term_cap, before any work,
+    and InexactDivision when a division leaves a remainder, which signals a
     malformed product."""
-    poly = SparsePoly.one()
-    negatives = []
-    for m, e in bp.factors:
-        binom = SparsePoly(((-1, 0), (1, m)))
-        if e > 0:
-            for _ in range(e):
-                poly = poly * binom
-        else:
-            negatives.extend([binom] * (-e))
-    for binom in negatives:
-        try:
-            poly = exact_div(poly, binom, term_cap=term_cap)
-        except InexactDivision as exc:
-            raise InexactDivision(
-                f"binomial product {bp.factors} does not expand to a polynomial"
-            ) from exc
-    return poly
+    step = gcd(*(m for m, _ in bp.factors)) or 1
+    if 1 + sum(e * m // step for m, e in bp.factors if e > 0) > term_cap:
+        raise CapsExceeded(f"expanding {bp.factors} exceeds the term cap of {term_cap}")
+    coeffs = [1]
+    for m, e in sorted(bp.factors, key=lambda f: f[1] < 0):
+        d = m // step
+        for _ in range(abs(e)):
+            if e > 0:
+                coeffs = list(map(sub, coeffs + [0] * d, [0] * d + coeffs))
+                continue
+            top = len(coeffs) - d
+            if d * d <= len(coeffs):
+                sums = coeffs[:]
+                for r in range(d):
+                    sums[r::d] = accumulate(coeffs[r::d])
+            else:
+                sums = coeffs[:d]
+                for i in range(d, len(coeffs), d):
+                    sums += map(add, sums[i - d:i], coeffs[i:i + d])
+            if top <= 0 or any(sums[top:]):
+                raise InexactDivision(
+                    f"binomial product {bp.factors} does not expand to a polynomial"
+                )
+            coeffs = sums[:top]
+    nonzero = filter(None, coeffs)
+    out = SparsePoly()
+    out._terms = tuple(zip(map(neg, nonzero) if sum(e for _, e in bp.factors) % 2 else nonzero,
+                           compress(range(0, len(coeffs) * step, step), coeffs)))
+    return out
 
 
 def encode_system(cnf: Cnf3, *, term_cap: int = 1_000_000) -> list[SparsePoly]:
-    """One expanded clause polynomial per clause."""
-    return [
-        expand(clause_poly(clause, cnf.num_vars), term_cap=term_cap)
-        for clause in cnf.clauses
-    ]
+    """One expanded clause polynomial per clause.  A clause's polynomial
+    depends only on its set of literals, so each distinct set is expanded
+    once per call."""
+    keys = list(map(frozenset, cnf.clauses))
+    polys = {key: expand(clause_poly(key, cnf.num_vars), term_cap=term_cap)
+             for key in dict.fromkeys(keys)}
+    return [polys[key] for key in keys]
 
 
 # -- assignments and roots ------------------------------------------------------

@@ -18,9 +18,10 @@ from padicfeas.bigmod import (
     ord_p,
     solvable_in_cyclic,
 )
+from padicfeas.bigmod import first_primes, primorial
 from padicfeas.errors import InexactDivision
-from padicfeas.plaisted import Cnf3, satisfies
-from padicfeas.sparsepoly import SparsePoly
+from padicfeas.plaisted import BinomialProduct, Cnf3, satisfies
+from padicfeas.sparsepoly import SparsePoly, exact_div
 
 
 def naive_is_prime(n: int) -> bool:
@@ -89,6 +90,61 @@ def truth_table_sat(cnf: Cnf3):
         if satisfies(cnf, bits):
             return bits
     return None
+
+
+def mobius_clause_poly(clause, n: int) -> BinomialProduct:
+    """plaisted.clause_poly by Moebius inversion over the subsets of the
+    clause's distinct variables: with T the set of satisfying local patterns,
+    e_S = sum_{delta subset of S} (-1)**|S - delta| * [delta in T]."""
+    vars_ = sorted({idx for idx, _ in clause})
+    for idx in vars_:
+        if not 1 <= idx <= n:
+            raise ValueError(f"variable index {idx} out of range for n={n}")
+    j = len(vars_)
+    pos = {v: i for i, v in enumerate(vars_)}
+    sat_masks = set()
+    for delta in range(1 << j):
+        for idx, neg in clause:
+            value = bool(delta >> pos[idx] & 1)
+            if value != neg:
+                sat_masks.add(delta)
+                break
+    q = primorial(n)
+    primes = first_primes(n)
+    factors: dict[int, int] = {}
+    for s_mask in range(1 << j):
+        e = 0
+        sub = s_mask
+        while True:
+            inside = 1 if sub in sat_masks else 0
+            e += inside if (bin(s_mask ^ sub).count("1") % 2 == 0) else -inside
+            if sub == 0:
+                break
+            sub = (sub - 1) & s_mask
+        if e:
+            m = q
+            for i, v in enumerate(vars_):
+                if s_mask >> i & 1:
+                    m //= primes[v - 1]
+            factors[m] = e
+    return BinomialProduct.from_dict(n, factors)
+
+
+def sparse_expand(bp: BinomialProduct) -> SparsePoly:
+    """plaisted.expand on sparse polynomials: multiply out the positive
+    factors (increasing m), then divide exactly by each negative one."""
+    poly = SparsePoly.one()
+    negatives = []
+    for m, e in bp.factors:
+        binom = SparsePoly(((-1, 0), (1, m)))
+        if e > 0:
+            for _ in range(e):
+                poly = poly * binom
+        else:
+            negatives.extend([binom] * (-e))
+    for binom in negatives:
+        poly = exact_div(poly, binom)
+    return poly
 
 
 def random_cnf(rng: random.Random, max_vars: int = 5, max_clauses: int = 8) -> Cnf3:

@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from padicfeas.bigmod import find_generator, first_primes, primorial
+from padicfeas.errors import CapsExceeded, InexactDivision
 from padicfeas.plaisted import (
     BinomialProduct,
     Cnf3,
@@ -27,7 +29,9 @@ from helpers import (
     dense_gcd_monic,
     dense_mul,
     dense_to_sparse_primitive,
+    mobius_clause_poly,
     sparse_exact_div,
+    sparse_expand,
 )
 
 ALL_SHAPES = list(itertools.product((False, True), repeat=3))
@@ -138,8 +142,6 @@ def test_clause_poly_degenerate_shapes():
 
 
 def test_expand_handles_higher_multiplicities():
-    from padicfeas.errors import InexactDivision
-
     # (x^15 - 1)^2 / (x^5 - 1)
     bp = BinomialProduct.from_dict(3, {15: 2, 5: -1})
     expected = binom(15) * exact_div(binom(15), binom(5))
@@ -147,6 +149,58 @@ def test_expand_handles_higher_multiplicities():
     # a malformed product is flagged, not silently truncated
     with pytest.raises(InexactDivision):
         expand(BinomialProduct.from_dict(3, {15: 1, 30: -1}))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_clause_poly_and_expand_match_the_mobius_route(n):
+    # every ordered clause of 1-3 literals, repeated and complementary ones too
+    lits = [(idx, neg) for idx in range(1, n + 1) for neg in (False, True)]
+    for size in (1, 2, 3):
+        for clause in itertools.product(lits, repeat=size):
+            ours, ref = clause_poly(clause, n), mobius_clause_poly(clause, n)
+            assert ours.factors == ref.factors, clause
+            assert expand(ours).terms == sparse_expand(ref).terms, clause
+
+
+def test_expand_matches_sparse_route_on_random_products():
+    rng = random.Random(17)
+    inexact = 0
+    for _ in range(1500):
+        n = rng.randint(1, 4)
+        q = primorial(n)
+        divisors = [m for m in range(1, q + 1) if q % m == 0]
+        bp = BinomialProduct.from_dict(
+            n, {rng.choice(divisors): rng.randint(-3, 3) for _ in range(rng.randint(0, 4))})
+        try:
+            ref = sparse_expand(bp)
+        except InexactDivision:
+            inexact += 1
+            with pytest.raises(InexactDivision):
+                expand(bp)
+            continue
+        assert expand(bp).terms == ref.terms, bp
+    assert 300 < inexact < 1200  # both outcomes are exercised
+
+
+def test_expand_checks_term_cap_before_allocating():
+    with pytest.raises(CapsExceeded):
+        expand(BinomialProduct.from_dict(3, {30: 2000}), term_cap=100)
+    start = time.perf_counter()
+    with pytest.raises(CapsExceeded):
+        expand(BinomialProduct.from_dict(3, {30: 10 ** 9}))
+    assert time.perf_counter() - start < 1
+    # the dense length is counted in units of the gcd of the m's: 1 + 2 + 3
+    assert len(expand(BinomialProduct.from_dict(3, {10: 1, 15: 1}), term_cap=6).terms) == 4
+    with pytest.raises(CapsExceeded):
+        expand(BinomialProduct.from_dict(3, {10: 1, 15: 1}), term_cap=5)
+
+
+def test_every_clause_at_n7_expands_under_the_default_cap():
+    lits = [(idx, neg) for idx in range(1, 8) for neg in (False, True)]
+    for size in (1, 2, 3):
+        for clause in itertools.combinations(lits, size):
+            poly = expand(clause_poly(clause, 7))
+            assert poly.degree <= primorial(7)
 
 
 def test_clause_poly_matches_dense_lcm_oracle():
@@ -236,6 +290,18 @@ def test_encode_system():
     assert len(polys) == 2
     assert polys[1] == SparsePoly(((1, 0), (1, 15)))
     assert encode_system(Cnf3(3, ())) == []
+
+
+def test_encode_system_on_repeated_and_permuted_clauses():
+    # one literal set twice in another order, and a repeated literal that
+    # leaves a two-literal set; k = 16 with a tautology at the end
+    cnf = Cnf3.from_signed(3, [[1, -2, 3], [3, 1, -2], [1, 1, -2]] * 5 + [[-2, 2, 2]])
+    polys = encode_system(cnf)
+    assert len(polys) == 16
+    for clause, poly in zip(cnf.clauses, polys):
+        assert poly == expand(clause_poly(clause, 3)), clause
+    assert polys[0] == polys[1] != polys[2]
+    assert polys[-1] == binom(30)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

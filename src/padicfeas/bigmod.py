@@ -42,7 +42,7 @@ def is_prime(n: int) -> bool:
         witnesses = _MR_WITNESSES
     else:
         rng = random.Random(n)  # deterministic per n, still pseudo-random bases
-        witnesses = tuple(rng.randrange(2, n - 1) for _ in range(_MR_RANDOM_ROUNDS))
+        witnesses = (rng.randrange(2, n - 1) for _ in range(_MR_RANDOM_ROUNDS))
     for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

@@ -314,8 +314,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CapsExceeded as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (CapsExceeded, MemoryError, OverflowError) as exc:  # raised caps admit the last two
+        why = exc if isinstance(exc, CapsExceeded) else f"too large to allocate ({type(exc).__name__})"
+        sys.stderr.write(f"error: {why}\n")
         return EXIT_CAPS
     except (ValueError, InexactDivision, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -3,9 +3,9 @@
 The search strategies mirror the two ways to win: a deterministic scan over
 k = 1, 2, 3, ... (cheap at desk scale) and uniform random sampling of k from
 {1, ..., 2**(n**C)} with at most 9*n**C' trials.  The density experiment
-compares exact sieve counts of primes p = 1 (mod M) against Li(x)/phi(M); it
-is an empirical consistency check of that predicted density, not a
-verification of any hypothesis behind it.
+compares exact counts of primes p = 1 (mod M), from a sieve over the
+progression 1 + j*M, against Li(x)/phi(M); it is an empirical consistency
+check of that predicted density, not a verification of any hypothesis behind it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator
 
 from .bigmod import euler_phi, is_prime, primorial
 from .config import Caps
@@ -144,29 +143,30 @@ def logarithmic_integral(x) -> float:
 # -- sieving ---------------------------------------------------------------------
 
 
-def sieve_primes(limit: int, segment_size: int = 1 << 20) -> Iterator[int]:
-    """All primes <= limit, via a segmented sieve of Eratosthenes."""
-    if limit < 2:
-        return
-    root = math.isqrt(limit)
-    base = bytearray([1]) * (root + 1)
-    base[0:2] = b"\x00\x00"
+def _count_progression_primes(m: int, x: int, segment_size: int = 1 << 20) -> int:
+    """Primes p <= x with p = 1 (mod m), counted by a segmented sieve over j, p = 1 + j*m:
+    a prime q <= isqrt(x) not dividing m divides 1 + j*m exactly when j = -m**-1 (mod q),
+    and crosses those j off from the first with 1 + j*m >= q*q, so q itself stays
+    counted.  Memory: isqrt(x) bytes plus one segment of at most segment_size."""
+    root, j_max = math.isqrt(x), (x - 1) // m
+    crossed = bytearray(root + 1)  # crossed[i]: i >= 2 is composite
     for i in range(2, math.isqrt(root) + 1):
-        if base[i]:
-            base[i * i :: i] = bytearray(len(base[i * i :: i]))
-    base_primes = [i for i in range(2, root + 1) if base[i]]
-    yield from base_primes
-    lo = root + 1
-    while lo <= limit:
-        hi = min(lo + segment_size - 1, limit)
-        seg = bytearray([1]) * (hi - lo + 1)
-        for p in base_primes:
-            start = max(p * p, (lo + p - 1) // p * p)
-            seg[start - lo :: p] = bytearray(len(seg[start - lo :: p]))
-        for i, flag in enumerate(seg):
-            if flag:
-                yield lo + i
-        lo = hi + 1
+        if not crossed[i]:
+            crossed[i * i :: i] = b"\1" * len(range(i * i, root + 1, i))
+    # (q, the residue of j that q crosses off, the first j it crosses off)
+    sieving = [(q, -pow(m, -1, q) % q, (q * q + m - 2) // m)
+               for q in range(2, root + 1) if not crossed[q] and m % q]
+    count = 0
+    for lo in range(1, j_max + 1, segment_size):
+        seg = bytearray(min(segment_size, j_max + 1 - lo))
+        for q, r, first in sieving:
+            if first >= lo + len(seg):
+                break
+            start = max(lo, first) - lo
+            start += (r - lo - start) % q
+            seg[start::q] = b"\1" * len(range(start, len(seg), q))
+        count += seg.count(0)
+    return count
 
 
 def prime_density_experiment(m: int, x: int, caps: Caps | None = None) -> DensityReport:
@@ -178,7 +178,6 @@ def prime_density_experiment(m: int, x: int, caps: Caps | None = None) -> Densit
         raise ValueError("x must be at least 3 (Li(2) = 0 predicts no primes)")
     if x > caps.sieve_limit:
         raise CapsExceeded(f"x = {x} exceeds the sieve cap {caps.sieve_limit}")
-    target = 1 % m
-    count = sum(1 for p in sieve_primes(x) if p % m == target)
+    count = _count_progression_primes(m, x)
     predicted = logarithmic_integral(x) / euler_phi(m)
     return DensityReport(m=m, x=x, count=count, predicted=predicted, ratio=count / predicted)

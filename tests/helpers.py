@@ -11,8 +11,12 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Iterator
 
 from padicfeas.bigmod import (
+    _MR_DETERMINISTIC_BOUND,
+    _MR_RANDOM_ROUNDS,
+    _MR_WITNESSES,
     decompose_2adic_unit,
     multiplicative_order,
     ord_p,
@@ -31,6 +35,64 @@ def naive_is_prime(n: int) -> bool:
         if n % d == 0:
             return False
     return True
+
+
+def eager_is_prime(n: int) -> bool:
+    """bigmod.is_prime as it was before it drew its Miller-Rabin bases lazily:
+    above the deterministic bound it draws all seeded bases before the first
+    test, so the lazy version must reach the same verdict on every n."""
+    if n < 2:
+        return False
+    for p in _MR_WITNESSES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    if n < _MR_DETERMINISTIC_BOUND:
+        witnesses = _MR_WITNESSES
+    else:
+        rng = random.Random(n)
+        witnesses = tuple(rng.randrange(2, n - 1) for _ in range(_MR_RANDOM_ROUNDS))
+    for a in witnesses:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def sieve_primes(limit: int, segment_size: int = 1 << 20) -> Iterator[int]:
+    """All primes <= limit, via a segmented sieve of Eratosthenes over every
+    integer: the oracle for the package's sieve over a progression."""
+    if limit < 2:
+        return
+    root = math.isqrt(limit)
+    base = bytearray([1]) * (root + 1)
+    base[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(root) + 1):
+        if base[i]:
+            base[i * i :: i] = bytearray(len(base[i * i :: i]))
+    base_primes = [i for i in range(2, root + 1) if base[i]]
+    yield from base_primes
+    lo = root + 1
+    while lo <= limit:
+        hi = min(lo + segment_size - 1, limit)
+        seg = bytearray([1]) * (hi - lo + 1)
+        for p in base_primes:
+            start = max(p * p, (lo + p - 1) // p * p)
+            seg[start - lo :: p] = bytearray(len(seg[start - lo :: p]))
+        for i, flag in enumerate(seg):
+            if flag:
+                yield lo + i
+        lo = hi + 1
 
 
 def naive_order(a: int, m: int) -> int:

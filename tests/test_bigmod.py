@@ -4,6 +4,7 @@ import random
 import pytest
 
 from padicfeas.bigmod import (
+    _MR_DETERMINISTIC_BOUND,
     INFINITY,
     Modulus,
     _valuation,
@@ -22,7 +23,7 @@ from padicfeas.bigmod import (
 )
 from padicfeas.errors import FactorBudgetExceeded
 
-from helpers import naive_is_prime, naive_order
+from helpers import eager_is_prime, naive_is_prime, naive_order
 
 
 def test_ord_p_examples():
@@ -111,6 +112,25 @@ def test_is_prime_large_values():
     assert not is_prime((2 ** 89 - 1) * (2 ** 61 - 1))
     assert is_prime(10 ** 18 + 9)
     assert not is_prime(10 ** 18 + 7)
+
+
+def test_is_prime_matches_eager_bases_above_the_deterministic_bound():
+    # the randomized range draws its seeded bases lazily; verdicts must not move
+    rng = random.Random(23)
+    lo = _MR_DETERMINISTIC_BOUND
+    odd = [rng.randrange(lo, 2 ** 128) | 1 for _ in range(2000)]
+    primes = []
+    while len(primes) < 80:
+        n = rng.randrange(lo, 2 ** rng.choice((82, 90, 100, 128))) | 1
+        while not eager_is_prime(n):
+            n += 2
+        primes.append(n)
+    semiprimes = [rng.choice(primes) * rng.choice(primes) for _ in range(200)]
+    mersenne = [2 ** e - 1 for e in (89, 107, 127)] + [2 ** e - 1 for e in (97, 101, 131)]
+    for n in odd + primes + semiprimes + mersenne + [lo, lo + 1, lo + 2]:
+        assert is_prime(n) == eager_is_prime(n), n
+    assert all(map(is_prime, primes)) and not any(map(is_prime, semiprimes))
+    assert sum(map(is_prime, odd)) > 10
 
 
 def test_factor_examples_and_recompose():

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -233,6 +234,41 @@ def test_density(capsys):
     # Li(2) = 0 predicts no primes, so there is no ratio to report
     for argv in (["density", "1", "2"], ["density", "30", "100", "7", "2"]):
         assert_rejected(capsys, argv)
+
+
+# sha256 of the full `density` stdout and the exit code, as the integer sieve
+# printed them: the benchmark's rows, then M = 1 and 2, M sharing factors with
+# the base primes, M >= x and x = q*q for q = 1 (mod M)
+DENSITY_DIGESTS = {
+    "1 10000 30 1000000 210 1000000 30 10000000": (
+        0, "c0b8fafb835cbc7f78c43bf04d1c7c860238b379af4196cc0c7e8800e79bb250"
+    ),
+    "1 3 2 3 2 1000 6 49 4 25 10 121 12 13 13 13 500 3 30 421 7 100000": (
+        0, "ca157e180400464ed6e076ce4caffa397cc9ca9e2387bd19ae83ac55e9b884dc"
+    ),
+}
+
+
+@pytest.mark.parametrize("rows", sorted(DENSITY_DIGESTS))
+def test_density_report_digests(capsys, rows):
+    code, out, _ = run_cli(capsys, ["density"] + rows.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == DENSITY_DIGESTS[rows]
+
+
+def test_raised_caps_exit_3_without_a_traceback(tmp_path, capsys):
+    huge = tmp_path / "huge.txt"
+    huge.write_text(f"x^{10 ** 12} + 1")
+    wide = tmp_path / "wide.cnf"
+    wide.write_text("p cnf 40 3\n1 2 3 0\n-1 2 40 0\n3 -39 5 0\n")
+    for argv in (
+        ["density", "1", "9" * 26, "--sieve-cap", "9" * 27],
+        ["decide", str(huge), "--prime", "3", "--degree-cap", str(10 ** 13)],
+        ["degenerate", str(huge), "--prime", "3", "--degree-cap", str(10 ** 13)],
+        ["reduce", str(wide), "--max-vars", "40"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_reduce_and_verify(tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from padicfeas.bigmod import euler_phi, primorial
 from padicfeas.config import Caps
@@ -9,14 +11,14 @@ from padicfeas.errors import CapsExceeded, PrimeSearchExhausted
 from padicfeas.primes import (
     SEARCH_MAX_N,
     DensityReport,
+    _count_progression_primes,
     ProgressionPrime,
     find_prime_in_progression,
     logarithmic_integral,
     prime_density_experiment,
-    sieve_primes,
 )
 
-from helpers import naive_is_prime
+from helpers import naive_is_prime, sieve_primes
 
 
 def naive_sieve(limit):
@@ -186,3 +188,44 @@ def test_residue_class_partition():
         assert coprime_total + dividing == len(primes)
         # and the package's count for class 1 agrees with the naive bucket
         assert prime_density_experiment(m, x).count == per_class.get(1, 0)
+
+
+def oracle_count(m, x):
+    return sum(1 for p in sieve_primes(x) if p % m == 1 % m)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    m=st.integers(1, 500),
+    x=st.integers(3, 2 * 10 ** 5),
+    segment=st.sampled_from([1, 7, 1000]),
+)
+def test_progression_count_matches_the_oracle(m, x, segment):
+    # each segment loops over the base primes in Python: bound their number
+    assume((x - 1) // m <= 5000 * segment)
+    assert _count_progression_primes(m, x, segment) == oracle_count(m, x)
+
+
+@pytest.mark.parametrize("segment", [1, 7, 1000, 1 << 20])
+def test_progression_count_edge_cases(segment):
+    cases = [
+        (1, 3, 2), (1, 4, 2), (1, 1000, 168), (2, 3, 1), (2, 1000, 167),
+        # M sharing prime factors with the base primes, up to all of them
+        (4, 1000, None), (6, 1000, None), (9, 1000, None), (12, 1000, None),
+        (30, 10 ** 4, None), (210, 10 ** 4, None), (2 * 3 * 5 * 7 * 11 * 13, 10 ** 5, None),
+        # M >= x, and the single candidate x itself
+        (13, 13, 0), (500, 3, 0), (10 ** 6, 10 ** 4, 0), (12, 13, 1), (12, 25, 1),
+        # x = q*q for q = 1 (mod M): q counts, q*q does not
+        (6, 49, 6), (4, 25, 3), (10, 121, 6), (30, 31 * 31, None),
+    ]
+    for m, x, want in cases:
+        want = oracle_count(m, x) if want is None else want
+        assert _count_progression_primes(m, x, segment) == want, (m, x)
+    # x on a segment boundary: the last index (x - 1)//M is a multiple of the
+    # segment size, or one either side of it
+    for m in (1, 2, 30):
+        for k in (1, 2, 3):
+            for j_max in (k * segment - 1, k * segment, k * segment + 1):
+                for x in (1 + j_max * m, 1 + j_max * m + m - 1):
+                    if 3 <= x <= 2 * 10 ** 5:
+                        assert _count_progression_primes(m, x, segment) == oracle_count(m, x), (m, x)

@@ -1,125 +1,45 @@
 """Root feasibility of sparse integer polynomials over the p-adic rationals,
 with a 3CNF-to-single-polynomial reduction pipeline and supporting number
-theory (orders, primality, primes in progressions, Hensel lifting)."""
+theory (orders, primality, primes in progressions, Hensel lifting).
+
+The names below are the library surface; everything else is importable from
+its submodule."""
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "INFINITY",
-    "Modulus",
-    "decompose_2adic_unit",
-    "factor",
-    "find_qnr",
-    "is_prime",
-    "multiplicative_order",
-    "ord_p",
-    "primorial",
-    "solvable_in_cyclic",
     "Caps",
     "Config",
     "CapsExceeded",
-    "FactorBudgetExceeded",
-    "InexactDivision",
-    "PrimeSearchExhausted",
-    "HenselSeed",
     "PadicDecision",
     "Witness",
     "decide_binomial",
-    "decide_bruteforce_qp",
-    "degenerate_reduction",
+    "bruteforce_decision",
     "has_degenerate_root_qp",
-    "hensel_lift",
-    "roots_of_unity_mod_p",
-    "BinomialProduct",
     "Cnf3",
-    "assignment_to_root",
-    "clause_poly",
+    "parse_dimacs",
     "encode_system",
     "expand",
-    "literal_poly",
-    "parse_dimacs",
-    "root_to_assignment",
-    "satisfies",
-    "DensityReport",
-    "ProgressionPrime",
     "find_prime_in_progression",
-    "logarithmic_integral",
     "prime_density_experiment",
-    "ReductionTranscript",
-    "pair_to_single",
     "pipeline",
-    "random_combine",
     "run_with_majority",
     "verify_transcript",
+    "ReductionTranscript",
     "SparsePoly",
-    "exact_div",
-    "gcd_dense",
     "parse_poly",
-    "poly_from_obj",
-    "poly_to_obj",
-    "size",
-    "size_p",
 ]
 
-from .bigmod import (
-    INFINITY,
-    Modulus,
-    decompose_2adic_unit,
-    factor,
-    find_qnr,
-    is_prime,
-    multiplicative_order,
-    ord_p,
-    primorial,
-    solvable_in_cyclic,
-)
 from .config import Caps, Config
-from .errors import CapsExceeded, FactorBudgetExceeded, InexactDivision, PrimeSearchExhausted
+from .errors import CapsExceeded
 from .padic import (
-    HenselSeed,
     PadicDecision,
     Witness,
+    bruteforce_decision,
     decide_binomial,
-    decide_bruteforce_qp,
-    degenerate_reduction,
     has_degenerate_root_qp,
-    hensel_lift,
-    roots_of_unity_mod_p,
 )
-from .plaisted import (
-    BinomialProduct,
-    Cnf3,
-    assignment_to_root,
-    clause_poly,
-    encode_system,
-    expand,
-    literal_poly,
-    parse_dimacs,
-    root_to_assignment,
-    satisfies,
-)
-from .primes import (
-    DensityReport,
-    ProgressionPrime,
-    find_prime_in_progression,
-    logarithmic_integral,
-    prime_density_experiment,
-)
-from .reduce import (
-    ReductionTranscript,
-    pair_to_single,
-    pipeline,
-    random_combine,
-    run_with_majority,
-    verify_transcript,
-)
-from .sparsepoly import (
-    SparsePoly,
-    exact_div,
-    gcd_dense,
-    parse_poly,
-    poly_from_obj,
-    poly_to_obj,
-    size,
-    size_p,
-)
+from .plaisted import Cnf3, encode_system, expand, parse_dimacs
+from .primes import find_prime_in_progression, prime_density_experiment
+from .reduce import ReductionTranscript, pipeline, run_with_majority, verify_transcript
+from .sparsepoly import SparsePoly, parse_poly

@@ -104,16 +104,6 @@ def _valuation(n: int, p: int) -> int:
     return v
 
 
-def crt(pairs: list[tuple[int, int]]) -> tuple[int, int]:
-    """Combine congruences x = r_i (mod m_i) into (x, lcm); moduli must be coprime."""
-    r, m = 0, 1
-    for ri, mi in pairs:
-        s = pow(m, -1, mi)  # raises ValueError when m and mi share a factor
-        r = (r + (ri - r) * s % mi * m) % (m * mi)
-        m *= mi
-    return r, m
-
-
 def _pollard_rho_brent(n: int, c: int, max_iters: int) -> tuple[int | None, int]:
     """Brent's cycle-finding variant; returns (factor or None, iterations used)."""
     y, r, q, g = 2, 1, 1, 1
@@ -272,16 +262,6 @@ def find_qnr(p: int, rng: random.Random) -> int:
         for a in (rng.randrange(1, p), rng.randrange(1, p)):
             if pow(a, e, p) == p - 1:
                 return a
-
-
-def solvable_in_cyclic(order_a: int, d: int, group_order: int) -> bool:
-    """Whether x**d = a is solvable in a cyclic group of the given order,
-    where a has order order_a."""
-    if order_a < 1 or group_order < 1:
-        raise ValueError("orders must be positive")
-    if group_order % order_a != 0:
-        raise ValueError("element order must divide the group order")
-    return (group_order // math.gcd(d, group_order)) % order_a == 0
 
 
 def _dlog_in_two_group(target: int, ell: int) -> int:

@@ -1,17 +1,17 @@
 """p-adic decision procedures.
 
-The binomial decision algorithm, Hensel lifting, root-of-unity enumeration in
-prime fields, a brute-force root-existence oracle over the p-adic rationals,
-and the squared-polynomial reduction to degenerate-root detection.
+The binomial decision algorithm, Hensel lifting, the brute-force residue
+refinement that decides root existence over the p-adic rationals for any
+polynomial of capped degree, and degenerate-root detection (a p-adic root of
+gcd(f, f')).
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
-from .bigmod import Modulus, _valuation, find_generator, is_prime, ord_p
+from .bigmod import Modulus, _valuation, is_prime
 from .config import Caps
 from .errors import CapsExceeded
 from .sparsepoly import (
@@ -121,10 +121,6 @@ def hensel_lift_trace(
     return x % p ** target_ell, steps
 
 
-def hensel_lift(f: SparsePoly, seed: HenselSeed, p: int, target_ell: int) -> int:
-    return hensel_lift_trace(f, seed, p, target_ell)[0]
-
-
 # -- binomial decision --------------------------------------------------------
 
 
@@ -182,31 +178,6 @@ def decide_binomial(c1: int, a1: int, c2: int, a2: int, p: int) -> PadicDecision
     return PadicDecision(feasible, RULE_CYCLIC_ORDER)
 
 
-# -- roots of unity in a prime field ------------------------------------------
-
-
-def roots_of_unity_mod_p(
-    p: int, m: int, rng: random.Random | None = None
-) -> list[int]:
-    """All M residues r with r**M = 1 (mod p); requires M | p - 1.
-
-    Generated as consecutive powers of g**((p-1)/M) for a generator g."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if m < 1:
-        raise ValueError("M must be positive")
-    if (p - 1) % m != 0:
-        raise ValueError(f"{m} does not divide {p} - 1")
-    g = find_generator(p, rng)
-    omega = pow(g, (p - 1) // m, p)
-    out = [1]
-    cur = 1
-    for _ in range(m - 1):
-        cur = cur * omega % p
-        out.append(cur)
-    return out
-
-
 # -- brute-force feasibility oracle --------------------------------------------
 
 
@@ -249,13 +220,13 @@ def _integral_root_witness(g: SparsePoly, p: int, caps: Caps):
     sfd = [c * e for e, c in enumerate(sf)][1:]
     res = resultant_dense(from_dense(sf), from_dense(sfd), caps.degree)
     assert res != 0 and res.denominator == 1
-    rho = ord_p(int(res), p)
+    rho = _valuation(int(res), p)
     ell_max = 1 + 2 * rho
     candidates = [x for x in range(p) if _eval_dense_mod(sf, x, p) == 0]
     for ell in range(1, ell_max + 1):
         for x in candidates:
             dv = _eval_dense(sfd, x)
-            if dv != 0 and 2 * ord_p(dv, p) < ell:
+            if dv != 0 and 2 * _valuation(dv, p) < ell:
                 return x, ell
         if ell == ell_max:
             break
@@ -296,7 +267,7 @@ def bruteforce_decision(f: SparsePoly, p: int, caps: Caps | None = None) -> Padi
         witness = None
         fx = f.eval_mod(x, p ** ell)
         dv = f.derivative().evaluate(x)
-        if fx == 0 and dv != 0 and 2 * ord_p(dv, p) < ell:
+        if fx == 0 and dv != 0 and 2 * _valuation(dv, p) < ell:
             witness = Witness(x, Modulus(p, ell), 0)
         return PadicDecision(True, RULE_HENSEL_CERTIFIED, witness)
     if _integral_root_witness(f.reverse(), p, caps) is not None:
@@ -304,25 +275,17 @@ def bruteforce_decision(f: SparsePoly, p: int, caps: Caps | None = None) -> Padi
     return PadicDecision(False, RULE_EXHAUSTED)
 
 
-def decide_bruteforce_qp(f: SparsePoly, p: int, caps: Caps | None = None) -> bool:
-    return bruteforce_decision(f, p, caps).feasible
-
-
 # -- degenerate roots ----------------------------------------------------------
-
-
-def degenerate_reduction(f: SparsePoly) -> SparsePoly:
-    """f**2; f has a p-adic root exactly when f**2 has a degenerate one."""
-    return f.square()
 
 
 def has_degenerate_root_qp(f: SparsePoly, p: int, caps: Caps | None = None) -> bool:
     """Whether f is divisible by the square of a degree-1 polynomial over the
-    p-adic rationals, i.e. whether gcd(f, f') has a p-adic root."""
+    p-adic rationals, i.e. whether gcd(f, f') has a p-adic root.  f has a
+    p-adic root exactly when f.square() has a degenerate one."""
     caps = caps or Caps()
     if f.is_zero:
         return True
     if f.degree > caps.degree:
         raise CapsExceeded(f"degree {f.degree} exceeds the oracle cap {caps.degree}")
     g = gcd_dense(f, f.derivative(), degree_cap=caps.degree)
-    return decide_bruteforce_qp(g, p, caps)
+    return bruteforce_decision(g, p, caps).feasible

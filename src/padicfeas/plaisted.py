@@ -17,7 +17,7 @@ from itertools import accumulate, compress
 from math import gcd, prod
 from operator import add, neg, sub
 
-from .bigmod import crt, first_primes, is_prime, primorial
+from .bigmod import first_primes, is_prime, primorial
 from .errors import CapsExceeded, InexactDivision
 from .sparsepoly import SparsePoly, parse_int
 
@@ -112,13 +112,6 @@ def parse_dimacs(text: str) -> Cnf3:
     return Cnf3.from_signed(num_vars, clauses)
 
 
-def format_dimacs(cnf: Cnf3) -> str:
-    lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
-    for clause in cnf.to_signed():
-        lines.append(" ".join(str(l) for l in clause) + " 0")
-    return "\n".join(lines) + "\n"
-
-
 # -- clause polynomials --------------------------------------------------------
 
 
@@ -144,19 +137,6 @@ class BinomialProduct:
     @classmethod
     def from_dict(cls, n: int, factors: dict[int, int]) -> "BinomialProduct":
         return cls(n, tuple(sorted((m, e) for m, e in factors.items() if e != 0)))
-
-
-def literal_poly(lit: Literal, n: int) -> BinomialProduct:
-    """X_i maps to x**(Q/p_i) - 1; a negated literal to the complementary
-    divisor (x**Q - 1) / (x**(Q/p_i) - 1)."""
-    idx, neg = lit
-    if not 1 <= idx <= n:
-        raise ValueError(f"variable index {idx} out of range for n={n}")
-    q = primorial(n)
-    m = q // first_primes(n)[idx - 1]
-    if neg:
-        return BinomialProduct.from_dict(n, {q: 1, m: -1})
-    return BinomialProduct.from_dict(n, {m: 1})
 
 
 def clause_poly(clause, n: int) -> BinomialProduct:
@@ -238,20 +218,6 @@ def encode_system(cnf: Cnf3, *, term_cap: int = 1_000_000) -> list[SparsePoly]:
 
 
 # -- assignments and roots ------------------------------------------------------
-
-
-def assignment_to_root(bits, n: int) -> int:
-    """The exponent t modulo Q_n encoding an assignment: p_i | t exactly for
-    the variables set to 1 (false variables get residue 1, fixed for
-    determinism)."""
-    if len(bits) != n:
-        raise ValueError("assignment length does not match n")
-    pairs = []
-    for bit, p in zip(bits, first_primes(n)):
-        if bit not in (0, 1):
-            raise ValueError("assignment entries must be 0 or 1")
-        pairs.append((0 if bit else 1, p))
-    return crt(pairs)[0]
 
 
 def root_to_assignment(r: int, p: int, n: int) -> tuple[int, ...]:

@@ -58,7 +58,6 @@ class DensityReport:
     count: int
     predicted: float
     ratio: float
-    note: str = DENSITY_NOTE
 
 
 def find_prime_in_progression(

@@ -4,8 +4,8 @@ A polynomial is a tuple of (coefficient, exponent) terms with strictly
 increasing nonnegative exponents and no zero coefficients; the empty tuple is
 the zero polynomial.  Exponents may be astronomically larger than the term
 count, so nothing here ever expands to a dense representation except the
-explicitly dense helpers at the bottom (gcd, resultant), which exist as
-desk-scale oracles and are guarded by a degree cap.
+explicitly dense helpers (gcd, resultant) that the brute-force decider runs
+on, each guarded by a degree cap.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import re
 from fractions import Fraction
 from math import gcd as _int_gcd
 
-from .bigmod import Modulus
 from .errors import CapsExceeded, InexactDivision
 
 
@@ -43,10 +42,6 @@ class SparsePoly:
     @classmethod
     def constant(cls, c: int) -> "SparsePoly":
         return cls(((c, 0),))
-
-    @classmethod
-    def monomial(cls, c: int, e: int) -> "SparsePoly":
-        return cls(((c, e),))
 
     @classmethod
     def x_power(cls, e: int) -> "SparsePoly":
@@ -146,10 +141,8 @@ class SparsePoly:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval_mod(self, x: int, m) -> int:
+    def eval_mod(self, x: int, m: int) -> int:
         """f(x) mod m; one modular powering per term, so exponents may be huge."""
-        if isinstance(m, Modulus):
-            m = m.value
         if m < 2:
             raise ValueError("modulus must be at least 2")
         x %= m
@@ -171,23 +164,6 @@ class SparsePoly:
             raise ValueError("cannot reverse the zero polynomial")
         d = self.degree
         return SparsePoly((c, d - e) for c, e in self._terms)
-
-
-# -- size measures ----------------------------------------------------------
-
-
-def _ceil_log2(x: int) -> int:
-    return (x - 1).bit_length()
-
-
-def size(f: SparsePoly) -> int:
-    """Sparse bit-size: per term, 1 + ceil(log2(2+|c|)) + ceil(log2(2+e))."""
-    return sum(1 + _ceil_log2(2 + abs(c)) + _ceil_log2(2 + e) for c, e in f.terms)
-
-
-def size_p(f: SparsePoly, p: int) -> int:
-    """Sparse bit-size including the prime: size(f) + ceil(log2(2+p))."""
-    return size(f) + _ceil_log2(2 + p)
 
 
 # -- exact division ----------------------------------------------------------
@@ -241,7 +217,7 @@ def exact_div(f: SparsePoly, g: SparsePoly, *, term_cap: int = 1_000_000) -> Spa
     return out
 
 
-# -- dense helpers (desk-scale oracles) --------------------------------------
+# -- dense helpers (the brute-force decider's route) --------------------------
 
 
 def to_dense(f: SparsePoly, degree_cap: int) -> list[int]:

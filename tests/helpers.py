@@ -1,8 +1,11 @@
-"""Shared brute-force oracles and generators for the test suite.
+"""Shared oracles, reference routines and generators for the test suite.
 
-Everything here is deliberately naive: trial division, truth tables, dense
-Fraction arithmetic.  The oracles must stay independent of the package's own
+The brute-force oracles are deliberately naive: trial division, truth tables,
+dense Fraction arithmetic.  They must stay independent of the package's own
 algorithms so that agreement between the two routes is evidence, not an echo.
+The reference routines (CRT, roots of unity modulo p, solvability in a cyclic
+group, literal polynomials, DIMACS output, assignment encoding, sparse size)
+are exact helpers that only the tests use.
 """
 
 from __future__ import annotations
@@ -18,13 +21,15 @@ from padicfeas.bigmod import (
     _MR_RANDOM_ROUNDS,
     _MR_WITNESSES,
     decompose_2adic_unit,
+    find_generator,
+    first_primes,
+    is_prime,
     multiplicative_order,
     ord_p,
-    solvable_in_cyclic,
+    primorial,
 )
-from padicfeas.bigmod import first_primes, primorial
 from padicfeas.errors import InexactDivision
-from padicfeas.plaisted import BinomialProduct, Cnf3, satisfies
+from padicfeas.plaisted import BinomialProduct, Cnf3, Literal, satisfies
 from padicfeas.sparsepoly import SparsePoly, exact_div
 
 
@@ -331,3 +336,91 @@ def sparse_exact_div(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     if any(c.denominator != 1 for c in quot.values()):
         raise InexactDivision("quotient is not an integer polynomial")
     return SparsePoly((int(c), e) for e, c in quot.items())
+
+
+# -- reference routines --------------------------------------------------------
+
+
+def crt(pairs: list[tuple[int, int]]) -> tuple[int, int]:
+    """Combine congruences x = r_i (mod m_i) into (x, lcm); moduli must be coprime."""
+    r, m = 0, 1
+    for ri, mi in pairs:
+        s = pow(m, -1, mi)  # raises ValueError when m and mi share a factor
+        r = (r + (ri - r) * s % mi * m) % (m * mi)
+        m *= mi
+    return r, m
+
+
+def solvable_in_cyclic(order_a: int, d: int, group_order: int) -> bool:
+    """Whether x**d = a is solvable in a cyclic group of the given order,
+    where a has order order_a."""
+    if order_a < 1 or group_order < 1:
+        raise ValueError("orders must be positive")
+    if group_order % order_a != 0:
+        raise ValueError("element order must divide the group order")
+    return (group_order // math.gcd(d, group_order)) % order_a == 0
+
+
+def roots_of_unity_mod_p(
+    p: int, m: int, rng: random.Random | None = None
+) -> list[int]:
+    """All M residues r with r**M = 1 (mod p); requires M | p - 1.
+
+    Generated as consecutive powers of g**((p-1)/M) for a generator g."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if m < 1:
+        raise ValueError("M must be positive")
+    if (p - 1) % m != 0:
+        raise ValueError(f"{m} does not divide {p} - 1")
+    g = find_generator(p, rng)
+    omega = pow(g, (p - 1) // m, p)
+    out = [1]
+    cur = 1
+    for _ in range(m - 1):
+        cur = cur * omega % p
+        out.append(cur)
+    return out
+
+
+def literal_poly(lit: Literal, n: int) -> BinomialProduct:
+    """X_i maps to x**(Q/p_i) - 1; a negated literal to the complementary
+    divisor (x**Q - 1) / (x**(Q/p_i) - 1)."""
+    idx, neg = lit
+    if not 1 <= idx <= n:
+        raise ValueError(f"variable index {idx} out of range for n={n}")
+    q = primorial(n)
+    m = q // first_primes(n)[idx - 1]
+    if neg:
+        return BinomialProduct.from_dict(n, {q: 1, m: -1})
+    return BinomialProduct.from_dict(n, {m: 1})
+
+
+def format_dimacs(cnf: Cnf3) -> str:
+    lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
+    for clause in cnf.to_signed():
+        lines.append(" ".join(str(l) for l in clause) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+def assignment_to_root(bits, n: int) -> int:
+    """The exponent t modulo Q_n encoding an assignment: p_i | t exactly for
+    the variables set to 1 (false variables get residue 1, fixed for
+    determinism)."""
+    if len(bits) != n:
+        raise ValueError("assignment length does not match n")
+    pairs = []
+    for bit, p in zip(bits, first_primes(n)):
+        if bit not in (0, 1):
+            raise ValueError("assignment entries must be 0 or 1")
+        pairs.append((0 if bit else 1, p))
+    return crt(pairs)[0]
+
+
+def _ceil_log2(x: int) -> int:
+    return (x - 1).bit_length()
+
+
+def size(f: SparsePoly) -> int:
+    """Sparse bit-size: per term, 1 + ceil(log2(2+|c|)) + ceil(log2(2+e))."""
+    return sum(1 + _ceil_log2(2 + abs(c)) + _ceil_log2(2 + e) for c, e in f.terms)

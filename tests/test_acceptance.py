@@ -8,24 +8,22 @@ import time
 from padicfeas.bigmod import find_generator, first_primes, primorial
 from padicfeas.config import Config
 from padicfeas.padic import (
+    bruteforce_decision,
     decide_binomial,
-    decide_bruteforce_qp,
-    degenerate_reduction,
     has_degenerate_root_qp,
     hensel_lift_trace,
 )
 from padicfeas.plaisted import (
     Cnf3,
-    assignment_to_root,
     clause_poly,
     expand,
     satisfies,
 )
 from padicfeas.primes import prime_density_experiment
 from padicfeas.reduce import pipeline, random_combine, run_with_majority, transcript_dumps
-from padicfeas.sparsepoly import SparsePoly, exact_div, gcd_dense, size
+from padicfeas.sparsepoly import SparsePoly, exact_div, gcd_dense
 
-from helpers import random_cnf, random_nonzero_sparse, truth_table_sat
+from helpers import assignment_to_root, random_cnf, random_nonzero_sparse, size, truth_table_sat
 from test_padic import _random_certified_seed
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -49,7 +47,7 @@ def test_criterion_1_binomial_oracle_equivalence():
                     continue
                 cases += 1
                 fast = decide_binomial(1, d, -alpha, 0, p).feasible
-                slow = decide_bruteforce_qp(SparsePoly(((1, d), (-alpha, 0))), p)
+                slow = bruteforce_decision(SparsePoly(((1, d), (-alpha, 0))), p).feasible
                 disagreements += fast != slow
     elapsed = time.time() - start
     _report(
@@ -219,8 +217,8 @@ def test_criterion_7_squared_polynomial_equivalence():
         for _ in range(200):
             f = random_nonzero_sparse(rng, max_terms=4, max_exp=8, max_coeff=9)
             total += 1
-            feasible = decide_bruteforce_qp(f, p)
-            degenerate = has_degenerate_root_qp(degenerate_reduction(f), p)
+            feasible = bruteforce_decision(f, p).feasible
+            degenerate = has_degenerate_root_qp(f.square(), p)
             disagreements += feasible != degenerate
     _report(
         "criterion-7 squared-polynomial-equivalence",

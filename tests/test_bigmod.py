@@ -8,7 +8,6 @@ from padicfeas.bigmod import (
     INFINITY,
     Modulus,
     _valuation,
-    crt,
     decompose_2adic_unit,
     euler_phi,
     factor,
@@ -19,11 +18,10 @@ from padicfeas.bigmod import (
     multiplicative_order,
     ord_p,
     primorial,
-    solvable_in_cyclic,
 )
 from padicfeas.errors import FactorBudgetExceeded
 
-from helpers import eager_is_prime, naive_is_prime, naive_order
+from helpers import crt, eager_is_prime, naive_is_prime, naive_order, solvable_in_cyclic
 
 
 def test_ord_p_examples():

@@ -15,12 +15,8 @@ from padicfeas.padic import (
     HenselSeed,
     bruteforce_decision,
     decide_binomial,
-    decide_bruteforce_qp,
-    degenerate_reduction,
     has_degenerate_root_qp,
-    hensel_lift,
     hensel_lift_trace,
-    roots_of_unity_mod_p,
 )
 from padicfeas.sparsepoly import SparsePoly, from_dense, parse_poly, to_dense
 
@@ -32,6 +28,7 @@ from helpers import (
     dense_to_sparse_primitive,
     order_route_binomial,
     random_nonzero_sparse,
+    roots_of_unity_mod_p,
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -42,17 +39,17 @@ PRIMES = (2, 3, 5, 7, 11, 13)
 
 def test_hensel_lift_examples():
     f = parse_poly("x^2 - 2")
-    r = hensel_lift(f, HenselSeed(3, 1, 0), 7, 2)
+    r = hensel_lift_trace(f, HenselSeed(3, 1, 0), 7, 2)[0]
     assert r == 10 and pow(10, 2, 49) == 2
 
     g = parse_poly("x - 5")
     for target in (1, 3, 7):
-        assert hensel_lift(g, HenselSeed(2, 1, 0), 3, target) == 5 % 3 ** target
+        assert hensel_lift_trace(g, HenselSeed(2, 1, 0), 3, target)[0] == 5 % 3 ** target
 
     # x^2 - 17 over Q_2: enumerate the residues mod 16 that square to 17
     h = parse_poly("x^2 - 17")
     oracle = {x for x in range(16) if (x * x - 17) % 16 == 0}
-    r = hensel_lift(h, HenselSeed(1, 3, 1), 2, 4)
+    r = hensel_lift_trace(h, HenselSeed(1, 3, 1), 2, 4)[0]
     assert r in oracle
     assert r % 4 == 1  # agrees with the seed mod p**(ell - vprime)
 
@@ -60,13 +57,13 @@ def test_hensel_lift_examples():
 def test_hensel_seed_validation():
     f = parse_poly("x^2 - 2")
     with pytest.raises(ValueError):
-        hensel_lift(f, HenselSeed(1, 1, 0), 7, 3)  # 1 is not a root mod 7
+        hensel_lift_trace(f, HenselSeed(1, 1, 0), 7, 3)  # 1 is not a root mod 7
     with pytest.raises(ValueError):
-        hensel_lift(f, HenselSeed(3, 1, 1), 7, 3)  # wrong derivative valuation
+        hensel_lift_trace(f, HenselSeed(3, 1, 1), 7, 3)  # wrong derivative valuation
     with pytest.raises(ValueError):
-        hensel_lift(f, HenselSeed(3, 2, 1), 7, 3)  # violates 2*vprime < ell
+        hensel_lift_trace(f, HenselSeed(3, 2, 1), 7, 3)  # violates 2*vprime < ell
     with pytest.raises(ValueError):
-        hensel_lift(f, HenselSeed(3, 1, 0), 6, 3)  # p not prime
+        hensel_lift_trace(f, HenselSeed(3, 1, 0), 6, 3)  # p not prime
 
 
 def _random_certified_seed(rng):
@@ -163,7 +160,7 @@ def test_binomial_agrees_with_bruteforce_small():
                     continue
                 f = SparsePoly(((1, d), (-alpha, 0)))
                 fast = decide_binomial(1, d, -alpha, 0, p).feasible
-                slow = decide_bruteforce_qp(f, p)
+                slow = bruteforce_decision(f, p).feasible
                 assert fast == slow, (p, d, alpha)
 
 
@@ -181,7 +178,7 @@ def test_general_binomials_agree_with_bruteforce():
             continue
         f = SparsePoly(((c1, a1), (c2, a2)))
         fast = decide_binomial(c1, a1, c2, a2, p).feasible
-        assert fast == decide_bruteforce_qp(f, p), (p, c1, a1, c2, a2)
+        assert fast == bruteforce_decision(f, p).feasible, (p, c1, a1, c2, a2)
 
 
 def _binomial_case(rng: random.Random, p: int, stratum: int):
@@ -354,7 +351,7 @@ def test_roots_of_unity_all_hensel_certifiable():
     for r in roots_of_unity_mod_p(p, q):
         dv = f.derivative().eval_mod(r, p)
         assert dv != 0  # derivative is a unit, so the precision-1 seed certifies
-        lifted = hensel_lift(f, HenselSeed(r, 1, 0), p, 4)
+        lifted = hensel_lift_trace(f, HenselSeed(r, 1, 0), p, 4)[0]
         assert f.eval_mod(lifted, p ** 4) == 0
         assert lifted % p == r
 
@@ -364,11 +361,11 @@ def test_roots_of_unity_all_hensel_certifiable():
 
 def test_bruteforce_examples():
     f = parse_poly("x^2-2") * parse_poly("x^2-7")
-    assert decide_bruteforce_qp(f, 7)
-    assert not decide_bruteforce_qp(parse_poly("x^2 + 1"), 7)
-    assert decide_bruteforce_qp(parse_poly("x"), 5)
-    assert decide_bruteforce_qp(SparsePoly.zero(), 3)
-    assert not decide_bruteforce_qp(SparsePoly.constant(4), 3)
+    assert bruteforce_decision(f, 7).feasible
+    assert not bruteforce_decision(parse_poly("x^2 + 1"), 7).feasible
+    assert bruteforce_decision(parse_poly("x"), 5).feasible
+    assert bruteforce_decision(SparsePoly.zero(), 3).feasible
+    assert not bruteforce_decision(SparsePoly.constant(4), 3).feasible
 
 
 def test_bruteforce_decision_details():
@@ -386,16 +383,16 @@ def test_bruteforce_decision_details():
 
 def test_bruteforce_negative_valuation_roots():
     # 2x - 1 has the root 1/2: not a 2-adic integer, caught by the reverse pass
-    assert decide_bruteforce_qp(parse_poly("2*x - 1"), 2)
-    assert decide_bruteforce_qp(parse_poly("4*x^2 - 1"), 2)
-    assert not decide_bruteforce_qp(parse_poly("2*x^2 - 1"), 2)
+    assert bruteforce_decision(parse_poly("2*x - 1"), 2).feasible
+    assert bruteforce_decision(parse_poly("4*x^2 - 1"), 2).feasible
+    assert not bruteforce_decision(parse_poly("2*x^2 - 1"), 2).feasible
     # 3x^2 + 2x - 1 = (3x - 1)(x + 1): root 1/3 and -1
-    assert decide_bruteforce_qp(parse_poly("3*x^2 + 2*x - 1"), 3)
+    assert bruteforce_decision(parse_poly("3*x^2 + 2*x - 1"), 3).feasible
 
 
 def test_bruteforce_repeated_roots():
-    assert decide_bruteforce_qp(parse_poly("x^2 - 2*x + 1"), 7)  # (x-1)^2
-    assert decide_bruteforce_qp(parse_poly("x-3").square() * parse_poly("x^2+1"), 5)
+    assert bruteforce_decision(parse_poly("x^2 - 2*x + 1"), 7).feasible  # (x-1)^2
+    assert bruteforce_decision(parse_poly("x-3").square() * parse_poly("x^2+1"), 5).feasible
 
 
 def squarefree_oracle(f: SparsePoly) -> SparsePoly:
@@ -434,22 +431,22 @@ def test_squarefree_part_matches_rational_oracle():
 
 def test_bruteforce_caps():
     with pytest.raises(CapsExceeded):
-        decide_bruteforce_qp(SparsePoly(((1, 10 ** 9), (-1, 0))), 5, Caps(degree=100))
+        bruteforce_decision(SparsePoly(((1, 10 ** 9), (-1, 0))), 5, Caps(degree=100))
 
 
 # -- degenerate-root reduction -----------------------------------------------------
 
 
 def test_degenerate_reduction_examples():
-    assert degenerate_reduction(parse_poly("x - 1")) == parse_poly("x^2 - 2*x + 1")
-    assert degenerate_reduction(parse_poly("x^2 - 2")) == parse_poly("x^4 - 4*x^2 + 4")
-    assert degenerate_reduction(SparsePoly.zero()).is_zero
+    assert parse_poly("x - 1").square() == parse_poly("x^2 - 2*x + 1")
+    assert parse_poly("x^2 - 2").square() == parse_poly("x^4 - 4*x^2 + 4")
+    assert SparsePoly.zero().square().is_zero
 
 
 def test_has_degenerate_root_examples():
     assert has_degenerate_root_qp(parse_poly("x-1").square(), 5)
-    assert has_degenerate_root_qp(degenerate_reduction(parse_poly("x^2 - 2")), 7)
-    assert not has_degenerate_root_qp(degenerate_reduction(parse_poly("x^2 - 7")), 7)
+    assert has_degenerate_root_qp(parse_poly("x^2 - 2").square(), 7)
+    assert not has_degenerate_root_qp(parse_poly("x^2 - 7").square(), 7)
     assert not has_degenerate_root_qp(parse_poly("x^2 - 2"), 7)  # squarefree
     assert not has_degenerate_root_qp(parse_poly("x + 3"), 7)
     assert has_degenerate_root_qp(SparsePoly.zero(), 7)
@@ -461,6 +458,6 @@ def test_degenerate_equivalence_random_sample():
     for p in (2, 5):
         for _ in range(40):
             f = random_nonzero_sparse(rng, max_terms=4, max_exp=8, max_coeff=9)
-            lhs = decide_bruteforce_qp(f, p)
-            rhs = has_degenerate_root_qp(degenerate_reduction(f), p)
+            lhs = bruteforce_decision(f, p).feasible
+            rhs = has_degenerate_root_qp(f.square(), p)
             assert lhs == rhs, (p, f)

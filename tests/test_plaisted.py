@@ -10,26 +10,27 @@ from padicfeas.errors import CapsExceeded, InexactDivision
 from padicfeas.plaisted import (
     BinomialProduct,
     Cnf3,
-    assignment_to_root,
     clause_poly,
     encode_system,
     expand,
-    format_dimacs,
-    literal_poly,
     parse_dimacs,
     root_to_assignment,
     satisfies,
 )
 from padicfeas.primes import find_prime_in_progression
-from padicfeas.sparsepoly import SparsePoly, exact_div, size
+from padicfeas.sparsepoly import SparsePoly, exact_div
 
 from helpers import (
+    assignment_to_root,
     dense,
     dense_divmod,
     dense_gcd_monic,
     dense_mul,
     dense_to_sparse_primitive,
+    format_dimacs,
+    literal_poly,
     mobius_clause_poly,
+    size,
     sparse_exact_div,
     sparse_expand,
 )

@@ -170,7 +170,6 @@ def test_density_report_fields():
     r = prime_density_experiment(6, 10 ** 4)
     assert isinstance(r, DensityReport)
     assert r.ratio == r.count / r.predicted
-    assert "not a verification" in r.note
 
 
 def test_residue_class_partition():

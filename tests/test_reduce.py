@@ -13,7 +13,7 @@ from padicfeas.bigmod import find_generator, first_primes, primorial
 from padicfeas.cli import main
 from padicfeas.config import Caps, Config
 from padicfeas.errors import CapsExceeded
-from padicfeas.plaisted import Cnf3, encode_system, format_dimacs, satisfies
+from padicfeas.plaisted import Cnf3, encode_system, satisfies
 from padicfeas.primes import find_prime_in_progression
 from padicfeas.reduce import (
     TRANSCRIPT_FORMAT,
@@ -35,7 +35,7 @@ from padicfeas.reduce import (
 )
 from padicfeas.sparsepoly import SparsePoly, gcd_dense, parse_poly, poly_to_obj
 
-from helpers import random_cnf, random_nonzero_sparse, truth_table_sat
+from helpers import format_dimacs, random_cnf, random_nonzero_sparse, truth_table_sat
 
 CANONICAL_SHAPES = [[1, 2, 3], [-1, 2, 3], [-1, -2, 3], [-1, -2, -3]]
 

@@ -13,8 +13,6 @@ from padicfeas.sparsepoly import (
     poly_from_obj,
     poly_to_obj,
     resultant_dense,
-    size,
-    size_p,
     to_dense,
 )
 
@@ -24,6 +22,7 @@ from helpers import (
     dense_to_sparse_primitive,
     random_nonzero_sparse,
     random_sparse,
+    size,
     sparse_exact_div,
 )
 
@@ -177,7 +176,6 @@ def test_size_examples():
     f = binom(5)  # x^5 - 1
     assert size(f) == 10
     assert size(SparsePoly.zero()) == 0
-    assert size_p(f, 2) == 12
 
 
 def test_reverse_examples():

@@ -11,9 +11,9 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import FactorBudgetExceeded
+from .record import Record
 
 INFINITY = math.inf
 
@@ -56,8 +56,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Modulus(Record):
     """A prime-power modulus p**ell."""
 
     p: int

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(Record):
     """Resource limits; exceeding any of them raises instead of degrading."""
 
     degree: int = 512              # dense operations (brute-force decision, resultants)
@@ -16,15 +15,14 @@ class Caps:
     max_vars: int = 6              # formula size accepted by the reduction pipeline
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(Record):
     """Effective configuration of a pipeline or CLI run."""
 
     seed: int = 0
     mode: str = "randomized"       # "randomized" | "deterministic"
     repeats: int = 5               # independent repetitions for majority vote
     prime_strategy: str = "scan"   # "scan" | "sample"
-    caps: Caps = field(default_factory=Caps)
+    caps: Caps = Caps()
 
     def __post_init__(self):
         if self.mode not in ("randomized", "deterministic"):
@@ -40,5 +38,5 @@ class Config:
             "mode": self.mode,
             "repeats": self.repeats,
             "prime_strategy": self.prime_strategy,
-            "caps": asdict(self.caps),
+            "caps": self.caps.asdict(),
         }

@@ -12,20 +12,19 @@ a dense coefficient list in x**(Q/P) before it becomes a SparsePoly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from math import gcd, prod
 from operator import add, neg, sub
 
 from .bigmod import first_primes, is_prime, primorial
 from .errors import CapsExceeded, InexactDivision
+from .record import Record
 from .sparsepoly import SparsePoly, parse_int
 
 Literal = tuple[int, bool]  # (1-based variable index, negated?)
 
 
-@dataclass(frozen=True)
-class Cnf3:
+class Cnf3(Record):
     """A 3CNF formula: clauses of at most three literals over num_vars variables."""
 
     num_vars: int
@@ -115,8 +114,7 @@ def parse_dimacs(text: str) -> Cnf3:
 # -- clause polynomials --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BinomialProduct:
+class BinomialProduct(Record):
     """A formal product prod_m (x**m - 1)**e_m with every m dividing Q_n."""
 
     n: int

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .bigmod import euler_phi, is_prime, primorial
 from .config import Caps
 from .errors import CapsExceeded, PrimeSearchExhausted
+from .record import Record
 
 DENSITY_NOTE = (
     "empirical consistency check of the predicted density Li(x)/phi(M); "
@@ -34,8 +34,7 @@ SAMPLE_CPRIME = 2  # allow at most 9 * n**SAMPLE_CPRIME sampling trials
 SEARCH_MAX_N = {"scan": 120, "sample": 27}
 
 
-@dataclass(frozen=True)
-class ProgressionPrime:
+class ProgressionPrime(Record):
     """A verified prime p = 1 + k * Q_n."""
 
     n: int
@@ -51,8 +50,7 @@ class ProgressionPrime:
             raise ValueError(f"{self.p} is not prime")
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(Record):
     m: int
     x: int
     count: int

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
 from functools import cache
 from itertools import accumulate, compress, cycle, islice, repeat
 from math import gcd, lcm
@@ -32,6 +31,7 @@ from .config import Caps, Config
 from .errors import CapsExceeded
 from .plaisted import Cnf3, encode_system, root_to_assignment, satisfies
 from .primes import ProgressionPrime, find_prime_in_progression
+from .record import Record
 from .sparsepoly import SparsePoly, parse_int, poly_from_obj
 
 # v3 omits g1 and g2, which a, b and the formula fix, as v2 omitted h, which
@@ -47,8 +47,7 @@ _RECORDED = {
 }
 
 
-@dataclass(frozen=True)
-class ReductionTranscript:
+class ReductionTranscript(Record):
     """Full record of one pipeline run; every field is reproducible from
     (cnf, seed, config) and re-checkable without the rng.  The pair (g1, g2)
     and the single polynomial h are not fields: a, b and the formula fix the
@@ -459,7 +458,7 @@ def run_with_majority(
     child_seeds = [base.getrandbits(64) for _ in range(repeats)]
     transcripts = []
     for child in child_seeds:
-        run_config = replace(config, seed=child)
+        run_config = config.replace(seed=child)
         transcripts.append(pipeline(cnf, run_config, random.Random(child), encoded))
     yes = sum(1 for t in transcripts if t.verdict)
     verdict = yes * 2 > len(transcripts)

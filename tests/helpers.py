@@ -4,8 +4,9 @@ The brute-force oracles are deliberately naive: trial division, truth tables,
 dense Fraction arithmetic.  They must stay independent of the package's own
 algorithms so that agreement between the two routes is evidence, not an echo.
 The reference routines (CRT, roots of unity modulo p, solvability in a cyclic
-group, literal polynomials, DIMACS output, assignment encoding, sparse size)
-are exact helpers that only the tests use.
+group, literal polynomials, DIMACS output, assignment encoding, sparse size,
+the resultant-first integral root search) are exact helpers that only the
+tests use.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from padicfeas.bigmod import (
     _MR_DETERMINISTIC_BOUND,
     _MR_RANDOM_ROUNDS,
     _MR_WITNESSES,
+    _valuation,
     decompose_2adic_unit,
     find_generator,
     first_primes,
@@ -29,8 +31,9 @@ from padicfeas.bigmod import (
     primorial,
 )
 from padicfeas.errors import InexactDivision
+from padicfeas.padic import _eval_dense, _eval_dense_mod, _squarefree_primitive
 from padicfeas.plaisted import BinomialProduct, Cnf3, Literal, satisfies
-from padicfeas.sparsepoly import SparsePoly, exact_div
+from padicfeas.sparsepoly import SparsePoly, exact_div, from_dense, resultant_dense, to_dense
 
 
 def naive_is_prime(n: int) -> bool:
@@ -149,6 +152,42 @@ def order_route_binomial(c1: int, a1: int, c2: int, a2: int, p: int) -> tuple[bo
     half_group = 1 << (ell - 2)
     order_5b = half_group // math.gcd(b, half_group)
     return sign == 0 and solvable_in_cyclic(order_5b, d, half_group), "two-adic"
+
+
+def eager_integral_root_witness(g: SparsePoly, p: int, caps):
+    """padic._integral_root_witness as it was before the depth bound became
+    lazy: it computes rho = ord_p Res(sf, sf') before looking at a residue,
+    then refines up to depth 1 + 2*rho.  The lazy search must return the same
+    (residue, ell) or None on every input."""
+    dense_g = to_dense(g, caps.degree)
+    sf = _squarefree_primitive(dense_g)
+    if len(sf) <= 1:
+        return None
+    sfd = [c * e for e, c in enumerate(sf)][1:]
+    res = resultant_dense(from_dense(sf), from_dense(sfd), caps.degree)
+    assert res != 0 and res.denominator == 1
+    ell_max = 1 + 2 * _valuation(int(res), p)
+    candidates = [x for x in range(p) if _eval_dense_mod(sf, x, p) == 0]
+    for ell in range(1, ell_max + 1):
+        for x in candidates:
+            dv = _eval_dense(sfd, x)
+            if dv != 0 and 2 * _valuation(dv, p) < ell:
+                return x, ell
+        if ell == ell_max:
+            break
+        mod_next = p ** (ell + 1)
+        step = p ** ell
+        candidates = [
+            y
+            for x in candidates
+            for y in (x + t * step for t in range(p))
+            if _eval_dense_mod(sf, y, mod_next) == 0
+        ]
+        if not candidates:
+            return None
+    if candidates:
+        raise AssertionError("refinement passed the resultant depth uncertified")
+    return None
 
 
 def truth_table_sat(cnf: Cnf3):

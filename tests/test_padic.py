@@ -1,6 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicfeas import bigmod, padic
 from padicfeas.bigmod import is_prime, ord_p
@@ -26,6 +29,7 @@ from helpers import (
     dense_divmod,
     dense_gcd_monic,
     dense_to_sparse_primitive,
+    eager_integral_root_witness,
     order_route_binomial,
     random_nonzero_sparse,
     roots_of_unity_mod_p,
@@ -393,6 +397,80 @@ def test_bruteforce_negative_valuation_roots():
 def test_bruteforce_repeated_roots():
     assert bruteforce_decision(parse_poly("x^2 - 2*x + 1"), 7).feasible  # (x-1)^2
     assert bruteforce_decision(parse_poly("x-3").square() * parse_poly("x^2+1"), 5).feasible
+
+
+ORACLE_PRIMES = (2, 3, 5, 7, 31)
+
+
+def _assert_lazy_bound_matches_eager(f: SparsePoly, p: int):
+    """The lazy search and the eager one (resultant first) return the same
+    (residue, ell) or None on f and on its reverse, so bruteforce_decision
+    gives the same verdict, rule and witness with either."""
+    caps = Caps()
+    if f.degree and not f.min_exponent:
+        for g in (f, f.reverse()):
+            assert padic._integral_root_witness(g, p, caps) == \
+                eager_integral_root_witness(g, p, caps), (g, p)
+    lazy = bruteforce_decision(f, p)
+    with mock.patch.object(padic, "_integral_root_witness", eager_integral_root_witness):
+        assert lazy == bruteforce_decision(f, p), (f, p)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from(ORACLE_PRIMES),
+       coeffs=st.lists(st.integers(-9, 9), min_size=1, max_size=25))
+def test_lazy_bound_matches_the_eager_search_on_dense_polynomials(p, coeffs):
+    _assert_lazy_bound_matches_eager(from_dense(coeffs), p)
+
+
+@st.composite
+def _multiple_roots_mod_p(draw):
+    """Polynomials whose squarefree part has a multiple root mod p, so the
+    search must refine past level 1 and compute the resultant."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    a = draw(st.integers(-40, 40))
+    kind = draw(st.sampled_from(("pair", "square", "reciprocal")))
+    if kind == "pair":  # (x - a)(x - a - p**j * b): roots congruent mod p**j
+        j, b = draw(st.integers(1, 3)), draw(st.integers(-3, 3))
+        f = from_dense([-a, 1]) * from_dense([-(a + p ** j * b), 1])
+    elif kind == "square":  # (x - a)**2 * g, with g often sharing a root mod p
+        g = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
+        f = from_dense([-a, 1]).square() * from_dense(g)
+    else:  # p**2 x**2 - c: roots of valuation -1 when c is a square
+        c = draw(st.sampled_from((1, 4, a * a or 1, 2, 3)))
+        f = from_dense([-c, 0, p * p])
+    return f, p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_multiple_roots_mod_p())
+def test_lazy_bound_matches_the_eager_search_on_multiple_roots_mod_p(case):
+    _assert_lazy_bound_matches_eager(*case)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_lazy_bound_named_multiple_root_cases(p):
+    cases = [
+        parse_poly("x - 1") * parse_poly(f"x - {1 + p}"),
+        parse_poly("x - 3").square() * parse_poly(f"x^2 - {3 + p}"),
+        parse_poly(f"{p * p}*x^2 - 1"),
+    ]
+    for f in cases:
+        _assert_lazy_bound_matches_eager(f, p)
+    assert bruteforce_decision(cases[0], p).feasible
+    assert bruteforce_decision(cases[2], p).feasible
+
+
+def test_search_without_a_multiple_root_mod_p_skips_the_resultant(monkeypatch):
+    def fail(*args):
+        raise AssertionError("resultant computed")
+
+    monkeypatch.setattr(padic, "resultant_dense", fail)
+    assert not bruteforce_decision(parse_poly("x^2 + 1"), 7).feasible  # no root mod 7
+    assert bruteforce_decision(parse_poly("x^2 - 2"), 7).feasible  # simple roots
+    rng = random.Random(5)
+    f = from_dense([rng.randint(-9, 9) for _ in range(64)] + [1])
+    assert bruteforce_decision(f * parse_poly("x - 2"), 31).feasible  # degree 65
 
 
 def squarefree_oracle(f: SparsePoly) -> SparsePoly:

@@ -13,6 +13,7 @@ from padicfeas.bigmod import find_generator, first_primes, primorial
 from padicfeas.cli import main
 from padicfeas.config import Caps, Config
 from padicfeas.errors import CapsExceeded
+from padicfeas.padic import bruteforce_decision
 from padicfeas.plaisted import Cnf3, encode_system, satisfies
 from padicfeas.primes import find_prime_in_progression
 from padicfeas.reduce import (
@@ -308,6 +309,34 @@ def test_pipeline_majority_matches_sat_on_random_instances():
         assert len(runs) == 5
         if v:
             assert w is not None and satisfies(cnf, w)
+
+
+def test_bruteforce_decides_h_as_the_run_and_the_truth_table_do():
+    """The package's two halves agree: the p-adic decider, given a run's
+    single polynomial h and prime, reaches the run's verdict, and both match
+    the truth table.  The formula with all eight sign patterns over x1, x2,
+    x3 is unsatisfiable, and its h has multiple roots mod p = 31."""
+    every_pattern = [[a * 1, b * 2, c * 3]
+                     for a, b, c in itertools.product((1, -1), repeat=3)]
+    formulas = exhaustive_small_formulas() + [
+        Cnf3.from_signed(3, every_pattern),
+        Cnf3.from_signed(3, every_pattern[1:]),
+        Cnf3.from_signed(1, [[1], [-1]]),
+        Cnf3.from_signed(2, [[1, 2], [-1, 2], [1, -2], [-1, -2]]),
+    ]
+    rng = random.Random(2024)
+    formulas += [random_cnf(rng, max_vars=3, max_clauses=8) for _ in range(12)]
+    seen = set()
+    for i, cnf in enumerate(formulas):
+        want = truth_table_sat(cnf) is not None
+        seen.add(want)
+        for seed in (i, 1000 + i):
+            t = pipeline(cnf, Config(seed=seed))
+            if t.k == 0:
+                continue
+            assert t.verdict == want, (cnf, seed)
+            assert bruteforce_decision(t.h, t.prime.p).feasible == want, (cnf, seed)
+    assert seen == {False, True}
 
 
 def test_pipeline_single_runs_agree_in_at_least_8_of_9():

@@ -209,9 +209,9 @@ def _integral_root_witness(g: SparsePoly, p: int, caps: Caps):
     ord_p sf'(x) < ell/2.  Level 1 costs O(p * deg) evaluations and decides
     alone when sf has no root mod p (None) or a simple one (certified).  Only
     when every root mod p is multiple is rho = ord_p Res(sf, sf') computed,
-    by the Fraction resultant, and the tree refined up to depth 1 + 2*rho,
-    beyond which every surviving candidate necessarily certifies.  Returns
-    (residue, ell) or None.
+    exactly, by the integer subresultant sequence, and the tree refined up to
+    depth 1 + 2*rho, beyond which every surviving candidate necessarily
+    certifies.  Returns (residue, ell) or None.
     """
     dense = to_dense(g, caps.degree)
     sf = _squarefree_primitive(dense)
@@ -227,8 +227,8 @@ def _integral_root_witness(g: SparsePoly, p: int, caps: Caps):
                 return x, ell
         if ell_max is None:
             res = resultant_dense(from_dense(sf), from_dense(sfd), caps.degree)
-            assert res != 0 and res.denominator == 1
-            ell_max = 1 + 2 * _valuation(int(res), p)
+            assert res != 0
+            ell_max = 1 + 2 * _valuation(res, p)
         if ell == ell_max:
             raise AssertionError("refinement passed the resultant depth uncertified")
         mod_next = p ** (ell + 1)
@@ -251,8 +251,9 @@ def bruteforce_decision(f: SparsePoly, p: int, caps: Caps | None = None) -> Padi
     Each search first finds the roots of the squarefree part mod p by trying
     every residue, O(p * deg) work.  No root, or a simple one, decides that
     search; the resultant that bounds the refinement depth is computed only
-    when every root mod p is multiple, and its Fraction arithmetic is then
-    most of the cost (41 s on a degree-96 input at p = 7)."""
+    when every root mod p is multiple, by the subresultant sequence.  A whole
+    degree-96 search at p = 7 takes 0.08 s, but at degree 512 the squarefree
+    part and the resultant take about 20 s each."""
     caps = caps or Caps()
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

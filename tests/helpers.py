@@ -165,8 +165,8 @@ def eager_integral_root_witness(g: SparsePoly, p: int, caps):
         return None
     sfd = [c * e for e, c in enumerate(sf)][1:]
     res = resultant_dense(from_dense(sf), from_dense(sfd), caps.degree)
-    assert res != 0 and res.denominator == 1
-    ell_max = 1 + 2 * _valuation(int(res), p)
+    assert res != 0
+    ell_max = 1 + 2 * _valuation(res, p)
     candidates = [x for x in range(p) if _eval_dense_mod(sf, x, p) == 0]
     for ell in range(1, ell_max + 1):
         for x in candidates:
@@ -335,6 +335,26 @@ def dense_gcd_monic(a, b):
         lead = a[-1]
         a = [c / lead for c in a]
     return a
+
+
+def fraction_resultant(f: SparsePoly, g: SparsePoly) -> Fraction:
+    """Res(f, g) by the Euclidean remainder sequence over the rationals:
+    sparsepoly.resultant_dense as it was before the subresultant sequence.
+    Each step a, b -> b, a mod b multiplies by (-1)**(deg a * deg b) *
+    lc(b)**(deg a - deg(a mod b))."""
+    a, b = dense(f), dense(g)
+    if not a or not b:
+        return Fraction(0)
+    res = Fraction(1)
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        if db == 0:
+            return res * b[0] ** da
+        _, r = dense_divmod(a, b)
+        if not r:
+            return Fraction(0)
+        res *= (-1) ** (da * db) * b[-1] ** (da - (len(r) - 1))
+        a, b = b, r
 
 
 def dense_to_sparse_primitive(a) -> SparsePoly:

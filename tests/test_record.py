@@ -1,6 +1,7 @@
 """The package's immutable records (`padicfeas.record.Record`): construction,
 validation, immutability, equality, hashing, repr, `replace` and `asdict`,
-and an import of the CLI that needs neither `dataclasses` nor `inspect`."""
+and an import of the CLI that needs none of `dataclasses`, `inspect`,
+`fractions` and `decimal`."""
 
 import os
 import random
@@ -163,9 +164,11 @@ def test_run_with_majority_gives_each_run_its_own_seed():
 
 
 def test_importing_the_cli_needs_neither_dataclasses_nor_inspect():
+    """Nor `fractions` (which imports `decimal`): the decider's resultant is
+    computed in the integers."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(padicfeas.__file__)))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import padicfeas.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from helpers import (
     dense,
     dense_gcd_monic,
     dense_to_sparse_primitive,
+    fraction_resultant,
     random_nonzero_sparse,
     random_sparse,
     size,
@@ -194,8 +196,6 @@ def test_reverse_examples():
 
 
 def test_gcd_dense_power_binomials_exhaustive():
-    import math
-
     for a in range(1, 61):
         for b in range(1, 61):
             assert gcd_dense(binom(a), binom(b)) == binom(math.gcd(a, b))
@@ -222,6 +222,58 @@ def test_gcd_dense_against_fraction_euclid():
         g = random_sparse(rng, max_terms=4, max_exp=8)
         expected = dense_to_sparse_primitive(dense_gcd_monic(dense(f), dense(g)))
         assert gcd_dense(f, g) == expected
+
+
+def _random_dense(rng, degree):
+    """A polynomial of exactly this degree with coefficients in [-9, 9]; the
+    zero polynomial for degree -1."""
+    if degree < 0:
+        return SparsePoly.zero()
+    lead = rng.choice((-1, 1)) * rng.randint(1, 9)
+    return from_dense([rng.randint(-9, 9) for _ in range(degree)] + [lead])
+
+
+def test_subresultant_gcd_and_resultant_match_rational_oracles():
+    """Degrees up to 20: 12 for the random part, plus a shared factor of
+    degree up to 6 or a squared one of degree up to 4, or f = q*g + r."""
+    rng = random.Random(1967)
+    seen = dict.fromkeys(("plain", "shared", "squared", "jump", "content", "odd*odd",
+                          "deg f < deg g", "constant", "zero", "nonzero resultant"), 0)
+    for _ in range(800):
+        f = _random_dense(rng, rng.randint(-1, 12))
+        g = _random_dense(rng, rng.randint(-1, 12))
+        kind = rng.choice(("plain", "shared", "squared", "jump"))
+        if kind == "jump":  # deg (f mod g) < deg g - 1: the sequence skips a degree
+            g = _random_dense(rng, rng.randint(2, 8))
+            r = _random_dense(rng, rng.randint(0, g.degree - 2))
+            f = _random_dense(rng, rng.randint(0, 6)) * g + r
+        elif kind == "shared":
+            common = _random_dense(rng, rng.randint(1, 6))
+            f, g = f * common, g * common
+        elif kind == "squared":
+            common = _random_dense(rng, rng.randint(1, 4))
+            f, g = f * common.square(), g * common
+        if rng.random() < 0.3:
+            f = f * rng.choice((-2, 3, 6, -9, 35))
+        if rng.random() < 0.3:
+            g = g * rng.choice((2, -4, 15, 49))
+        expected = fraction_resultant(f, g)
+        assert expected.denominator == 1
+        res = resultant_dense(f, g)
+        assert type(res) is int and res == expected, (f, g)
+        expected_gcd = dense_to_sparse_primitive(dense_gcd_monic(dense(f), dense(g)))
+        assert gcd_dense(f, g) == expected_gcd, (f, g)
+        if f.is_zero or g.is_zero:
+            seen["zero"] += 1
+            continue
+        df, dg = f.degree, g.degree
+        seen[kind] += 1
+        seen["content"] += any(math.gcd(*(c for c, _ in h.terms)) > 1 for h in (f, g))
+        seen["odd*odd"] += df % 2 == 1 and dg % 2 == 1
+        seen["deg f < deg g"] += df < dg
+        seen["constant"] += df == 0 or dg == 0
+        seen["nonzero resultant"] += expected != 0
+    assert min(seen.values()) >= 15, seen
 
 
 def test_gcd_and_resultant_against_sympy():

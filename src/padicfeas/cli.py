@@ -70,6 +70,23 @@ def _caps_from_args(args) -> Caps:
 # -- subcommands -----------------------------------------------------------------
 
 
+def _report_decision(report: dict, decision, p: int) -> int:
+    """Add a decision's verdict, rule and witness to the report, print it,
+    and return the exit code."""
+    witness = decision.witness
+    report["feasible"] = decision.feasible
+    report["rule"] = decision.rule
+    report["witness"] = None if witness is None else {
+        "residue": str(witness.residue),
+        "p": str(witness.modulus.p),
+        "ell": witness.modulus.ell,
+        "valuation_shift": str(witness.valuation_shift),
+    }
+    verdict = "feasible" if decision.feasible else "infeasible"
+    _print_report(report, f"{verdict} over Q_{p} ({decision.rule})")
+    return EXIT_TRUE if decision.feasible else EXIT_FALSE
+
+
 def _cmd_decide_binomial(args) -> int:
     decision = decide_binomial(args.c1, args.a1, args.c2, args.a2, args.prime)
     report = {
@@ -82,24 +99,8 @@ def _cmd_decide_binomial(args) -> int:
             "a2": str(args.a2),
             "prime": str(args.prime),
         },
-        "feasible": decision.feasible,
-        "rule": decision.rule,
-        "witness": _witness_obj(decision.witness),
     }
-    verdict = "feasible" if decision.feasible else "infeasible"
-    _print_report(report, f"{verdict} over Q_{args.prime} ({decision.rule})")
-    return EXIT_TRUE if decision.feasible else EXIT_FALSE
-
-
-def _witness_obj(witness):
-    if witness is None:
-        return None
-    return {
-        "residue": str(witness.residue),
-        "p": str(witness.modulus.p),
-        "ell": witness.modulus.ell,
-        "valuation_shift": str(witness.valuation_shift),
-    }
+    return _report_decision(report, decision, args.prime)
 
 
 def _cmd_decide(args) -> int:
@@ -110,13 +111,8 @@ def _cmd_decide(args) -> int:
         "command": "decide",
         "config": {"degree_cap": caps.degree},
         "input": {"poly": poly_to_obj(f), "prime": str(args.prime)},
-        "feasible": decision.feasible,
-        "rule": decision.rule,
-        "witness": _witness_obj(decision.witness),
     }
-    verdict = "feasible" if decision.feasible else "infeasible"
-    _print_report(report, f"{verdict} over Q_{args.prime} ({decision.rule})")
-    return EXIT_TRUE if decision.feasible else EXIT_FALSE
+    return _report_decision(report, decision, args.prime)
 
 
 def _cmd_degenerate(args) -> int:
@@ -318,7 +314,8 @@ def main(argv=None) -> int:
         why = exc if isinstance(exc, CapsExceeded) else f"too large to allocate ({type(exc).__name__})"
         sys.stderr.write(f"error: {why}\n")
         return EXIT_CAPS
-    except (ValueError, InexactDivision, OSError, json.JSONDecodeError) as exc:
+    # JSONDecodeError is a ValueError; json raises RecursionError on deep nesting
+    except (ValueError, InexactDivision, OSError, RecursionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

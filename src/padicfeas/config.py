@@ -8,7 +8,7 @@ from .record import Record
 class Caps(Record):
     """Resource limits; exceeding any of them raises instead of degrading."""
 
-    degree: int = 512              # dense subresultant gcd and resultant: ~20 s each at the cap
+    degree: int = 512              # one squarefree part per decision; it and the resultant: ~20 s each at the cap
     term_count: int = 1_000_000    # dense length of one expanded clause product
     k_max: int = 1_000_000         # sequential prime-scan bound on k
     sieve_limit: int = 100_000_000  # density's x; M = 1 at the cap takes 0.7 s (2 vCPU, Py 3.11)

@@ -153,19 +153,8 @@ class SparsePoly:
             total += c * pow(x, e, m)
         return total % m
 
-    def evaluate(self, x: int) -> int:
-        """Exact integer evaluation; only sensible for small degrees."""
-        return sum(c * x ** e for c, e in self._terms)
-
     def derivative(self) -> "SparsePoly":
         return SparsePoly((c * e, e - 1) for c, e in self._terms if e > 0)
-
-    def reverse(self) -> "SparsePoly":
-        """x**deg(f) * f(1/x): exponent e becomes deg(f) - e."""
-        if not self._terms:
-            raise ValueError("cannot reverse the zero polynomial")
-        d = self.degree
-        return SparsePoly((c, d - e) for c, e in self._terms)
 
 
 # -- exact division ----------------------------------------------------------

@@ -31,9 +31,9 @@ from padicfeas.bigmod import (
     primorial,
 )
 from padicfeas.errors import InexactDivision
-from padicfeas.padic import _eval_dense, _eval_dense_mod, _squarefree_primitive
+from padicfeas.padic import _eval_dense_mod
 from padicfeas.plaisted import BinomialProduct, Cnf3, Literal, satisfies
-from padicfeas.sparsepoly import SparsePoly, exact_div, from_dense, resultant_dense, to_dense
+from padicfeas.sparsepoly import SparsePoly, exact_div, from_dense, resultant_dense
 
 
 def naive_is_prime(n: int) -> bool:
@@ -154,17 +154,23 @@ def order_route_binomial(c1: int, a1: int, c2: int, a2: int, p: int) -> tuple[bo
     return sign == 0 and solvable_in_cyclic(order_5b, d, half_group), "two-adic"
 
 
-def eager_integral_root_witness(g: SparsePoly, p: int, caps):
+def _eval_dense(coeffs: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def eager_integral_root_witness(sf: list[int], p: int):
     """padic._integral_root_witness as it was before the depth bound became
-    lazy: it computes rho = ord_p Res(sf, sf') before looking at a residue,
-    then refines up to depth 1 + 2*rho.  The lazy search must return the same
-    (residue, ell) or None on every input."""
-    dense_g = to_dense(g, caps.degree)
-    sf = _squarefree_primitive(dense_g)
+    lazy and certification moved modulo p**ell: it computes
+    rho = ord_p Res(sf, sf') before looking at a residue, refines up to depth
+    1 + 2*rho, and certifies with the exact integer sf'(x).  The lazy search
+    must return the same (residue, ell) or None on every squarefree sf."""
     if len(sf) <= 1:
         return None
     sfd = [c * e for e, c in enumerate(sf)][1:]
-    res = resultant_dense(from_dense(sf), from_dense(sfd), caps.degree)
+    res = resultant_dense(from_dense(sf), from_dense(sfd))
     assert res != 0
     ell_max = 1 + 2 * _valuation(res, p)
     candidates = [x for x in range(p) if _eval_dense_mod(sf, x, p) == 0]

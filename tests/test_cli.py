@@ -1,9 +1,11 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -17,7 +19,7 @@ from padicfeas.cli import main
 from padicfeas.config import Config
 from padicfeas.plaisted import Cnf3, satisfies
 from padicfeas.reduce import TRANSCRIPT_FORMAT_V1, TRANSCRIPT_FORMAT_V2, pipeline
-from padicfeas.sparsepoly import poly_to_obj
+from padicfeas.sparsepoly import from_dense, poly_to_obj
 
 from helpers import P256_HARD, order_route_binomial
 
@@ -161,6 +163,10 @@ def test_decide_poly_file(tmp_path, capsys):
     assert code == 2
 
 
+NESTED = "[" * 200_000 + "]" * 200_000
+NESTED_TERMS = '{"terms": ' + NESTED + "}"
+
+
 @pytest.mark.parametrize("text", [
     '{"terms": 7}', '{"terms": [5]}', '{"terms": [[null, 1]]}',
     # coefficients and exponents are JSON integers or decimal strings only
@@ -170,6 +176,8 @@ def test_decide_poly_file(tmp_path, capsys):
     '{"terms": [["-2", "0"], [" 1_0", "\u0662"]]}', '{"terms": [[" 1", "2"]]}',
     '{"terms": [["1_0", "2"]]}', '{"terms": [["+1", "2"]]}', '{"terms": [["1", "\u0662"]]}',
     '{"terms": [["", "2"]]}', '{"terms": [["-", "2"]]}', "x^\u0662 - 2",
+    # nested deeper than the stack: json raises RecursionError
+    pytest.param(NESTED_TERMS, id="nested-terms"),
 ])
 def test_decide_malformed_poly_file_exits_2(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
@@ -177,6 +185,14 @@ def test_decide_malformed_poly_file_exits_2(tmp_path, capsys, text):
     code, out, err = run_cli(capsys, ["decide", str(bad), "--prime", "3"])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_degenerate_deeply_nested_poly_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(NESTED_TERMS)
+    code, out, err = run_cli(capsys, ["degenerate", str(bad), "--prime", "3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_decide_caps_exit(tmp_path, capsys):
@@ -255,6 +271,122 @@ def test_density_report_digests(capsys, rows):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == DENSITY_DIGESTS[rows]
 
 
+def _dense_coeffs(degree, seed):
+    """Seeded coefficients in [-9, 9] with nonzero constant and leading terms."""
+    rng = random.Random(f"decide:{degree}:{seed}")
+    coeffs = [rng.randint(-9, 9) for _ in range(degree + 1)]
+    coeffs[0] = coeffs[0] or 1
+    coeffs[-1] = coeffs[-1] or 1
+    return coeffs
+
+
+def _decide_input(name):
+    """The file text of a DECIDE_REPORT_DIGESTS input.  'dense-D-S' is the
+    seeded degree-D polynomial (JSON), and '^2' squares it; 'h-unsat' is the
+    single polynomial of the seed-0 reduction run on the unsatisfiable
+    formula with all eight sign patterns over x1, x2, x3 (p = 31); any other
+    name is the polynomial's text."""
+    if name == "h-unsat":
+        every = [[a, 2 * b, 3 * c] for a, b, c in itertools.product((1, -1), repeat=3)]
+        f = pipeline(Cnf3.from_signed(3, every), Config(seed=0)).h
+    elif name.startswith("dense-"):
+        degree, seed = name.removeprefix("dense-").removesuffix("^2").split("-")
+        f = from_dense(_dense_coeffs(int(degree), int(seed)))
+        if name.endswith("^2"):
+            f = f.square()
+    else:
+        return name
+    return json.dumps(poly_to_obj(f))
+
+
+# sha256 of the full stdout and the exit code of "command prime input", as
+# the decider printed them when it computed the squarefree part once per
+# search: dense inputs at p = 2, 3 and 7, feasible and infeasible, with
+# witnesses at ell = 1, 3 and 5 and roots found only by the reversed search
+# (dense-16-1 at p = 2, dense-24-0 and dense-48-3 at p = 3), plus roots of
+# negative valuation, a witness at ell = 3 and an unsatisfiable n = 3 h
+DECIDE_REPORT_DIGESTS = {
+    "decide 2 dense-8-1": (
+        0, "ffd1bcc9fd27709f3bd630376782f3190678b37af244c58078bba8c836d57d64"
+    ),
+    "decide 3 dense-8-2": (
+        1, "9c611c0845871f35778e03a9b6bbc129e28d7bafff222315e07fb12f9612627d"
+    ),
+    "decide 7 dense-8-0": (
+        0, "c57b63d46731cf5ccc77e4af8300fd8b7c280f04e8dc68c41f7a367b914aa669"
+    ),
+    "decide 2 dense-16-1": (
+        0, "599b3440de5fe20bc57ddff941fb090f2e06a5bf439f1d1f3462dc838beede8b"
+    ),
+    "decide 3 dense-16-0": (
+        1, "2e20f1ac74234033432c8b42162e144eadee934207f97a9243630f18faa2fd1c"
+    ),
+    "decide 7 dense-16-0": (
+        1, "8b4d7cae5c2f9e72fd5804c8be22924e0b496b5a1df29c81ace8c73161d407b9"
+    ),
+    "decide 2 dense-24-2": (
+        1, "861f0d410913eab52e9af51d765fe9779e360aa8e83896e0afe51e232de049a6"
+    ),
+    "decide 3 dense-24-0": (
+        0, "b4958fd2dbc53e30c2abe9ea355cfb802577737409d5c94b9cd027b7b92dd009"
+    ),
+    "decide 2 dense-32-2": (
+        0, "626c52c243bf2d023e8f02b98fdecf757181a1e8ce30af8250532d6c63eac3bc"
+    ),
+    "decide 7 dense-32-1": (
+        1, "b819070c3b8fb6496f4e16d0e3f9ec20b03ac3a7a3c30fbb5d13bc8490a58f2e"
+    ),
+    "decide 2 dense-40-0": (
+        1, "572af17b0c6d383d54d06f5ebca275d6f0d24b46d8b7441f65e8815be4c40cdd"
+    ),
+    "decide 3 dense-40-3": (
+        0, "e3ecf2684ce5063cd1845e863052a35866f2158b56959a7030eff58f057206ba"
+    ),
+    "decide 2 dense-48-2": (
+        0, "bfcfa7ca29e0ccb1496881e9c1f761e26de8784780c61e0ec4e1f7fa580fd161"
+    ),
+    "decide 3 dense-48-3": (
+        0, "4fdfc16660d34671014594f08ed7e31591cb8c6b74976844375c59863f7576c0"
+    ),
+    "decide 7 dense-48-0": (
+        1, "3fc6c7da5df48baa373d67393b10e60d5d837d51d84a9d0259cb3684730df501"
+    ),
+    "decide 2 2*x-1": (
+        0, "161fca8ad956f03d17852eaf8224c4340d23973741989857fa6b33bc24ae61d9"
+    ),
+    "decide 7 49*x^2-1": (
+        0, "c6f79cc301da2509a20b0c868ab4e8edd3abda72996c3dee829a022eb8c2dcab"
+    ),
+    "decide 2 x^2-17": (
+        0, "35ff80b3f309e10a9e147939b140de5d20cf3f1cfa524818609a6bb497be908a"
+    ),
+    "decide 31 h-unsat": (
+        1, "8c72633038812507366162b508ff0070dd12006290eb62fb06e487a9d647974a"
+    ),
+    "degenerate 2 dense-8-1^2": (
+        0, "51dda11e3f0beeacd6cae7b2d5f11265abcada41cb43d44da364264859c26e71"
+    ),
+    "degenerate 3 dense-16-0^2": (
+        1, "137b8e583a4769002ba40e41227e67ccf6be866929634791bd63f5e3772d9e1e"
+    ),
+    "degenerate 2 dense-16-1^2": (
+        0, "e2253c34aa42f63489cca81cefbd34915b756a4ecc954fa2c5ad4c451d61f0d4"
+    ),
+    "degenerate 2 dense-24-2^2": (
+        1, "ea06f98959e0b3931148df75e87f72878ae6032caac5daf2d439aba1b8030a4e"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECIDE_REPORT_DIGESTS))
+def test_decide_report_digests(tmp_path, capsys, case):
+    command, prime, name = case.split(" ")
+    path = tmp_path / "poly"
+    path.write_text(_decide_input(name))
+    code, out, _ = run_cli(capsys, [command, str(path), "--prime", prime])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == DECIDE_REPORT_DIGESTS[case]
+
+
 def test_raised_caps_exit_3_without_a_traceback(tmp_path, capsys):
     huge = tmp_path / "huge.txt"
     huge.write_text(f"x^{10 ** 12} + 1")
@@ -326,7 +458,10 @@ def test_reduce_deterministic_reproducible(tmp_path, capsys):
     assert r1["runs"] == r2["runs"]  # deterministic runs ignore the seed
 
 
-@pytest.mark.parametrize("text", ["5", '{"runs": [5]}', "[]", '{"runs": []}', '{"runs": 5}'])
+@pytest.mark.parametrize("text", [
+    "5", '{"runs": [5]}', "[]", '{"runs": []}', '{"runs": 5}',
+    pytest.param(NESTED, id="nested"), pytest.param('{"runs": ' + NESTED + "}", id="nested-runs"),
+])
 def test_verify_transcript_malformed_json_exits_2(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

@@ -21,7 +21,7 @@ from padicfeas.padic import (
     has_degenerate_root_qp,
     hensel_lift_trace,
 )
-from padicfeas.sparsepoly import SparsePoly, from_dense, parse_poly, to_dense
+from padicfeas.sparsepoly import SparsePoly, _primitive, from_dense, parse_poly, to_dense
 
 from helpers import (
     P256_HARD,
@@ -83,7 +83,7 @@ def _random_certified_seed(rng):
     root = SparsePoly(((1, 1), (-t, 0)))
     twin = SparsePoly(((1, 1), (-(t + s * p ** v), 0)))
     f = root * twin * h
-    dv = f.derivative().evaluate(t)
+    dv = sum(c * t ** e for c, e in f.derivative().terms)
     assert dv != 0
     vprime = ord_p(dv, p)
     ell = 2 * vprime + 1 + rng.randint(0, 3)
@@ -379,7 +379,8 @@ def test_bruteforce_decision_details():
     w = d.witness
     f = parse_poly("x^2 - 2")
     assert f.eval_mod(w.residue, w.modulus.value) == 0
-    assert 2 * ord_p(f.derivative().evaluate(w.residue), 7) < w.modulus.ell
+    dv = sum(c * w.residue ** e for c, e in f.derivative().terms)
+    assert 2 * ord_p(dv, 7) < w.modulus.ell
 
     d = bruteforce_decision(parse_poly("x^3"), 5)
     assert d.feasible and d.rule == RULE_ZERO_ROOT
@@ -403,14 +404,16 @@ ORACLE_PRIMES = (2, 3, 5, 7, 31)
 
 
 def _assert_lazy_bound_matches_eager(f: SparsePoly, p: int):
-    """The lazy search and the eager one (resultant first) return the same
-    (residue, ell) or None on f and on its reverse, so bruteforce_decision
-    gives the same verdict, rule and witness with either."""
-    caps = Caps()
+    """The lazy search, certifying modulo p**ell, and the eager one
+    (resultant first, exact certification) return the same (residue, ell) or
+    None on the squarefree part sf of f and on sf read backwards, so
+    bruteforce_decision gives the same verdict, rule and witness with
+    either."""
     if f.degree and not f.min_exponent:
-        for g in (f, f.reverse()):
-            assert padic._integral_root_witness(g, p, caps) == \
-                eager_integral_root_witness(g, p, caps), (g, p)
+        sf = padic._squarefree_primitive(to_dense(f, f.degree))
+        for g in (sf, _primitive(sf[::-1])):
+            assert padic._integral_root_witness(g, p) == \
+                eager_integral_root_witness(g, p), (g, p)
     lazy = bruteforce_decision(f, p)
     with mock.patch.object(padic, "_integral_root_witness", eager_integral_root_witness):
         assert lazy == bruteforce_decision(f, p), (f, p)
@@ -487,7 +490,7 @@ def test_degree_96_input_with_only_a_multiple_root_mod_7():
     assert (decision.feasible, decision.rule) == (True, RULE_HENSEL_CERTIFIED)
     w = decision.witness
     assert (w.residue, w.modulus.p, w.modulus.ell) == (1, 7, 3)
-    assert eager_integral_root_witness(f, 7, Caps()) == (1, 3)
+    assert eager_integral_root_witness(padic._squarefree_primitive(to_dense(f, 96)), 7) == (1, 3)
 
 
 def squarefree_oracle(f: SparsePoly) -> SparsePoly:
@@ -522,6 +525,43 @@ def test_squarefree_part_matches_rational_oracle():
         ours = padic._squarefree_primitive(to_dense(f, f.degree))
         assert from_dense(ours) == squarefree_oracle(f), f
     assert min(seen.values()) >= 50, seen
+
+
+@st.composite
+def _polys_with_nonzero_constant(draw):
+    """Dense f = c * prod(g_i ** m_i) with f(0) != 0, content c possibly
+    above 1 and of either sign, and some factor repeated."""
+    f = from_dense([draw(st.sampled_from((1, -1, 2, -6, 9, -35)))])
+    for i in range(draw(st.integers(1, 3))):
+        g = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=2))
+        g = [draw(st.sampled_from((1, -1, 2, -3)))] + g  # g(0) != 0
+        if not g[-1]:
+            g[-1] = draw(st.sampled_from((1, -2)))
+        for _ in range(draw(st.integers(2 if i == 0 else 1, 3))):
+            f = f * from_dense(g)
+    return to_dense(f, f.degree)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dense_f=_polys_with_nonzero_constant())
+def test_reversed_squarefree_part_is_the_squarefree_part_read_backwards(dense_f):
+    """When f(0) != 0, the squarefree primitive part of x**deg * f(1/x) is
+    that of f read backwards and made primitive, and reading it backwards
+    again gives the squarefree part of f back."""
+    sf = padic._squarefree_primitive(dense_f)
+    assert _primitive(sf[::-1]) == padic._squarefree_primitive(dense_f[::-1])
+    assert _primitive(_primitive(sf[::-1])[::-1]) == sf
+
+
+@pytest.mark.parametrize("text, p, feasible", [("x^2 + 1", 7, False), ("2*x - 1", 2, True)])
+def test_one_squarefree_part_per_decision(monkeypatch, text, p, feasible):
+    """Both inputs need the reversed search: x^2 + 1 has no root mod 7, and
+    the only root of 2x - 1 over Q_2 is 1/2."""
+    calls = []
+    real = padic._squarefree_primitive
+    monkeypatch.setattr(padic, "_squarefree_primitive", lambda d: calls.append(d) or real(d))
+    assert bruteforce_decision(parse_poly(text), p).feasible == feasible
+    assert len(calls) == 1
 
 
 def test_bruteforce_caps():

@@ -180,21 +180,6 @@ def test_size_examples():
     assert size(SparsePoly.zero()) == 0
 
 
-def test_reverse_examples():
-    assert parse_poly("x^2 - 2").reverse() == parse_poly("-2*x^2 + 1")
-    d = 2 ** 33
-    assert SparsePoly([(1, d), (-7, 0)]).reverse() == SparsePoly([(-7, d), (1, 0)])
-    assert SparsePoly.constant(5).reverse() == SparsePoly.constant(5)
-    with pytest.raises(ValueError):
-        SparsePoly.zero().reverse()
-    rng = random.Random(4)
-    for _ in range(100):
-        f = random_sparse(rng)
-        if f.is_zero or f.min_exponent > 0:
-            continue
-        assert f.reverse().reverse() == f
-
-
 def test_gcd_dense_power_binomials_exhaustive():
     for a in range(1, 61):
         for b in range(1, 61):

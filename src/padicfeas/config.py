@@ -8,11 +8,19 @@ from .record import Record
 class Caps(Record):
     """Resource limits; exceeding any of them raises instead of degrading."""
 
-    degree: int = 512              # one squarefree part per decision; it and the resultant: ~20 s each at the cap
+    # At the degree cap the squarefree part takes milliseconds (a heuristic gcd
+    # checked by exact division), the resultant about 20 s when every root
+    # mod p is multiple.
+    degree: int = 512
     term_count: int = 1_000_000    # dense length of one expanded clause product
     k_max: int = 1_000_000         # sequential prime-scan bound on k
     sieve_limit: int = 100_000_000  # density's x; M = 1 at the cap takes 0.7 s (2 vCPU, Py 3.11)
     max_vars: int = 6              # formula size accepted by the reduction pipeline
+
+    def __post_init__(self):
+        for name, value in self.asdict().items():
+            if value < 0:
+                raise ValueError(f"cap {name} must be nonnegative, not {value}")
 
 
 class Config(Record):

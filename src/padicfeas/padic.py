@@ -180,8 +180,10 @@ def decide_binomial(c1: int, a1: int, c2: int, a2: int, p: int) -> PadicDecision
 
 def _squarefree_primitive(dense: list[int]) -> list[int]:
     """Primitive integer representative of f / gcd(f, f'), same root set as f.
-    The gcd is primitive, so by Gauss's lemma the quotient is an integer
-    polynomial and the division is exact in the integers."""
+    The gcd is the heuristic gcd, checked by exact division, or the
+    subresultant gcd when that fails.  It is primitive, so by Gauss's lemma
+    the quotient is an integer polynomial and the division is exact in the
+    integers."""
     f = from_dense(dense)
     g = gcd_dense(f, f.derivative(), degree_cap=len(dense))
     return _primitive(to_dense(exact_div(f, g), len(dense)))
@@ -243,12 +245,14 @@ def bruteforce_decision(f: SparsePoly, p: int, caps: Caps | None = None) -> Padi
     The squarefree part sf = f / gcd(f, f') is computed once per decision.
     f(0) != 0 here, so the roots of x**deg * f(1/x) are the reciprocals of
     f's, and its squarefree primitive part is sf's coefficient list read
-    backwards.  Each search first finds the roots of sf mod p by trying every
-    residue, O(p * deg) work.  No root, or a simple one, decides that search;
-    the resultant that bounds the refinement depth is computed only when
-    every root mod p is multiple, by the subresultant sequence.  A whole
-    degree-96 search at p = 7 takes 0.08 s, but at degree 512 the squarefree
-    part and the resultant take about 20 s each."""
+    backwards.  Its gcd is a heuristic gcd checked by exact division, with
+    the subresultant sequence as the fallback.  Each search first finds the
+    roots of sf mod p by trying every residue, O(p * deg) work.  No root, or
+    a simple one, decides that search; the resultant that bounds the
+    refinement depth is computed only when every root mod p is multiple, by
+    the subresultant sequence.  A whole degree-96 search at p = 7 takes
+    0.08 s.  At degree 512 the squarefree part takes milliseconds, but the
+    resultant still takes about 20 s when every root mod p is multiple."""
     caps = caps or Caps()
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -284,6 +288,8 @@ def has_degenerate_root_qp(f: SparsePoly, p: int, caps: Caps | None = None) -> b
     p-adic rationals, i.e. whether gcd(f, f') has a p-adic root.  f has a
     p-adic root exactly when f.square() has a degenerate one."""
     caps = caps or Caps()
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if f.is_zero:
         return True
     if f.degree > caps.degree:

@@ -5,17 +5,19 @@ increasing nonnegative exponents and no zero coefficients; the empty tuple is
 the zero polynomial.  Exponents may be astronomically larger than the term
 count, so nothing here ever expands to a dense representation except the
 explicitly dense helpers (gcd, resultant) that the brute-force decider runs
-on, each guarded by a degree cap.  Both run one integer subresultant
-remainder sequence; no rational arithmetic is involved.  At degree 96 the
-resultant of f and f' takes about 25 ms, at degree 512 about 20 s (random
-coefficients in [-9, 9], 2 vCPU).
+on, each guarded by a degree cap; no rational arithmetic is involved.  The
+gcd is a heuristic gcd, one integer gcd of values checked by exact
+division, with the integer subresultant remainder sequence as its
+fallback; the resultant runs that sequence.  At degree 512 (random
+coefficients in [-9, 9], 2 vCPU) gcd(f, f') takes milliseconds, the
+resultant of f and f' about 20 s; at degree 96 the resultant takes 25 ms.
 """
 
 from __future__ import annotations
 
 import heapq
 import re
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, isqrt
 
 from .errors import CapsExceeded, InexactDivision
 
@@ -280,14 +282,71 @@ def _subresultant_prs(a: list[int], b: list[int]):
     return a, b, h, sign
 
 
+def _divides(h: list[int], a: list[int]) -> bool:
+    """Whether h divides a in Z[x], by long division that stops at the first
+    top coefficient lc(h) does not divide.  For primitive h that is division
+    over Q (Gauss's lemma), and unlike a pseudo-remainder the working
+    coefficients never grow by powers of lc(h)."""
+    r = list(a)
+    dh = len(h) - 1
+    for shift in range(len(a) - 1 - dh, -1, -1):
+        q, rem = divmod(r.pop(), h[-1])
+        if rem:
+            return False
+        for i in range(dh):
+            r[shift + i] -= q * h[i]
+    return not any(r)
+
+
+def _horner(a: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _heuristic_gcd(a: list[int], b: list[int]):
+    """The heuristic gcd GCDHEU (Char, Geddes and Gonnet 1989) of primitive
+    a and b with positive leading coefficients and deg a >= deg b >= 1, or
+    None after six failed evaluation points.
+
+    gamma = gcd(a(xi), b(xi)) is read back as the polynomial H of its
+    symmetric xi-adic digits, and h = pp(H) is accepted only if it divides a
+    and b exactly.  An accepted h is the gcd: if the gcd were h*q with
+    deg q >= 1, q(xi) would divide cont(H), yet every root of q is a root of
+    the operand of smaller norm n, so |q(xi)| > (xi - 1 - n)**deg q >= xi/2
+    >= |cont(H)| once xi >= 2*n + 2."""
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(6):
+        gamma = _int_gcd(_horner(a, xi), _horner(b, xi))
+        h = []
+        while gamma:
+            digit = gamma % xi
+            if 2 * digit > xi:
+                digit -= xi
+            h.append(digit)
+            gamma = (gamma - digit) // xi
+        h = _primitive(h)  # a constant h is [1], which divides both
+        if len(h) == 1 or _divides(h, a) and _divides(h, b):
+            return h
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
 def gcd_dense(f: SparsePoly, g: SparsePoly, degree_cap: int = 100_000) -> SparsePoly:
-    """Gcd over the rationals, computed densely with the subresultant
-    remainder sequence; returned as the primitive integer polynomial with
-    positive leading coefficient (the canonical associate of the monic gcd)."""
+    """Gcd over the rationals, computed densely: by the heuristic gcd, one
+    integer gcd of values checked by exact division, and by the subresultant
+    remainder sequence when six evaluation points fail.  Returned as the
+    primitive integer polynomial with positive leading coefficient (the
+    canonical associate of the monic gcd), so both routes agree exactly."""
     a = _primitive(to_dense(f, degree_cap))
     b = _primitive(to_dense(g, degree_cap))
     if len(a) < len(b):
         a, b = b, a
+    if len(b) > 1:
+        h = _heuristic_gcd(a, b)
+        if h is not None:
+            return from_dense(h)
     a, b, _, _ = _subresultant_prs(a, b)
     return from_dense(_primitive(b or a))
 

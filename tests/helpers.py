@@ -5,8 +5,8 @@ dense Fraction arithmetic.  They must stay independent of the package's own
 algorithms so that agreement between the two routes is evidence, not an echo.
 The reference routines (CRT, roots of unity modulo p, solvability in a cyclic
 group, literal polynomials, DIMACS output, assignment encoding, sparse size,
-the resultant-first integral root search) are exact helpers that only the
-tests use.
+the resultant-first integral root search, the subresultant gcd) are exact
+helpers that only the tests use.
 """
 
 from __future__ import annotations
@@ -33,7 +33,15 @@ from padicfeas.bigmod import (
 from padicfeas.errors import InexactDivision
 from padicfeas.padic import _eval_dense_mod
 from padicfeas.plaisted import BinomialProduct, Cnf3, Literal, satisfies
-from padicfeas.sparsepoly import SparsePoly, exact_div, from_dense, resultant_dense
+from padicfeas.sparsepoly import (
+    SparsePoly,
+    _primitive,
+    _subresultant_prs,
+    exact_div,
+    from_dense,
+    resultant_dense,
+    to_dense,
+)
 
 
 def naive_is_prime(n: int) -> bool:
@@ -361,6 +369,18 @@ def fraction_resultant(f: SparsePoly, g: SparsePoly) -> Fraction:
             return Fraction(0)
         res *= (-1) ** (da * db) * b[-1] ** (da - (len(r) - 1))
         a, b = b, r
+
+
+def subresultant_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
+    """The gcd over the rationals by the integer subresultant sequence alone,
+    as sparsepoly.gcd_dense computed it before the heuristic gcd: primitive,
+    with positive leading coefficient."""
+    a = _primitive(to_dense(f, f.degree or 0))
+    b = _primitive(to_dense(g, g.degree or 0))
+    if len(a) < len(b):
+        a, b = b, a
+    a, b, _, _ = _subresultant_prs(a, b)
+    return from_dense(_primitive(b or a))
 
 
 def dense_to_sparse_primitive(a) -> SparsePoly:

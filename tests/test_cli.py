@@ -202,6 +202,35 @@ def test_decide_caps_exit(tmp_path, capsys):
     assert code == 3 and "cap" in err.lower()
 
 
+@pytest.mark.parametrize("prime", ["4", "1", "-7"])
+def test_zero_polynomial_with_a_non_prime_exits_2(tmp_path, capsys, prime):
+    z = tmp_path / "z.txt"
+    z.write_text("0")
+    for command in ("decide", "degenerate"):
+        assert_rejected(capsys, [command, str(z), "--prime", prime])
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "POLY", "--prime", "7", "--degree-cap", "-1"],
+    ["degenerate", "POLY", "--prime", "7", "--degree-cap", "-1"],
+    ["find-prime", "5", "--k-max", "-1"],
+    ["density", "30", "100000", "--sieve-cap", "-1"],
+    ["reduce", "CNF", "--max-vars", "-1"],
+    ["verify-transcript", "JSON", "--max-vars", "-1"],
+])
+def test_negative_caps_exit_2(tmp_path, capsys, argv):
+    """A negative cap is malformed input, not a cap that is already spent."""
+    (tmp_path / "p.txt").write_text("x^2 - 2")
+    (tmp_path / "f.cnf").write_text("p cnf 3 1\n1 2 3 0\n")
+    (tmp_path / "t.json").write_text("{}")
+    files = {name: str(tmp_path / file)
+             for name, file in (("POLY", "p.txt"), ("CNF", "f.cnf"), ("JSON", "t.json"))}
+    argv = [files.get(arg, arg) for arg in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "") and err.startswith("error: cap ") and "nonnegative" in err
+    assert err.count("\n") == 1
+
+
 def test_degenerate(tmp_path, capsys):
     f = tmp_path / "p.txt"
     f.write_text("x^4 - 4*x^2 + 4")  # (x^2-2)^2
@@ -374,6 +403,14 @@ DECIDE_REPORT_DIGESTS = {
     ),
     "degenerate 2 dense-24-2^2": (
         1, "ea06f98959e0b3931148df75e87f72878ae6032caac5daf2d439aba1b8030a4e"
+    ),
+    # at the degree cap, and a degree-256 square, as the subresultant gcd
+    # computed their squarefree parts (the first took about 20 s that way)
+    "decide 7 dense-512-1": (
+        1, "bc311d45411c0d3e2e820906ad7f26604594ea2bd895179dd494675e59fcd3f6"
+    ),
+    "degenerate 3 dense-128-1^2": (
+        0, "69962a03db7fd2eb7daa45e6bb3c62ef6c8c1f952fc952ebd3d252a95ebb8822"
     ),
 }
 

@@ -339,6 +339,27 @@ def test_bruteforce_decides_h_as_the_run_and_the_truth_table_do():
     assert seen == {False, True}
 
 
+def test_bruteforce_decides_h_as_the_run_and_the_truth_table_do_at_n_4():
+    """The cross-half oracle at n = 4 (p = 211, deg h <= 420).  Seven of the
+    eight sign patterns over x1, x2, x4 plus (x3 or x4) is satisfiable, and
+    its h has coefficients of about 48 bits; all eight patterns make it
+    unsatisfiable."""
+    patterns = [[a * 1, b * 2, c * 4] for a, b, c in itertools.product((1, -1), repeat=3)]
+    formulas = [Cnf3.from_signed(4, patterns[1:] + [[3, 4]]),
+                Cnf3.from_signed(4, patterns + [[3, 4]])]
+    formulas += [seeded_formula(4, k, 211 + k) for k in (4, 5, 6, 8, 10, 12, 14, 16)]
+    seen = set()
+    for i, cnf in enumerate(formulas):
+        want = truth_table_sat(cnf) is not None
+        seen.add(want)
+        for seed in (i, 1000 + i):
+            t = pipeline(cnf, Config(seed=seed))
+            assert t.k > 0 and t.prime.p == 211 and t.h.degree <= 420, (cnf, seed)
+            assert t.verdict == want, (cnf, seed)
+            assert bruteforce_decision(t.h, t.prime.p).feasible == want, (cnf, seed)
+    assert seen == {False, True}
+
+
 def test_pipeline_single_runs_agree_in_at_least_8_of_9():
     rng = random.Random(31337)
     for i in range(12):

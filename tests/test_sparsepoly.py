@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from padicfeas import sparsepoly
 from padicfeas.errors import CapsExceeded, InexactDivision
 from padicfeas.sparsepoly import (
     SparsePoly,
@@ -19,6 +22,7 @@ from padicfeas.sparsepoly import (
 
 from helpers import (
     dense,
+    dense_divmod,
     dense_gcd_monic,
     dense_to_sparse_primitive,
     fraction_resultant,
@@ -26,6 +30,7 @@ from helpers import (
     random_sparse,
     size,
     sparse_exact_div,
+    subresultant_gcd,
 )
 
 X = SparsePoly.x_power
@@ -259,6 +264,131 @@ def test_subresultant_gcd_and_resultant_match_rational_oracles():
         seen["constant"] += df == 0 or dg == 0
         seen["nonzero resultant"] += expected != 0
     assert min(seen.values()) >= 15, seen
+
+
+@st.composite
+def _gcd_pairs(draw):
+    """f = u * c**e and g = v * c, or g = f', with total degree at most 48:
+    coprime pairs (c constant), shared, squared and cubed factors, content
+    above 1, either sign of leading coefficient, coefficients up to 10**30,
+    constants and the zero polynomial."""
+    bound = draw(st.sampled_from((9, 10 ** 6, 10 ** 30)))
+
+    def poly(max_degree):
+        return from_dense(draw(st.lists(st.integers(-bound, bound), max_size=max_degree + 1)))
+
+    c = poly(8)
+    if c.is_zero:
+        c = SparsePoly.one()
+    f = poly(16)
+    for _ in range(draw(st.integers(1, 3))):
+        f = f * c
+    g = f.derivative() if draw(st.booleans()) else poly(16) * c
+    return f * draw(st.sampled_from((1, -1, 6, -35))), g * draw(st.sampled_from((1, 4, -15)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pair=_gcd_pairs())
+def test_gcd_dense_matches_the_subresultant_gcd(pair):
+    f, g = pair
+    assert gcd_dense(f, g) == subresultant_gcd(f, g)
+
+
+def _product(*factors):
+    """The product of parse_poly(text) over the factors, each a text or a
+    (text, power) pair."""
+    out = SparsePoly.one()
+    for factor in factors:
+        text, power = factor if isinstance(factor, tuple) else (factor, 1)
+        for _ in range(power):
+            out = out * parse_poly(text)
+    return out
+
+
+_BIG = f"{10 ** 30}*x^3 + 7*x - {10 ** 30 - 1}"
+
+
+@pytest.mark.parametrize("f, g", [
+    (("2*x+1", ("x-3", 2)), ("x-3", "x+5")),                       # a square
+    ((("x^2+x+1", 3), "x-1"), (("x^2+x+1", 2), "x+2")),            # repeated quadratic
+    (("6", "x-1", "x+1"), ("-15", ("x-1", 2))),                    # content, negative lc
+    (("-1", _BIG), (_BIG, f"x^2 - {10 ** 30}")),                   # 10**30 coefficients
+    (("-1", (_BIG, 2)), ("3", _BIG, f"{10 ** 30}*x - 1")),
+    (("x^5 + 3",), ("12",)),                                       # a constant
+    (("x^5 + 3",), ("0",)),                                        # the zero polynomial
+    (("0",), ("-4*x^2 + 8",)),
+    (("0",), ("0",)),
+    (("-7",), ("0",)),
+])
+def test_gcd_dense_named_cases(f, g):
+    f, g = _product(*f), _product(*g)
+    assert gcd_dense(f, g) == subresultant_gcd(f, g)
+    assert gcd_dense(f, f.derivative()) == subresultant_gcd(f, f.derivative())
+
+
+def test_gcd_dense_falls_back_to_the_subresultant_sequence(monkeypatch):
+    """When every evaluation point yields a candidate that divides neither
+    operand, gcd_dense tries six growing points, then returns exactly what
+    the subresultant sequence returns."""
+    points = []
+
+    def failing_value(a, xi):
+        points.append(xi)
+        return xi ** len(a)  # gcd xi**len(b) reads back as x**(deg b + 1)
+
+    monkeypatch.setattr(sparsepoly, "_horner", failing_value)
+    rng = random.Random(1989)
+    pairs = []
+    for _ in range(200):
+        f = _random_dense(rng, rng.randint(-1, 10))
+        g = _random_dense(rng, rng.randint(-1, 10)) * _random_dense(rng, rng.randint(0, 3))
+        pairs.append((f * g if rng.random() < 0.5 else f, g))
+    # 1330-bit coefficients: a float fourth root of xi would overflow here
+    big = parse_poly(f"{10 ** 400}*x + 1")
+    pairs.append((big * parse_poly("x + 2"), big * parse_poly("x - 3")))
+    for f, g in pairs:
+        points.clear()
+        assert gcd_dense(f, g) == subresultant_gcd(f, g), (f, g)
+        if min(f.degree or 0, g.degree or 0) >= 1:
+            assert len(points) == 12 and points[::2] == sorted(set(points[::2])), points
+
+
+def test_divides_matches_division_over_the_rationals():
+    """The heuristic gcd's check: a primitive h divides a in Z[x] exactly
+    when the rational remainder is zero.  Flooring the inexact top quotient
+    of (3x + 1) / (2x + 1) would leave a zero remainder."""
+    assert not sparsepoly._divides([1, 2], [1, 3])
+    rng = random.Random(1971)
+    for _ in range(400):
+        h = _random_dense(rng, rng.randint(0, 5))
+        a = h * _random_dense(rng, rng.randint(0, 6))
+        if rng.random() < 0.5:
+            a = a + _random_dense(rng, rng.randint(0, 7))
+        if a.is_zero:
+            continue
+        hd = sparsepoly._primitive(to_dense(h, 5))
+        expected = not dense_divmod(dense(a), dense(h))[1]
+        assert sparsepoly._divides(hd, sparsepoly._primitive(to_dense(a, 12))) == expected, (h, a)
+
+
+@pytest.mark.parametrize("f, g, candidate", [
+    # x + 2 divides f but not g: only the check on g rejects it
+    ("2*x^3 - 3*x^2 - 11*x + 6", "3*x^3 - 7*x^2 - 5*x - 3", "x + 2"),
+    # the candidate is g itself and does not divide f: only the check on f rejects it
+    ("3*x^4 - x^2 - 2*x - 3", "2*x - 1", "2*x - 1"),
+])
+def test_a_candidate_dividing_one_operand_only_is_rejected(monkeypatch, f, g, candidate):
+    f, g = parse_poly(f), parse_poly(g)
+    tried = []
+    divides = sparsepoly._divides
+
+    def spy(h, a):
+        tried.append(from_dense(h))
+        return divides(h, a)
+
+    monkeypatch.setattr(sparsepoly, "_divides", spy)
+    assert gcd_dense(f, g) == subresultant_gcd(f, g) != parse_poly(candidate)
+    assert tried[0] == parse_poly(candidate)
 
 
 def test_gcd_and_resultant_against_sympy():

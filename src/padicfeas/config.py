@@ -8,9 +8,9 @@ from .record import Record
 class Caps(Record):
     """Resource limits; exceeding any of them raises instead of degrading."""
 
-    # At the degree cap the squarefree part takes milliseconds (a heuristic gcd
-    # checked by exact division), the resultant about 20 s when every root
-    # mod p is multiple.
+    # At the degree cap with small coefficients a decision takes under a
+    # second, even when every root mod p is multiple.  The cap bounds neither
+    # p nor the coefficient size, and the time grows with both.
     degree: int = 512
     term_count: int = 1_000_000    # dense length of one expanded clause product
     k_max: int = 1_000_000         # sequential prime-scan bound on k

@@ -14,15 +14,7 @@ from .bigmod import Modulus, _valuation, is_prime
 from .config import Caps
 from .errors import CapsExceeded
 from .record import Record
-from .sparsepoly import (
-    SparsePoly,
-    _primitive,
-    exact_div,
-    from_dense,
-    gcd_dense,
-    resultant_dense,
-    to_dense,
-)
+from .sparsepoly import SparsePoly, _primitive, _quotient, from_dense, gcd_dense, to_dense
 
 # Branches that can decide feasibility; every decision names the one that fired.
 RULE_ZERO_ROOT = "zero-root"
@@ -182,11 +174,10 @@ def _squarefree_primitive(dense: list[int]) -> list[int]:
     """Primitive integer representative of f / gcd(f, f'), same root set as f.
     The gcd is the heuristic gcd, checked by exact division, or the
     subresultant gcd when that fails.  It is primitive, so by Gauss's lemma
-    the quotient is an integer polynomial and the division is exact in the
-    integers."""
-    f = from_dense(dense)
-    g = gcd_dense(f, f.derivative(), degree_cap=len(dense))
-    return _primitive(to_dense(exact_div(f, g), len(dense)))
+    the quotient of the primitive part of f by it is an integer polynomial,
+    itself primitive with a positive leading coefficient."""
+    a = _primitive(dense)
+    return _quotient(gcd_dense(a, [c * e for e, c in enumerate(a)][1:]), a)
 
 
 def _eval_dense_mod(coeffs: list[int], x: int, m: int) -> int:
@@ -203,29 +194,25 @@ def _integral_root_witness(sf: list[int], p: int):
     Runs a residue-refinement tree: candidates x with sf(x) = 0 (mod p**ell)
     are certified as soon as ord_p sf'(x) < ell/2, which sf'(x) mod p**ell
     decides.  Level 1 costs O(p * deg) evaluations and decides alone when sf
-    has no root mod p (None) or a simple one (certified).  Only when every
-    root mod p is multiple is rho = ord_p Res(sf, sf') computed, exactly, by
-    the integer subresultant sequence, and the tree refined up to depth
-    1 + 2*rho, beyond which every surviving candidate necessarily certifies.
-    Returns (residue, ell) or None.
+    has no root mod p (None) or a simple one (certified).  The tree ends by
+    level 1 + 2*rho, rho = ord_p Res(sf, sf'), without computing rho.  As sf
+    is squarefree, Res is a nonzero integer, and Res = A*sf + B*sf' with
+    A, B in Z[x], so min(ord_p sf(x), ord_p sf'(x)) <= rho for every integer
+    x.  A candidate at level ell > 2*rho has ord_p sf(x) >= ell > rho, hence
+    ord_p sf'(x) <= rho < ell/2, and it certifies.  Returns (residue, ell)
+    or None.
     """
     if len(sf) <= 1:
         return None
     sfd = [c * e for e, c in enumerate(sf)][1:]
     candidates = [x for x in range(p) if _eval_dense_mod(sf, x, p) == 0]
-    ell, ell_max = 1, None
+    ell = 1
     while candidates:
         mod = p ** ell
         for x in candidates:
             dv = _eval_dense_mod(sfd, x, mod)
             if dv != 0 and 2 * _valuation(dv, p) < ell:
                 return x, ell
-        if ell_max is None:
-            res = resultant_dense(from_dense(sf), from_dense(sfd), len(sf))
-            assert res != 0
-            ell_max = 1 + 2 * _valuation(res, p)
-        if ell == ell_max:
-            raise AssertionError("refinement passed the resultant depth uncertified")
         mod_next = mod * p
         candidates = [
             y
@@ -246,13 +233,13 @@ def bruteforce_decision(f: SparsePoly, p: int, caps: Caps | None = None) -> Padi
     f(0) != 0 here, so the roots of x**deg * f(1/x) are the reciprocals of
     f's, and its squarefree primitive part is sf's coefficient list read
     backwards.  Its gcd is a heuristic gcd checked by exact division, with
-    the subresultant sequence as the fallback.  Each search first finds the
-    roots of sf mod p by trying every residue, O(p * deg) work.  No root, or
-    a simple one, decides that search; the resultant that bounds the
-    refinement depth is computed only when every root mod p is multiple, by
-    the subresultant sequence.  A whole degree-96 search at p = 7 takes
-    0.08 s.  At degree 512 the squarefree part takes milliseconds, but the
-    resultant still takes about 20 s when every root mod p is multiple."""
+    the subresultant sequence as the fallback.  The degree cap leaves two
+    costs unbounded.  Each search first finds the roots of sf mod p by
+    trying every residue, O(p * deg) work.  And the gcd's arithmetic grows
+    with the coefficients, which no cap bounds.  With every root mod 7
+    multiple, f = g(x) * g(x + 7) of degree 512 decides in 0.5 s when g has
+    coefficients in [-9, 9], and in about 15 s when f has 4600-bit ones,
+    nearly all of it in the heuristic gcd's integer gcd and evaluations."""
     caps = caps or Caps()
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -294,5 +281,5 @@ def has_degenerate_root_qp(f: SparsePoly, p: int, caps: Caps | None = None) -> b
         return True
     if f.degree > caps.degree:
         raise CapsExceeded(f"degree {f.degree} exceeds the oracle cap {caps.degree}")
-    g = gcd_dense(f, f.derivative(), degree_cap=caps.degree)
-    return bruteforce_decision(g, p, caps).feasible
+    g = gcd_dense(to_dense(f, caps.degree), to_dense(f.derivative(), caps.degree))
+    return bruteforce_decision(from_dense(g), p, caps).feasible

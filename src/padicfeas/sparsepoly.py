@@ -4,14 +4,14 @@ A polynomial is a tuple of (coefficient, exponent) terms with strictly
 increasing nonnegative exponents and no zero coefficients; the empty tuple is
 the zero polynomial.  Exponents may be astronomically larger than the term
 count, so nothing here ever expands to a dense representation except the
-explicitly dense helpers (gcd, resultant) that the brute-force decider runs
-on, each guarded by a degree cap; no rational arithmetic is involved.  The
-gcd is a heuristic gcd, one integer gcd of values checked by exact
-division, with the integer subresultant remainder sequence as its
-fallback; the resultant runs that sequence.  At degree 512 (random
-coefficients in [-9, 9], 2 vCPU) gcd(f, f') takes milliseconds, the
-resultant of f and f' about 20 s; at degree 96 the resultant takes 25 ms.
-"""
+explicitly dense helpers that the brute-force decider runs on: to_dense,
+guarded by a degree cap, and the gcd and exact quotient of coefficient
+lists; no rational arithmetic is involved.  The gcd is a heuristic gcd, one
+integer gcd of values checked by exact division, with the integer
+subresultant remainder sequence as its fallback.  At degree 512 (random
+coefficients in [-9, 9], 2 vCPU) gcd(f, f') takes milliseconds.
+resultant_dense runs the same sequence and takes about 20 s there; the
+decider does not call it, the tests' refinement-depth oracle does."""
 
 from __future__ import annotations
 
@@ -282,20 +282,23 @@ def _subresultant_prs(a: list[int], b: list[int]):
     return a, b, h, sign
 
 
-def _divides(h: list[int], a: list[int]) -> bool:
-    """Whether h divides a in Z[x], by long division that stops at the first
-    top coefficient lc(h) does not divide.  For primitive h that is division
-    over Q (Gauss's lemma), and unlike a pseudo-remainder the working
-    coefficients never grow by powers of lc(h)."""
+def _quotient(h: list[int], a: list[int]) -> list[int] | None:
+    """a / h in Z[x] as a coefficient list, or None when h does not divide a,
+    by long division that stops at the first top coefficient lc(h) does not
+    divide.  For primitive h that is division over Q (Gauss's lemma), and
+    unlike a pseudo-remainder the working coefficients never grow by powers
+    of lc(h)."""
     r = list(a)
     dh = len(h) - 1
+    q = [0] * (len(a) - dh)
     for shift in range(len(a) - 1 - dh, -1, -1):
-        q, rem = divmod(r.pop(), h[-1])
+        c, rem = divmod(r.pop(), h[-1])
         if rem:
-            return False
+            return None
+        q[shift] = c
         for i in range(dh):
-            r[shift + i] -= q * h[i]
-    return not any(r)
+            r[shift + i] -= c * h[i]
+    return None if any(r) else q
 
 
 def _horner(a: list[int], x: int) -> int:
@@ -327,28 +330,28 @@ def _heuristic_gcd(a: list[int], b: list[int]):
             h.append(digit)
             gamma = (gamma - digit) // xi
         h = _primitive(h)  # a constant h is [1], which divides both
-        if len(h) == 1 or _divides(h, a) and _divides(h, b):
+        if len(h) == 1 or _quotient(h, a) is not None and _quotient(h, b) is not None:
             return h
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
     return None
 
 
-def gcd_dense(f: SparsePoly, g: SparsePoly, degree_cap: int = 100_000) -> SparsePoly:
-    """Gcd over the rationals, computed densely: by the heuristic gcd, one
-    integer gcd of values checked by exact division, and by the subresultant
-    remainder sequence when six evaluation points fail.  Returned as the
-    primitive integer polynomial with positive leading coefficient (the
-    canonical associate of the monic gcd), so both routes agree exactly."""
-    a = _primitive(to_dense(f, degree_cap))
-    b = _primitive(to_dense(g, degree_cap))
+def gcd_dense(a: list[int], b: list[int]) -> list[int]:
+    """Gcd over the rationals of two coefficient lists: by the heuristic gcd,
+    one integer gcd of values checked by exact division, and by the
+    subresultant remainder sequence when six evaluation points fail.
+    Returned as the primitive integer list with positive leading coefficient
+    (the canonical associate of the monic gcd), so both routes agree
+    exactly.  Callers bound the degree before they expand to lists."""
+    a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a
     if len(b) > 1:
         h = _heuristic_gcd(a, b)
         if h is not None:
-            return from_dense(h)
+            return h
     a, b, _, _ = _subresultant_prs(a, b)
-    return from_dense(_primitive(b or a))
+    return _primitive(b or a)
 
 
 def resultant_dense(f: SparsePoly, g: SparsePoly, degree_cap: int = 100_000) -> int:

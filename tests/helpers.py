@@ -39,6 +39,7 @@ from padicfeas.sparsepoly import (
     _subresultant_prs,
     exact_div,
     from_dense,
+    gcd_dense,
     resultant_dense,
     to_dense,
 )
@@ -381,6 +382,21 @@ def subresultant_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
         a, b = b, a
     a, b, _, _ = _subresultant_prs(a, b)
     return from_dense(_primitive(b or a))
+
+
+def sparse_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
+    """sparsepoly.gcd_dense on the coefficient lists of f and g."""
+    return from_dense(gcd_dense(to_dense(f, f.degree), to_dense(g, g.degree)))
+
+
+def taylor_shift(coeffs: list[int], t: int) -> list[int]:
+    """The coefficient list of g(x + t) for g given by coeffs, by Horner's
+    rule on polynomials."""
+    out = []
+    for c in reversed(coeffs):
+        out = [t * a + b for a, b in zip(out + [0], [0] + out)]
+        out[0] += c
+    return out
 
 
 def dense_to_sparse_primitive(a) -> SparsePoly:

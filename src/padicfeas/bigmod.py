@@ -15,8 +15,6 @@ import random
 from .errors import FactorBudgetExceeded
 from .record import Record
 
-INFINITY = math.inf
-
 # Miller-Rabin with the first 13 primes as witnesses is a proven primality
 # test below this bound (Sorenson & Webster).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -67,19 +65,6 @@ class Modulus(Record):
             raise ValueError("exponent must be positive")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-
-    @property
-    def value(self) -> int:
-        return self.p ** self.ell
-
-
-def ord_p(n: int, p: int):
-    """p-adic valuation: the largest v with p**v | n; INFINITY for n = 0."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n == 0:
-        return INFINITY
-    return _valuation(n, p)
 
 
 def _valuation(n: int, p: int) -> int:

@@ -2,12 +2,13 @@
 
 Variable i is tied to the i-th prime p_i: at a Q-th root of unity w**t, the
 binomial x**(Q/p_i) - 1 vanishes exactly when p_i divides t, so divisibility
-patterns of t play the role of truth assignments.  A clause maps to the
-squarefree divisor of x**Q - 1 whose roots are the encodings of its
-satisfying local assignments (Plaisted 1984), a product of binomials
-x**m - 1 whose exponents have a closed form.  Every m is a multiple of Q/P,
-P the product of the clause's primes, so the product is multiplied out as
-a dense coefficient list in x**(Q/P) before it becomes a SparsePoly.
+patterns of t play the role of truth assignments (reduce._decode_witness
+states the decoding rule).  A clause maps to the squarefree divisor of
+x**Q - 1 whose roots are the encodings of its satisfying local assignments
+(Plaisted 1984), a product of binomials x**m - 1 whose exponents have a
+closed form.  Every m is a multiple of Q/P, P the product of the clause's
+primes, so the product is multiplied out as a dense coefficient list in
+x**(Q/P) before it becomes a SparsePoly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import accumulate, compress
 from math import gcd, prod
 from operator import add, neg, sub
 
-from .bigmod import first_primes, is_prime, primorial
+from .bigmod import first_primes, primorial
 from .errors import CapsExceeded, InexactDivision
 from .record import Record
 from .sparsepoly import SparsePoly, parse_int
@@ -72,7 +73,8 @@ def satisfies(cnf: Cnf3, bits) -> bool:
 
 
 def parse_dimacs(text: str) -> Cnf3:
-    """Parse DIMACS CNF; clauses with more than three literals are rejected."""
+    """Parse DIMACS CNF; clauses with more than three literals and a second
+    problem line are rejected."""
     num_vars = None
     num_clauses = None
     clauses: list[list[int]] = []
@@ -82,6 +84,8 @@ def parse_dimacs(text: str) -> Cnf3:
         if not line or line.startswith("c") or line.startswith("%"):
             continue
         if line.startswith("p"):
+            if num_vars is not None:
+                raise ValueError(f"second problem line: {line!r}")
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise ValueError(f"malformed problem line: {line!r}")
@@ -214,19 +218,3 @@ def encode_system(cnf: Cnf3, *, term_cap: int = 1_000_000) -> list[SparsePoly]:
              for key in dict.fromkeys(keys)}
     return [polys[key] for key in keys]
 
-
-# -- assignments and roots ------------------------------------------------------
-
-
-def root_to_assignment(r: int, p: int, n: int) -> tuple[int, ...]:
-    """Decode a Q_n-th root of unity modulo p back to an assignment."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    q = primorial(n)
-    if (p - 1) % q != 0:
-        raise ValueError(f"the primorial {q} does not divide {p} - 1")
-    if pow(r, q, p) != 1:
-        raise ValueError(f"{r} is not a {q}-th root of unity modulo {p}")
-    return tuple(
-        1 if pow(r, q // pi, p) == 1 else 0 for pi in first_primes(n)
-    )

@@ -29,7 +29,7 @@ from struct import Struct
 from .bigmod import find_generator, find_qnr, first_primes, is_prime, primorial
 from .config import Caps, Config
 from .errors import CapsExceeded
-from .plaisted import Cnf3, encode_system, root_to_assignment, satisfies
+from .plaisted import Cnf3, encode_system, satisfies
 from .primes import ProgressionPrime, find_prime_in_progression
 from .record import Record
 from .sparsepoly import SparsePoly, parse_int, poly_from_obj
@@ -45,6 +45,10 @@ _RECORDED = {
     TRANSCRIPT_FORMAT_V2: ("g1", "g2"),
     TRANSCRIPT_FORMAT_V1: ("g1", "g2", "h"),
 }
+
+# Randomized runs per run_with_majority call.  One run at n = 6 takes
+# 0.025-0.042 s (2 vCPU, Python 3.11), so the cap keeps a call within about 20 s.
+MAX_REPEATS = 500
 
 
 class ReductionTranscript(Record):
@@ -360,10 +364,16 @@ def _scan_roots(layout, rows, omega: int, p: int, n: int) -> list[int]:
     return survivors
 
 
-def _decode_witness(cnf: Cnf3, matches, omega: int, p: int) -> tuple[int, ...] | None:
-    """The assignment of the first matching root of unity that satisfies cnf."""
+def _decode_witness(cnf: Cnf3, matches) -> tuple[int, ...] | None:
+    """The assignment of the first matching exponent t that satisfies cnf:
+    bit i is 1 exactly when p_i, the i-th prime, divides t.  With omega a
+    primitive Q_n-th root of unity modulo p, (omega**t)**(Q_n/p_i) = 1 exactly
+    when p_i divides t, so this is the assignment the root omega**t encodes
+    (Plaisted 1984).  Both callers pass such an omega: pipeline raises a
+    generator to (p - 1)/Q_n, and verify_transcript checks it before the scan."""
+    primes = first_primes(cnf.num_vars)
     for t in matches:
-        bits = root_to_assignment(pow(omega, t, p), p, cnf.num_vars)
+        bits = tuple(int(t % pi == 0) for pi in primes)
         if satisfies(cnf, bits):
             return bits
     return None
@@ -419,7 +429,7 @@ def pipeline(
             avec, bvec = _draw(k, big_n, rng)
         qnr = find_qnr(p, rng)  # p = 1 + k*q_n is odd
     matches = _scan_roots(layout, _rows(combined, avec, bvec, k), omega, p, n)
-    witness = _decode_witness(cnf, matches, omega, p)
+    witness = _decode_witness(cnf, matches)
 
     return ReductionTranscript(
         mode=config.mode,
@@ -448,12 +458,15 @@ def run_with_majority(
     cnf: Cnf3, config: Config | None = None
 ) -> tuple[bool, tuple[int, ...] | None, list[ReductionTranscript]]:
     """Repeat the pipeline config.repeats times (once in deterministic mode)
-    on independent seeded streams and take the majority verdict.  The clause
-    polynomials are encoded and laid out once for all the runs."""
+    on independent seeded streams and take the majority verdict; more than
+    MAX_REPEATS randomized runs raise CapsExceeded before any seed is drawn.
+    The clause polynomials are encoded and laid out once for all the runs."""
     config = config or Config()
     _check_size(cnf, config.caps)
-    encoded = _encode(cnf, config.caps.term_count)
     repeats = config.repeats if config.mode == "randomized" else 1
+    if repeats > MAX_REPEATS:
+        raise CapsExceeded(f"{repeats} repeats exceed the cap of {MAX_REPEATS} runs")
+    encoded = _encode(cnf, config.caps.term_count)
     base = random.Random(config.seed)
     child_seeds = [base.getrandbits(64) for _ in range(repeats)]
     transcripts = []
@@ -573,7 +586,7 @@ def verify_transcript(
     check("match-count", t.match_count == len(matches))
     check("first-match", t.first_match == (matches[0] if matches else None))
 
-    check("witness", t.witness == _decode_witness(cnf, matches, t.omega, p))
+    check("witness", t.witness == _decode_witness(cnf, matches))
     if t.witness is not None:
         check("witness-satisfies",
               len(t.witness) == cnf.num_vars and satisfies(cnf, t.witness))

@@ -33,24 +33,6 @@ class SparsePoly:
             acc[e] = acc.get(e, 0) + c
         self._terms = tuple((c, e) for e, c in sorted(acc.items()) if c != 0)
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "SparsePoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "SparsePoly":
-        return cls(((1, 0),))
-
-    @classmethod
-    def constant(cls, c: int) -> "SparsePoly":
-        return cls(((c, 0),))
-
-    @classmethod
-    def x_power(cls, e: int) -> "SparsePoly":
-        return cls(((1, e),))
-
     # -- structure ----------------------------------------------------------
 
     @property
@@ -65,12 +47,6 @@ class SparsePoly:
     def degree(self):
         """Degree, or None for the zero polynomial."""
         return self._terms[-1][1] if self._terms else None
-
-    @property
-    def constant_term(self) -> int:
-        if self._terms and self._terms[0][1] == 0:
-            return self._terms[0][0]
-        return 0
 
     @property
     def min_exponent(self):
@@ -175,7 +151,7 @@ def exact_div(f: SparsePoly, g: SparsePoly, *, term_cap: int = 1_000_000) -> Spa
     if g.is_zero:
         raise ValueError("division by the zero polynomial")
     if f.is_zero:
-        return SparsePoly.zero()
+        return SparsePoly()
     cg, eg = g.terms[-1]
     lower = g.terms[:-1]  # the leading term cancels exactly
     rem = {e: c for c, e in f.terms}

@@ -27,7 +27,6 @@ from padicfeas.bigmod import (
     first_primes,
     is_prime,
     multiplicative_order,
-    ord_p,
     primorial,
 )
 from padicfeas.errors import InexactDivision
@@ -112,6 +111,14 @@ def sieve_primes(limit: int, segment_size: int = 1 << 20) -> Iterator[int]:
         lo = hi + 1
 
 
+def naive_valuation(n: int, p: int) -> int:
+    """The largest v with p**v | n, for n != 0, one division at a time."""
+    n, v = abs(n), 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v
+
+
 def naive_order(a: int, m: int) -> int:
     a %= m
     assert math.gcd(a, m) == 1
@@ -147,10 +154,10 @@ def order_route_binomial(c1: int, a1: int, c2: int, a2: int, p: int) -> tuple[bo
         return True, "zero-root"
     d = a1 - a2
     num, den = -c2, c1
-    vnum, vden = ord_p(num, p), ord_p(den, p)
+    vnum, vden = naive_valuation(num, p), naive_valuation(den, p)
     if (vnum - vden) % d != 0:
         return False, "valuation-mismatch"
-    ell = 1 + 2 * ord_p(d, p)
+    ell = 1 + 2 * naive_valuation(d, p)
     m = p ** ell
     alpha = (num // p ** vnum) * pow(den // p ** vden, -1, m) % m
     if p != 2 or ell == 1:
@@ -254,7 +261,7 @@ def mobius_clause_poly(clause, n: int) -> BinomialProduct:
 def sparse_expand(bp: BinomialProduct) -> SparsePoly:
     """plaisted.expand on sparse polynomials: multiply out the positive
     factors (increasing m), then divide exactly by each negative one."""
-    poly = SparsePoly.one()
+    poly = SparsePoly([(1, 0)])
     negatives = []
     for m, e in bp.factors:
         binom = SparsePoly(((-1, 0), (1, m)))
@@ -402,7 +409,7 @@ def taylor_shift(coeffs: list[int], t: int) -> list[int]:
 def dense_to_sparse_primitive(a) -> SparsePoly:
     """Integer primitive representative with positive leading coefficient."""
     if not a:
-        return SparsePoly.zero()
+        return SparsePoly()
     lcm_den = 1
     for c in a:
         lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
@@ -516,6 +523,21 @@ def assignment_to_root(bits, n: int) -> int:
             raise ValueError("assignment entries must be 0 or 1")
         pairs.append((0 if bit else 1, p))
     return crt(pairs)[0]
+
+
+def root_to_assignment(r: int, p: int, n: int) -> tuple[int, ...]:
+    """Decode a Q_n-th root of unity r modulo p back to an assignment: bit i
+    is 1 exactly when r**(Q_n/p_i) = 1 (mod p)."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    q = primorial(n)
+    if (p - 1) % q != 0:
+        raise ValueError(f"the primorial {q} does not divide {p} - 1")
+    if pow(r, q, p) != 1:
+        raise ValueError(f"{r} is not a {q}-th root of unity modulo {p}")
+    return tuple(
+        1 if pow(r, q // pi, p) == 1 else 0 for pi in first_primes(n)
+    )
 
 
 def _ceil_log2(x: int) -> int:

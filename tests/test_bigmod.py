@@ -5,7 +5,6 @@ import pytest
 
 from padicfeas.bigmod import (
     _MR_DETERMINISTIC_BOUND,
-    INFINITY,
     Modulus,
     _valuation,
     decompose_2adic_unit,
@@ -16,31 +15,23 @@ from padicfeas.bigmod import (
     first_primes,
     is_prime,
     multiplicative_order,
-    ord_p,
     primorial,
 )
 from padicfeas.errors import FactorBudgetExceeded
 
-from helpers import crt, eager_is_prime, naive_is_prime, naive_order, solvable_in_cyclic
-
-
-def test_ord_p_examples():
-    assert ord_p(8, 2) == 3
-    assert ord_p(10, 3) == 0
-    assert ord_p(0, 5) == INFINITY
-    assert ord_p(-24, 2) == 3
-    with pytest.raises(ValueError):
-        ord_p(10, 4)
-
-
-def naive_valuation(n, p):
-    n, v = abs(n), 0
-    while n % p == 0:
-        n, v = n // p, v + 1
-    return v
+from helpers import (
+    crt,
+    eager_is_prime,
+    naive_is_prime,
+    naive_order,
+    naive_valuation,
+    solvable_in_cyclic,
+)
 
 
 def test_valuation_matches_the_naive_loop():
+    for n, p, v in ((8, 2, 3), (10, 3, 0), (-24, 2, 3)):
+        assert _valuation(n, p) == naive_valuation(n, p) == v
     rng = random.Random(77)
     # the naive loop divides a p**v-sized number v times, so the 61-bit
     # prime gets smaller valuations
@@ -58,7 +49,7 @@ def test_valuation_matches_the_naive_loop():
 
 def test_modulus_invariants():
     m = Modulus(3, 4)
-    assert m.value == 81
+    assert (m.p, m.ell) == (3, 4)
     with pytest.raises(ValueError):
         Modulus(4, 2)
     with pytest.raises(ValueError):

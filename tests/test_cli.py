@@ -18,7 +18,7 @@ import padicfeas
 from padicfeas.cli import main
 from padicfeas.config import Config
 from padicfeas.plaisted import Cnf3, satisfies
-from padicfeas.reduce import TRANSCRIPT_FORMAT_V1, TRANSCRIPT_FORMAT_V2, pipeline
+from padicfeas.reduce import MAX_REPEATS, TRANSCRIPT_FORMAT_V1, TRANSCRIPT_FORMAT_V2, pipeline
 from padicfeas.sparsepoly import from_dense, poly_to_obj
 
 from helpers import P256_HARD, order_route_binomial, taylor_shift
@@ -553,6 +553,10 @@ def test_reduce_malformed_dimacs(tmp_path, capsys):
     cnf.write_text("p cnf 3 1\n1 2 3 4 0\n")
     code, _, err = run_cli(capsys, ["reduce", str(cnf)])
     assert code == 2
+    # a second problem line must not widen the formula it follows
+    cnf.write_text("p cnf 1 1\n1 0\np cnf 5 1\n")
+    code, out, err = run_cli(capsys, ["reduce", str(cnf), "--mode", "deterministic"])
+    assert (code, out) == (2, "") and err.startswith("error: second problem line")
 
 
 def test_reduce_max_vars_cap(tmp_path, capsys):
@@ -560,6 +564,27 @@ def test_reduce_max_vars_cap(tmp_path, capsys):
     cnf.write_text("p cnf 7 1\n1 2 7 0\n")
     code, _, _ = run_cli(capsys, ["reduce", str(cnf)])
     assert code == 3
+
+
+def test_reduce_repeats_cap(tmp_path, capsys):
+    """More than MAX_REPEATS randomized runs are refused within a second,
+    before any run; deterministic mode makes its one run whatever --repeats
+    says."""
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 6 2\n1 -2 6 0\n-1 3 0\n")
+    argv = ["reduce", str(cnf), "--seed", "4", "--repeats", str(MAX_REPEATS + 1)]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == f"error: {MAX_REPEATS + 1} repeats exceed the cap of {MAX_REPEATS} runs\n"
+    code, out, _ = run_cli(capsys, argv + ["--mode", "deterministic"])
+    _, default, _ = run_cli(capsys, argv[:-2] + ["--mode", "deterministic"])
+    r, expected = report(out), report(default)
+    assert code == 0 and r["repeats"] == 1
+    assert r["config"].pop("repeats") == MAX_REPEATS + 1
+    assert expected["config"].pop("repeats") == 5
+    assert r == expected
 
 
 def test_seed_from_environment(tmp_path, capsys, monkeypatch):

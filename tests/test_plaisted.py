@@ -14,10 +14,10 @@ from padicfeas.plaisted import (
     encode_system,
     expand,
     parse_dimacs,
-    root_to_assignment,
     satisfies,
 )
 from padicfeas.primes import find_prime_in_progression
+from padicfeas.reduce import _decode_witness
 from padicfeas.sparsepoly import SparsePoly, exact_div
 
 from helpers import (
@@ -30,6 +30,7 @@ from helpers import (
     format_dimacs,
     literal_poly,
     mobius_clause_poly,
+    root_to_assignment,
     size,
     sparse_exact_div,
     sparse_expand,
@@ -105,6 +106,8 @@ def test_dimacs_rejects_malformed():
         parse_dimacs("p cnf 3 1\n1 2\n")  # missing terminator
     with pytest.raises(ValueError):
         parse_dimacs("p cnf 2 1\n1 -3 0\n")  # index out of range
+    with pytest.raises(ValueError):
+        parse_dimacs("p cnf 1 1\n1 0\np cnf 5 1\n")  # second problem line
     # tokens are an optional '-' and ASCII digits only
     for bad in ("p cnf 30 1\n+1 2 0\n", "p cnf 30 1\n1_0 2 0\n", "p cnf \u0663 1\n1 2 0\n",
                 "p cnf 30 1\n\u0661 2 0\n"):
@@ -314,7 +317,7 @@ def test_encode_system_matches_rational_expansion(n):
     polys = encode_system(cnf)
     assert len(polys) == len(cnf.clauses)
     for clause, poly in zip(cnf.clauses, polys):
-        expected = SparsePoly.one()
+        expected = SparsePoly([(1, 0)])
         factors = clause_poly(clause, n).factors
         for m, e in factors:
             for _ in range(max(e, 0)):
@@ -338,16 +341,6 @@ def test_assignment_to_root_examples():
         assignment_to_root((2, 0, 0), 3)
 
 
-def test_root_to_assignment_examples():
-    assert root_to_assignment(1, 31, 3) == (1, 1, 1)
-    gen = find_generator(31)  # has full order 30, so no power condition holds
-    assert root_to_assignment(gen, 31, 3) == (0, 0, 0)
-    with pytest.raises(ValueError):
-        root_to_assignment(3, 31, 4)  # 210 does not divide 30
-    with pytest.raises(ValueError):
-        root_to_assignment(0, 31, 3)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_assignment_round_trip(n):
     prime = find_prime_in_progression(n, strategy="scan")
@@ -357,3 +350,8 @@ def test_assignment_round_trip(n):
     for bits in itertools.product((0, 1), repeat=n):
         t = assignment_to_root(bits, n)
         assert root_to_assignment(pow(omega, t, p), p, n) == bits
+    # the pipeline decodes the exponent itself, by divisibility; every
+    # assignment satisfies the empty formula, so each t decodes on its own
+    empty = Cnf3(n, ())
+    for t in range(q):
+        assert _decode_witness(empty, [t]) == root_to_assignment(pow(omega, t, p), p, n)

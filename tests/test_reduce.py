@@ -91,7 +91,7 @@ def test_random_combine_bound_and_ranges():
     n_bound = 18 * 2 * 9  # 18 * d * k^2 = 324
     assert len(a) == len(b) == 3
     assert all(1 <= v <= n_bound for v in a + b)
-    expect1 = SparsePoly.zero()
+    expect1 = SparsePoly()
     for ai, f in zip(a, polys):
         expect1 = expect1 + ai * f
     assert g1 == expect1
@@ -109,7 +109,7 @@ def test_random_combine_equals_the_term_by_term_sum(n):
         old = random.Random(i)
         assert a == tuple(old.randint(1, n_bound) for _ in range(k))
         assert b == tuple(old.randint(1, n_bound) for _ in range(k))
-        e1 = e2 = SparsePoly.zero()
+        e1 = e2 = SparsePoly()
         for ai, bi, f in zip(a, b, polys):
             e1 = e1 + ai * f
             e2 = e2 + bi * f
@@ -124,7 +124,7 @@ def test_random_combine_passthrough_and_errors():
     assert random_combine([f], rng) == (f, f, None, None)
     assert random_combine([f, g], rng) == (f, g, None, None)
     with pytest.raises(ValueError):
-        random_combine([f, SparsePoly.zero(), g], rng)
+        random_combine([f, SparsePoly(), g], rng)
     with pytest.raises(ValueError):
         random_combine([], rng)
 
@@ -478,12 +478,12 @@ def test_scan_roots_is_exact_on_random_sparse_polynomials(n):
         # a common root at a random omega**t makes the answer non-trivial
         t0 = rng.randrange(q_n)
         x0 = pow(omega, t0, p)
-        polys = [f - SparsePoly.constant(f.eval_mod(x0, p)) for f in polys]
+        polys = [f - SparsePoly([(f.eval_mod(x0, p), 0)]) for f in polys]
         want = naive_roots(polys, omega, p, q_n)
         assert t0 in want
         assert scan_polys(polys, omega, p, n) == want
     # a constant (period 1) and a polynomial whose coefficients are all 0 mod p
-    for polys in ([SparsePoly.constant(p + 1)], [p * random_huge_sparse(rng, p, 4)]):
+    for polys in ([SparsePoly([(p + 1, 0)])], [p * random_huge_sparse(rng, p, 4)]):
         want = naive_roots(polys, omega, p, q_n)
         assert want == ([] if polys[0].degree == 0 else list(range(q_n)))
         assert scan_polys(polys, omega, p, n) == want
@@ -733,7 +733,7 @@ def test_pair_is_rebuilt_from_the_drawn_combination(monkeypatch):
         t = pipeline(cnf, Config(seed=5))
         if len(clauses) > 2:
             a, b = drawn.pop()
-            pair = tuple(sum((c * f for c, f in zip(v, polys)), SparsePoly.zero()) for v in (a, b))
+            pair = tuple(sum((c * f for c, f in zip(v, polys)), SparsePoly()) for v in (a, b))
         else:
             a = b = None
             pair = (polys[0], polys[-1])

@@ -33,7 +33,11 @@ from helpers import (
     subresultant_gcd,
 )
 
-X = SparsePoly.x_power
+ONE = SparsePoly([(1, 0)])
+
+
+def X(e):
+    return SparsePoly([(1, e)])  # x^e
 
 
 def binom(m):
@@ -50,8 +54,8 @@ def test_construction_normalizes():
 
 
 def test_arithmetic_examples():
-    assert (X(1) + SparsePoly.one()).square() == parse_poly("x^2 + 2*x + 1")
-    assert binom(15) * (X(5) + SparsePoly.one()) == parse_poly("x^20 + x^15 - x^5 - 1")
+    assert (X(1) + ONE).square() == parse_poly("x^2 + 2*x + 1")
+    assert binom(15) * (X(5) + ONE) == parse_poly("x^20 + x^15 - x^5 - 1")
     f = random_sparse(random.Random(1))
     assert (f + (-f)).is_zero
 
@@ -80,7 +84,7 @@ def test_eval_mod_examples():
     for _ in range(50):
         f = random_sparse(rng)
         m = rng.randint(2, 97)
-        assert f.eval_mod(0, m) == f.constant_term % m
+        assert f.eval_mod(0, m) == sum(c for c, e in f.terms if e == 0) % m
     with pytest.raises(ValueError):
         binom(3).eval_mod(1, 1)
 
@@ -103,7 +107,7 @@ def test_eval_mod_huge_exponent():
 def test_derivative_examples():
     d = 2 ** 40
     assert SparsePoly([(1, d), (-3, 0)]).derivative() == SparsePoly([(d, d - 1)])
-    assert SparsePoly.constant(9).derivative().is_zero
+    assert SparsePoly([(9, 0)]).derivative().is_zero
     assert binom(30).derivative() == SparsePoly([(30, 29)])
 
 
@@ -117,15 +121,15 @@ def test_derivative_leibniz():
 
 
 def test_exact_div_examples():
-    assert exact_div(binom(30), binom(15)) == X(15) + SparsePoly.one()
-    assert exact_div(binom(10), binom(5)) == X(5) + SparsePoly.one()
+    assert exact_div(binom(30), binom(15)) == X(15) + ONE
+    assert exact_div(binom(10), binom(5)) == X(5) + ONE
     with pytest.raises(InexactDivision):
         exact_div(parse_poly("x^2 + 1"), parse_poly("x + 1"))
     with pytest.raises(InexactDivision):
         exact_div(parse_poly("x"), parse_poly("2*x"))  # quotient 1/2 not integral
     with pytest.raises(ValueError):
-        exact_div(binom(3), SparsePoly.zero())
-    assert exact_div(SparsePoly.zero(), binom(3)).is_zero
+        exact_div(binom(3), SparsePoly())
+    assert exact_div(SparsePoly(), binom(3)).is_zero
 
 
 def test_exact_div_round_trip():
@@ -182,7 +186,7 @@ def test_exact_div_term_cap():
 def test_size_examples():
     f = binom(5)  # x^5 - 1
     assert size(f) == 10
-    assert size(SparsePoly.zero()) == 0
+    assert size(SparsePoly()) == 0
 
 
 def test_gcd_dense_power_binomials_exhaustive():
@@ -195,8 +199,8 @@ def test_gcd_dense_examples():
     f = parse_poly("x-1") * parse_poly("x-2")
     g = parse_poly("x-1") * parse_poly("x-3")
     assert sparse_gcd(f, g) == parse_poly("x - 1")
-    assert sparse_gcd(f, SparsePoly.zero()) == f  # already primitive and monic
-    assert sparse_gcd(SparsePoly.zero(), SparsePoly.zero()).is_zero
+    assert sparse_gcd(f, SparsePoly()) == f  # already primitive and monic
+    assert sparse_gcd(SparsePoly(), SparsePoly()).is_zero
     # non-monic rational gcd comes back as the primitive integer associate
     f2 = parse_poly("2*x+1") * parse_poly("x+1")
     g2 = parse_poly("2*x+1") * parse_poly("x+2")
@@ -216,7 +220,7 @@ def _random_dense(rng, degree):
     """A polynomial of exactly this degree with coefficients in [-9, 9]; the
     zero polynomial for degree -1."""
     if degree < 0:
-        return SparsePoly.zero()
+        return SparsePoly()
     lead = rng.choice((-1, 1)) * rng.randint(1, 9)
     return from_dense([rng.randint(-9, 9) for _ in range(degree)] + [lead])
 
@@ -277,7 +281,7 @@ def _gcd_pairs(draw):
 
     c = poly(8)
     if c.is_zero:
-        c = SparsePoly.one()
+        c = ONE
     f = poly(16)
     for _ in range(draw(st.integers(1, 3))):
         f = f * c
@@ -295,7 +299,7 @@ def test_gcd_dense_matches_the_subresultant_gcd(pair):
 def _product(*factors):
     """The product of parse_poly(text) over the factors, each a text or a
     (text, power) pair."""
-    out = SparsePoly.one()
+    out = ONE
     for factor in factors:
         text, power = factor if isinstance(factor, tuple) else (factor, 1)
         for _ in range(power):
@@ -455,7 +459,7 @@ def test_serialization_round_trip():
     obj = poly_to_obj(f)
     assert obj["terms"][0] == ["1", "0"]
     assert poly_from_obj(obj) == f
-    assert poly_from_obj(poly_to_obj(SparsePoly.zero())).is_zero
+    assert poly_from_obj(poly_to_obj(SparsePoly())).is_zero
 
 
 def test_serialization_rejects_malformed():
@@ -477,7 +481,7 @@ def test_parse_poly():
     assert parse_poly("3*x^50 - 2*x^3 + 1") == SparsePoly([(3, 50), (-2, 3), (1, 0)])
     assert parse_poly("x") == X(1)
     assert parse_poly("-x^2 + x") == SparsePoly([(-1, 2), (1, 1)])
-    assert parse_poly("7") == SparsePoly.constant(7)
+    assert parse_poly("7") == SparsePoly([(7, 0)])
     assert parse_poly("2x^3+1") == SparsePoly([(2, 3), (1, 0)])
     exp = 10 ** 25
     assert parse_poly(f"x^{exp} - 1") == binom(exp)

@@ -8,9 +8,11 @@ p-adics is then decided exactly by enumerating the Q-th roots of unity modulo
 a prime p = 1 (mod Q): each common root among them lifts to a true root
 because x**Q - 1 is separable modulo p.  The scan reads g1 and g2 (or, in
 deterministic mode, each clause polynomial) as rows of integers over the
-clause polynomials: per row and clause period, one DFT over F_p computed as
-a single big-integer product with a chirp, its table repeated and summed.
-Every run is recorded in a transcript that can be re-verified without
+clause polynomials.  Each clause polynomial's values at the roots of unity
+are computed once per (formula, p), by one DFT over F_p computed as a single
+big-integer product with a chirp, at the first run's root omega0; a run
+whose root is omega0**u reads them at u*t, and a row sums its clauses'
+tables.  Every run is recorded in a transcript that can be re-verified without
 re-running any randomness.  A transcript records the combination vectors a
 and b, not the polynomials: g1 and g2 are rebuilt from a, b and the
 formula's clause polynomials, and h from g1, g2 and the non-residue.
@@ -20,10 +22,9 @@ from __future__ import annotations
 
 import json
 import random
-from functools import cache
 from itertools import accumulate, compress, cycle, islice, repeat
 from math import gcd, lcm
-from operator import add, mod, mul, neg, not_
+from operator import mod, mul, neg, not_
 from struct import Struct
 
 from .bigmod import find_generator, find_qnr, first_primes, is_prime, primorial
@@ -46,9 +47,16 @@ _RECORDED = {
     TRANSCRIPT_FORMAT_V1: ("g1", "g2", "h"),
 }
 
-# Randomized runs per run_with_majority call.  One run at n = 6 takes
-# 0.025-0.042 s (2 vCPU, Python 3.11), so the cap keeps a call within about 20 s.
+# Randomized runs per run_with_majority call at n <= 6.  One more run at n = 6
+# takes 0.005-0.024 s for 10 to 160 clauses (2 vCPU, Python 3.11), so the cap
+# keeps a call within about 12 s.
 MAX_REPEATS = 500
+
+
+def _repeats_cap(n: int) -> int:
+    """MAX_REPEATS, shrunk beyond n = 6 in proportion to Q_n, which a run's
+    scan grows with: 29 runs at n = 7, which took 7-9 s."""
+    return min(MAX_REPEATS, MAX_REPEATS * primorial(6) // primorial(n))
 
 
 class ReductionTranscript(Record):
@@ -273,9 +281,10 @@ def _layout(polys, q_n: int) -> list[tuple[int, list[int]]]:
 
 
 def _encode(cnf: Cnf3, term_cap: int):
-    """The clause polynomials of cnf and their _layout."""
+    """The clause polynomials of cnf, their _layout and a dict, empty so far,
+    for their _Tables at each prime."""
     polys = encode_system(cnf, term_cap=term_cap)
-    return polys, _layout(polys, primorial(cnf.num_vars))
+    return polys, _layout(polys, primorial(cnf.num_vars)), {}
 
 
 def _pack(values, width: int) -> int:
@@ -321,33 +330,93 @@ def _rows(randomized: bool, a, b, k: int) -> list:
     return [[(0, 1)], [(k - 1, 1)]] if a is None else [[*enumerate(a)], [*enumerate(b or ())]]
 
 
-def _scan_roots(layout, rows, omega: int, p: int, n: int) -> list[int]:
+def _root_log(omega: int, omega0: int, p: int, n: int) -> int:
+    """u in [0, Q_n) with omega0**u = omega modulo p, for omega0 a primitive
+    Q_n-th root of unity and omega a Q_n-th root (Pohlig and Hellman 1978).
+    Q_n is squarefree, so for each of its primes q, u mod q is the place of
+    omega**(Q_n/q) among the q powers of the primitive q-th root
+    omega0**(Q_n/q); the Chinese remainder theorem joins them.  A root that
+    is no power of omega0 raises ValueError."""
+    q_n, u = primorial(n), 0
+    for q in first_primes(n):
+        rest = q_n // q
+        g = pow(omega0, rest, p)
+        powers = list(accumulate(repeat(g, q - 1), lambda x, _: x * g % p, initial=1))
+        u += powers.index(pow(omega, rest, p)) * rest * pow(rest, -1, q)
+    return u % q_n
+
+
+class _Tables:
+    """The value tables of the laid-out clause polynomials modulo p, shared by
+    every run at p.  Polynomial i, laid out as (P, c), has the table of
+    sum_j c_j * w0**(j*s) for s < P, w0 = omega0**(Q_n/P), where omega0 is the
+    primitive Q_n-th root of unity of the first run at p.  table(i) makes it
+    by one _dft on first use, with one chirp per period, and packs it into one
+    integer of width-byte little-endian slots, wide enough for a sum of k
+    products of residues.  Equal laid-out polynomials (repeated clauses)
+    share the table of the first: same[i] is its index.  A run's omega is
+    omega0**u, so the value of polynomial i at omega**t is slot u*t mod P of
+    its table."""
+
+    def __init__(self, layout, omega0: int, p: int, n: int):
+        self.layout, self.omega0, self.p, self.q_n = layout, omega0, p, primorial(n)
+        self.width = ((len(layout) * (p - 1) ** 2).bit_length() + 7) // 8
+        first: dict[tuple, int] = {}
+        self.same = [first.setdefault((period, tuple(c)), i)
+                     for i, (period, c) in enumerate(layout)]
+        self.packed: list[int | None] = [None] * len(layout)
+        self.periods: dict[int, tuple] = {}  # P: (its chirp, a Struct that cuts P slots)
+
+    def table(self, i: int) -> int:
+        """The packed table of polynomial i, made on first use."""
+        if self.packed[i] is None:
+            period, coeffs = self.layout[i]
+            if period not in self.periods:
+                w0 = pow(self.omega0, self.q_n // period, self.p)
+                self.periods[period] = (_chirp(period, w0, self.p),
+                                        Struct(f"{self.width}s" * period))
+            self.packed[i] = _pack(_dft(coeffs, self.periods[period][0], self.p), self.width)
+        return self.packed[i]
+
+    def read(self, period: int, packed: int, u: int) -> list[int]:
+        """The slots of packed, a sum of tables of period P, at u*t mod P for
+        t < P: the values, not yet reduced modulo p, at omega0**(u*t)."""
+        cut = self.periods[period][1]
+        raw = packed.to_bytes(period * self.width, "little")
+        slots = list(map(int.from_bytes, cut.unpack(raw), repeat("little")))
+        return list(map(slots.__getitem__, map(mod, range(0, u * period, u), repeat(period))))
+
+
+def _scan_roots(shared: _Tables, rows, omega: int, p: int, n: int) -> list[int]:
     """Exponents t in [0, Q_n), ascending, at which every row's combination
     of the laid-out polynomials vanishes at omega**t modulo p.
 
-    Per row and period, the row's coefficients are summed from the layout and
-    made a value table by one _dft (the chirps serve the whole scan); the
-    row's value at t sums its tables at t mod their periods.  While at least
-    as many exponents survive as the lcm L of the periods, the tables are
-    summed to length L and their zeros, repeated, mask the survivors; after
-    that each survivor sums its own entries.  Rows stop once none survive."""
-    q_n = primorial(n)
-
-    @cache
-    def chirp(period):
-        return _chirp(period, pow(omega, q_n // period, p), p)
-
+    With omega = omega0**u (_root_log), a row's value at t sums, per period
+    P, its coefficients (mod p) times the tables of its polynomials read at
+    u*t mod P: per row and period, one big-integer multiply-add per
+    polynomial on the packed tables, one unpack and one index permutation.
+    While at least as many exponents survive as the lcm L of the periods,
+    the row's tables are summed to length L and their zeros modulo p,
+    repeated, mask the survivors; after that each survivor sums its own
+    entries.  Rows stop once none survive, and a polynomial's table is only
+    made when a row first reaches it."""
+    q_n, k = primorial(n), len(shared.layout)
+    u = _root_log(omega, shared.omega0, p, n)
     mask, survivors = int.from_bytes(b"\1" * q_n, "little"), None  # byte t: does t survive?
     for row in rows:
         if not (mask if survivors is None else survivors):
             break
-        coeffs: dict[int, list[int]] = {}
+        weights: dict[int, int] = {}
         for i, r in row:
-            if i < len(layout) and r % p:
-                period, poly = layout[i]
-                coeffs[period] = list(map(add, coeffs.get(period, repeat(0)),
-                                          map(mul, poly, repeat(r % p))))
-        tables = [_dft(c, chirp(period), p) for period, c in coeffs.items()]
+            if i < k:
+                j = shared.same[i]
+                weights[j] = (weights.get(j, 0) + r) % p
+        sums: dict[int, int] = {}
+        for i, r in weights.items():
+            if r:
+                period = shared.layout[i][0]
+                sums[period] = sums.get(period, 0) + r * shared.table(i)
+        tables = [shared.read(period, packed, u) for period, packed in sums.items()]
         size = lcm(*map(len, tables))
         if tables and survivors is None and mask.bit_count() >= size:
             values = map(sum, islice(zip(*map(cycle, tables)), size))
@@ -402,7 +471,8 @@ def pipeline(
     non-residue that fixes h = g1**2 - qnr*g2**2, and declares h feasible
     exactly when some root of unity is a common root of g1 and g2 modulo p;
     the scan reads a and b, so g1, g2 and h are never expanded here.
-    encoded, when given, must be _encode(cnf, config.caps.term_count)."""
+    encoded, when given, must be _encode(cnf, config.caps.term_count); its
+    value tables at p serve every run at p that is given it."""
     config = config or Config()
     _check_size(cnf, config.caps)
     randomized = config.mode == "randomized"
@@ -411,7 +481,7 @@ def pipeline(
     n = cnf.num_vars
     q_n = primorial(n)
     k = len(cnf.clauses)
-    polys, layout = encoded or _encode(cnf, config.caps.term_count)
+    polys, layout, by_prime = encoded or _encode(cnf, config.caps.term_count)
 
     strategy = config.prime_strategy if randomized else "scan"
     prime = find_prime_in_progression(
@@ -428,7 +498,9 @@ def pipeline(
             max_degree, big_n = _combination_bound(polys)
             avec, bvec = _draw(k, big_n, rng)
         qnr = find_qnr(p, rng)  # p = 1 + k*q_n is odd
-    matches = _scan_roots(layout, _rows(combined, avec, bvec, k), omega, p, n)
+    if p not in by_prime:
+        by_prime[p] = _Tables(layout, omega, p, n)
+    matches = _scan_roots(by_prime[p], _rows(combined, avec, bvec, k), omega, p, n)
     witness = _decode_witness(cnf, matches)
 
     return ReductionTranscript(
@@ -458,14 +530,16 @@ def run_with_majority(
     cnf: Cnf3, config: Config | None = None
 ) -> tuple[bool, tuple[int, ...] | None, list[ReductionTranscript]]:
     """Repeat the pipeline config.repeats times (once in deterministic mode)
-    on independent seeded streams and take the majority verdict; more than
-    MAX_REPEATS randomized runs raise CapsExceeded before any seed is drawn.
-    The clause polynomials are encoded and laid out once for all the runs."""
+    on independent seeded streams and take the majority verdict; more
+    randomized runs than _repeats_cap allows raise CapsExceeded before any
+    seed is drawn.  The clause polynomials are encoded and laid out once for
+    all the runs, and their value tables made once per prime."""
     config = config or Config()
     _check_size(cnf, config.caps)
     repeats = config.repeats if config.mode == "randomized" else 1
-    if repeats > MAX_REPEATS:
-        raise CapsExceeded(f"{repeats} repeats exceed the cap of {MAX_REPEATS} runs")
+    cap = _repeats_cap(cnf.num_vars)
+    if repeats > cap:
+        raise CapsExceeded(f"{repeats} repeats exceed the cap of {cap} runs")
     encoded = _encode(cnf, config.caps.term_count)
     base = random.Random(config.seed)
     child_seeds = [base.getrandbits(64) for _ in range(repeats)]
@@ -497,7 +571,9 @@ def verify_transcript(
     a v2 or v1 transcript records (or any run carries).  A formula with more
     than caps.max_vars variables raises CapsExceeded before any work that
     grows with it.  encodings, a dict shared by the calls on the runs of one
-    report, keeps each formula's _encode result, so it is computed once."""
+    report, keeps each formula's _encode result, so it is computed once, and
+    with it the value tables per (formula, p), made from the omega of the
+    first run at p that passes its omega check."""
     caps = caps or Caps()
     encodings = {} if encodings is None else encodings
     checks: list[dict] = []
@@ -550,7 +626,7 @@ def verify_transcript(
 
     if cnf not in encodings:
         encodings[cnf] = _encode(cnf, caps.term_count)
-    polys, layout = encodings[cnf]
+    polys, layout, by_prime = encodings[cnf]
     combined = t.mode == "randomized" and t.k > 0
     if combined:
         if t.a is not None:
@@ -581,7 +657,9 @@ def verify_transcript(
         check("no-combination", all(v is None for v in nulls),
               "deterministic runs carry no combination data")
 
-    matches = _scan_roots(layout, _rows(combined, t.a, t.b, t.k), t.omega, p, t.n)
+    if p not in by_prime:
+        by_prime[p] = _Tables(layout, t.omega, p, t.n)
+    matches = _scan_roots(by_prime[p], _rows(combined, t.a, t.b, t.k), t.omega, p, t.n)
     check("verdict", t.verdict == bool(matches))
     check("match-count", t.match_count == len(matches))
     check("first-match", t.first_match == (matches[0] if matches else None))

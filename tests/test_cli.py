@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padicfeas
+import padicfeas.reduce as reduce_mod
 from padicfeas.cli import main
 from padicfeas.config import Config
 from padicfeas.plaisted import Cnf3, satisfies
@@ -585,6 +586,22 @@ def test_reduce_repeats_cap(tmp_path, capsys):
     assert r["config"].pop("repeats") == MAX_REPEATS + 1
     assert expected["config"].pop("repeats") == 5
     assert r == expected
+
+
+def test_reduce_repeats_cap_shrinks_with_q_n(tmp_path, capsys):
+    """Beyond n = 6 the cap shrinks in proportion to Q_n: at n = 7 it is
+    MAX_REPEATS * Q_6 // Q_7 = 29 runs, and 30 are refused within a second,
+    before any run, with the same message and exit code."""
+    assert reduce_mod._repeats_cap(6) == MAX_REPEATS
+    assert reduce_mod._repeats_cap(7) == MAX_REPEATS * 30030 // 510510 == 29
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 7 2\n1 -2 7 0\n-1 3 0\n")
+    argv = ["reduce", str(cnf), "--max-vars", "7", "--seed", "4", "--repeats", "30"]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == "error: 30 repeats exceed the cap of 29 runs\n"
 
 
 def test_seed_from_environment(tmp_path, capsys, monkeypatch):

@@ -23,10 +23,13 @@ from padicfeas.reduce import (
     ReductionTranscript,
     _chirp,
     _combine,
+    _decode_witness,
     _dft,
     _layout,
+    _root_log,
     _rows,
     _scan_roots,
+    _Tables,
     pair_to_single,
     pipeline,
     random_combine,
@@ -397,8 +400,8 @@ def naive_roots(polys, omega, p, q_n):
 
 def scan_polys(polys, omega, p, n):
     """The scan of the polynomials themselves: one unit row each."""
-    return _scan_roots(_layout(polys, primorial(n)), _rows(False, None, None, len(polys)),
-                       omega, p, n)
+    return _scan_roots(_Tables(_layout(polys, primorial(n)), omega, p, n),
+                       _rows(False, None, None, len(polys)), omega, p, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -516,6 +519,9 @@ def test_rows_scan_matches_the_combined_polynomials(n):
     for k in (1, 2, 3, 6, 12):
         polys = encode_system(seeded_formula(n, k, 900 + 10 * n + k))
         layout = _layout(polys, q_n)
+        # tables made at another primitive root, shared by every row set below
+        unit = rng.choice([v for v in range(1, q_n + 1) if math.gcd(v, q_n) == 1])
+        tables = _Tables(layout, pow(omega, unit, p), p, n)
         row_sets = [[random_row(rng, p, k) for _ in range(rng.randint(1, 3))] for _ in range(4)]
         row_sets += [[[]], [[(i, 0) for i in range(k)], random_row(rng, p, k)],
                      _rows(True, None, None, k), _rows(False, None, None, k)]
@@ -523,7 +529,7 @@ def test_rows_scan_matches_the_combined_polynomials(n):
         row_sets += [_rows(True, a, b, k), _rows(True, a, None, k), _rows(True, a[:-1], b + b, k)]
         for rows in row_sets:
             want = naive_roots([_combine(dense(row), polys) for row in rows], omega, p, q_n)
-            assert _scan_roots(layout, rows, omega, p, n) == want, rows
+            assert _scan_roots(tables, rows, omega, p, n) == want, rows
 
 
 def test_pipeline_matches_the_truth_table_at_six_variables():
@@ -542,7 +548,8 @@ def test_pipeline_matches_the_truth_table_at_six_variables():
         rnd = pipeline(cnf, Config(mode="randomized", seed=seed))
         layout = _layout(encode_system(cnf), primorial(6))
         rows = _rows(True, rnd.a, rnd.b, len(cnf.clauses))
-        assert set(sat) <= set(_scan_roots(layout, rows, rnd.omega, rnd.prime.p, 6))
+        tables = _Tables(layout, rnd.omega, rnd.prime.p, 6)
+        assert set(sat) <= set(_scan_roots(tables, rows, rnd.omega, rnd.prime.p, 6))
         assert rnd.match_count >= len(sat)
         for t in (det, rnd):
             ok, checks = verify_transcript(t.to_obj())
@@ -561,6 +568,118 @@ def test_scan_is_linear_in_repeated_clauses():
         ok, checks = verify_transcript(t.to_obj())
         assert ok, checks
     assert time.perf_counter() - start < 5.0
+
+
+# -- value tables shared by the runs of a report --------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_root_log_matches_brute_force(n):
+    """For every primitive Q_n-th root omega0 and every Q_n-th root omega,
+    _root_log finds the one u < Q_n with omega0**u = omega; a number that is
+    no Q_n-th root raises ValueError."""
+    rng = random.Random(400 + n)
+    p, q_n, omega = scan_setting(n, rng)
+    roots = [pow(omega, t, p) for t in range(q_n)]
+    for unit in (v for v in range(1, q_n + 1) if math.gcd(v, q_n) == 1):
+        omega0 = roots[unit % q_n]
+        powers = [pow(omega0, u, p) for u in range(q_n)]
+        for x in roots:
+            assert _root_log(x, omega0, p, n) == powers.index(x)
+    for x in [x for x in range(2, p) if pow(x, q_n, p) != 1][:3]:
+        with pytest.raises(ValueError):
+            _root_log(x, omega, p, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("mode", ["default", "deterministic", "sample"])
+def test_every_run_of_a_report_matches_the_naive_scan_at_its_own_omega(n, mode, monkeypatch):
+    """The runs of a report (and their re-verification) read value tables
+    made at the first run's omega, one set per prime, yet each run's scan
+    finds exactly the naive common roots at its own omega."""
+    extra = {"default": {}, "deterministic": {"mode": "deterministic"},
+             "sample": {"prime_strategy": "sample", "repeats": 3}}[mode]
+    scans = []
+    real = reduce_mod._scan_roots
+    monkeypatch.setattr(reduce_mod, "_scan_roots",
+                        lambda *args: scans.append((args[2], real(*args))) or scans[-1][1])
+    # (k, formula seed, run seed); in the default mode a later run of
+    # (12, 180, *) has a spurious match, which it finds only at its own root
+    cases = {1: [(2, 171, 0), (6, 172, 1)], 2: [(4, 171, 0), (12, 172, 1), (12, 180, 1)],
+             3: [(7, 171, 0), (20, 172, 1), (12, 180, 2)], 4: [(10, 171, 0), (30, 172, 1)],
+             5: [(8, 171, 0)]}[n]
+    for k, formula_seed, seed in cases:
+        cnf = seeded_formula(n, k, formula_seed)
+        _, _, runs = run_with_majority(cnf, Config(seed=seed, **extra))
+        assert len(runs) == {"default": 5, "deterministic": 1, "sample": 3}[mode]
+        if mode == "sample" and n > 1:
+            assert len({t.prime.p for t in runs}) > 1
+        if mode == "default" and n > 1:
+            assert len({t.omega for t in runs}) > 1
+        encodings = {}
+        for t in runs:
+            ok, checks = verify_transcript(t.to_obj(), None, encodings)
+            assert ok, checks
+        assert [omega for omega, _ in scans] == [t.omega for t in runs] * 2
+        for t, (_, matches), (_, verified) in zip(runs, scans, scans[len(runs):]):
+            polys = encode_system(cnf) if t.g1 is None else [t.g1, t.g2]
+            assert matches == verified == naive_roots(polys, t.omega, t.prime.p, t.q_n)
+            assert (t.match_count, t.witness) == (len(matches), _decode_witness(cnf, matches))
+        scans.clear()
+
+
+def test_a_report_whose_first_omega_is_not_primitive():
+    """A tampered first run fails its omega check and makes no tables; the
+    later runs make them at their own omega and verify."""
+    cnf = seeded_formula(4, 10, 171)
+    _, _, runs = run_with_majority(cnf, Config(seed=1))
+    objs = [t.to_obj() for t in runs]
+    objs[0]["omega"] = str(pow(runs[0].omega, 2, runs[0].prime.p))
+    encodings = {}
+    results = [verify_transcript(obj, None, encodings) for obj in objs]
+    assert [ok for ok, _ in results] == [False, True, True, True, True]
+    assert {c["name"]: c["ok"] for c in results[0][1]}["omega"] is False
+    (by_prime,) = [encoded[2] for encoded in encodings.values()]
+    assert {p: tables.omega0 for p, tables in by_prime.items()} == {runs[1].prime.p: runs[1].omega}
+
+
+def test_a_report_makes_each_table_once_and_each_chirp_once_per_period(monkeypatch):
+    """Five runs at n = 5, and their re-verification, transform each distinct
+    clause polynomial once (a repeated clause shares its table) and make one
+    chirp per period; a deterministic scan that empties early transforms
+    only the clauses it reached."""
+    counts = {"_dft": 0, "_chirp": 0}
+
+    def counted(name):
+        real = getattr(reduce_mod, name)
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(reduce_mod, name, counted(name))
+    cnf = seeded_formula(5, 21, 0)
+    assert truth_table_sat(cnf) is not None  # so no scan empties early
+    distinct = {(period, tuple(c)) for period, c in _layout(encode_system(cnf), primorial(5))}
+    assert len(distinct) < 21
+    expected = {"_dft": len(distinct), "_chirp": len({period for period, _ in distinct})}
+    verdict, _, runs = run_with_majority(cnf, Config(seed=2))
+    assert verdict and len(runs) == 5 and len({t.omega for t in runs}) == 5
+    assert len({t.prime.p for t in runs}) == 1
+    assert counts == expected
+    counts.update(_dft=0, _chirp=0)
+    encodings = {}
+    assert all(verify_transcript(t.to_obj(), None, encodings)[0] for t in runs)
+    assert counts == expected
+    counts.update(_dft=0, _chirp=0)
+    signs = itertools.product((1, -1), repeat=3)
+    cnf = Cnf3.from_signed(3, [[1], [-1]] + [[a, 2 * b, 3 * c] for a, b, c in signs])
+    assert len(set(encode_system(cnf))) == len(cnf.clauses) == 10
+    _, _, (run,) = run_with_majority(cnf, Config(mode="deterministic"))
+    assert not run.verdict
+    assert counts["_dft"] == 2
 
 
 # -- transcripts ----------------------------------------------------------------------

@@ -288,6 +288,12 @@ def decompose_2adic_unit(alpha: int, ell: int) -> tuple[int, int]:
     return a, b
 
 
+def is_generator(g: int, p: int, primes) -> bool:
+    """Whether no g**((p - 1)/q) with q in primes is 1 modulo p: for primes
+    holding every prime of p - 1, whether g generates F_p^*."""
+    return all(pow(g, (p - 1) // q, p) != 1 for q in primes)
+
+
 def find_generator(p: int, rng: random.Random | None = None) -> int:
     """A generator of the multiplicative group modulo a prime p.
 
@@ -299,16 +305,12 @@ def find_generator(p: int, rng: random.Random | None = None) -> int:
     if p == 2:
         return 1
     qs = list(factor(p - 1))
-
-    def is_gen(g):
-        return all(pow(g, (p - 1) // q, p) != 1 for q in qs)
-
     if rng is not None:
         for _ in range(64):
             g = rng.randrange(2, p)
-            if is_gen(g):
+            if is_generator(g, p, qs):
                 return g
     for g in range(2, p):
-        if is_gen(g):
+        if is_generator(g, p, qs):
             return g
     raise AssertionError("unreachable: every prime has a generator")

@@ -27,7 +27,7 @@ from math import gcd, lcm
 from operator import mod, mul, neg, not_
 from struct import Struct
 
-from .bigmod import find_generator, find_qnr, first_primes, is_prime, primorial
+from .bigmod import factor, find_generator, find_qnr, first_primes, is_generator, primorial
 from .config import Caps, Config
 from .errors import CapsExceeded
 from .plaisted import Cnf3, encode_system, satisfies
@@ -84,6 +84,17 @@ class ReductionTranscript(Record):
     first_match: int | None      # least exponent t with omega**t a common root
     verdict: bool
     witness: tuple[int, ...] | None
+
+    def __post_init__(self):
+        deterministic = self.mode == "deterministic"
+        if self.mode != "randomized" and not deterministic:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.prime_strategy not in ("scan", "sample"):
+            raise ValueError(f"unknown prime strategy {self.prime_strategy!r}")
+        if deterministic and self.prime_strategy != "scan":
+            raise ValueError("a deterministic run scans for its prime")
+        if deterministic != (self.seed is None):
+            raise ValueError("a randomized run records its seed, a deterministic run none")
 
     def pair(self) -> tuple[SparsePoly | None, SparsePoly | None]:
         """(g1, g2), rebuilt from a, b and the clause polynomials on each
@@ -280,11 +291,15 @@ def _layout(polys, q_n: int) -> list[tuple[int, list[int]]]:
     return layout
 
 
-def _encode(cnf: Cnf3, term_cap: int):
-    """The clause polynomials of cnf, their _layout and a dict, empty so far,
-    for their _Tables at each prime."""
-    polys = encode_system(cnf, term_cap=term_cap)
-    return polys, _layout(polys, primorial(cnf.num_vars)), {}
+def _encoding(encodings: dict | None, cnf: Cnf3, term_cap: int):
+    """The clause polynomials of cnf, their _layout and a dict of their
+    _Tables by prime, made on first use and kept in encodings (when given)
+    under cnf, so that the runs of a report share them."""
+    encodings = {} if encodings is None else encodings
+    if cnf not in encodings:
+        polys = encode_system(cnf, term_cap=term_cap)
+        encodings[cnf] = polys, _layout(polys, primorial(cnf.num_vars)), {}
+    return encodings[cnf]
 
 
 def _pack(values, width: int) -> int:
@@ -438,14 +453,28 @@ def _decode_witness(cnf: Cnf3, matches) -> tuple[int, ...] | None:
     bit i is 1 exactly when p_i, the i-th prime, divides t.  With omega a
     primitive Q_n-th root of unity modulo p, (omega**t)**(Q_n/p_i) = 1 exactly
     when p_i divides t, so this is the assignment the root omega**t encodes
-    (Plaisted 1984).  Both callers pass such an omega: pipeline raises a
-    generator to (p - 1)/Q_n, and verify_transcript checks it before the scan."""
+    (Plaisted 1984).  Every run reaches it with such an omega: pipeline
+    raises a generator to (p - 1)/Q_n, and verify_transcript checks that
+    omega is that power of a generator before the scan."""
     primes = first_primes(cnf.num_vars)
     for t in matches:
         bits = tuple(int(t % pi == 0) for pi in primes)
         if satisfies(cnf, bits):
             return bits
     return None
+
+
+def _matches(encoding, cnf: Cnf3, combined: bool, a, b, omega: int, p: int):
+    """(matches, witness) of a run on cnf at omega modulo p: the exponents
+    that _scan_roots finds for the run's _rows on the tables at p of cnf's
+    _encoding (made from the omega of the first run at p), and the witness
+    decoded from them."""
+    _, layout, by_prime = encoding
+    n = cnf.num_vars
+    if p not in by_prime:
+        by_prime[p] = _Tables(layout, omega, p, n)
+    matches = _scan_roots(by_prime[p], _rows(combined, a, b, len(cnf.clauses)), omega, p, n)
+    return matches, _decode_witness(cnf, matches)
 
 
 def _check_size(cnf: Cnf3, caps: Caps):
@@ -458,50 +487,43 @@ def _check_size(cnf: Cnf3, caps: Caps):
 
 
 def pipeline(
-    cnf: Cnf3,
-    config: Config | None = None,
-    rng: random.Random | None = None,
-    encoded: tuple | None = None,
+    cnf: Cnf3, config: Config | None = None, encodings: dict | None = None
 ) -> ReductionTranscript:
     """Run the full reduction on one formula and record everything.
 
     Deterministic mode draws no randomness: it scans the roots of unity and
-    tests every clause polynomial directly.  Randomized mode draws the rows a
-    and b that combine the clause polynomials into (g1, g2) and the
-    non-residue that fixes h = g1**2 - qnr*g2**2, and declares h feasible
-    exactly when some root of unity is a common root of g1 and g2 modulo p;
-    the scan reads a and b, so g1, g2 and h are never expanded here.
-    encoded, when given, must be _encode(cnf, config.caps.term_count); its
-    value tables at p serve every run at p that is given it."""
+    tests every clause polynomial directly.  Randomized mode takes every draw
+    from random.Random(config.seed), so the recorded seed reproduces the run:
+    the prime (when sampled), the generator, the rows a and b that combine
+    the clause polynomials into (g1, g2) and the non-residue that fixes
+    h = g1**2 - qnr*g2**2.  It declares h feasible exactly when some root of
+    unity is a common root of g1 and g2 modulo p; the scan reads a and b, so
+    g1, g2 and h are never expanded here.  encodings, a dict shared by the
+    runs of one report (and by verify_transcript on them), keeps each
+    formula's clause polynomials, layout and value tables per prime."""
     config = config or Config()
     _check_size(cnf, config.caps)
     randomized = config.mode == "randomized"
-    if rng is None:
-        rng = random.Random(config.seed)
+    rng = random.Random(config.seed) if randomized else None
     n = cnf.num_vars
     q_n = primorial(n)
     k = len(cnf.clauses)
-    polys, layout, by_prime = encoded or _encode(cnf, config.caps.term_count)
+    encoding = _encoding(encodings, cnf, config.caps.term_count)
 
     strategy = config.prime_strategy if randomized else "scan"
-    prime = find_prime_in_progression(
-        n, strategy=strategy, rng=rng if randomized else None, caps=config.caps
-    )
+    prime = find_prime_in_progression(n, strategy=strategy, rng=rng, caps=config.caps)
     p = prime.p
-    gen = find_generator(p, rng if randomized else None)
+    gen = find_generator(p, rng)
     omega = pow(gen, (p - 1) // q_n, p)
 
     max_degree = big_n = avec = bvec = qnr = None
     combined = randomized and k > 0  # empty conjunction: every encoding works
     if combined:
         if k > 2:
-            max_degree, big_n = _combination_bound(polys)
+            max_degree, big_n = _combination_bound(encoding[0])
             avec, bvec = _draw(k, big_n, rng)
         qnr = find_qnr(p, rng)  # p = 1 + k*q_n is odd
-    if p not in by_prime:
-        by_prime[p] = _Tables(layout, omega, p, n)
-    matches = _scan_roots(by_prime[p], _rows(combined, avec, bvec, k), omega, p, n)
-    witness = _decode_witness(cnf, matches)
+    matches, witness = _matches(encoding, cnf, combined, avec, bvec, omega, p)
 
     return ReductionTranscript(
         mode=config.mode,
@@ -540,13 +562,10 @@ def run_with_majority(
     cap = _repeats_cap(cnf.num_vars)
     if repeats > cap:
         raise CapsExceeded(f"{repeats} repeats exceed the cap of {cap} runs")
-    encoded = _encode(cnf, config.caps.term_count)
     base = random.Random(config.seed)
     child_seeds = [base.getrandbits(64) for _ in range(repeats)]
-    transcripts = []
-    for child in child_seeds:
-        run_config = config.replace(seed=child)
-        transcripts.append(pipeline(cnf, run_config, random.Random(child), encoded))
+    encodings: dict = {}
+    transcripts = [pipeline(cnf, config.replace(seed=child), encodings) for child in child_seeds]
     yes = sum(1 for t in transcripts if t.verdict)
     verdict = yes * 2 > len(transcripts)
     witness = None
@@ -564,18 +583,16 @@ def run_with_majority(
 def verify_transcript(
     obj, caps: Caps | None = None, encodings: dict | None = None
 ) -> tuple[bool, list[dict]]:
-    """Re-check every reproducible claim in a transcript (given as a dict or a
-    ReductionTranscript) without re-running any randomness.  Returns
-    (all_ok, per-check results).  The scan reads the rows a and b, as pipeline
-    does; g1 and g2 are rebuilt from them only to check the g1, g2 and h that
-    a v2 or v1 transcript records (or any run carries).  A formula with more
-    than caps.max_vars variables raises CapsExceeded before any work that
-    grows with it.  encodings, a dict shared by the calls on the runs of one
-    report, keeps each formula's _encode result, so it is computed once, and
-    with it the value tables per (formula, p), made from the omega of the
-    first run at p that passes its omega check."""
+    """Re-check every reproducible claim in a transcript object without
+    re-running any randomness.  Returns (all_ok, per-check results).  The
+    scan reads the rows a and b, as pipeline does; g1 and g2 are rebuilt from
+    them only to check the g1, g2 and h that a v2 or v1 transcript records
+    (or any run carries).  A formula with more than caps.max_vars variables
+    raises CapsExceeded before any work that grows with it.  encodings, as in
+    pipeline, is a dict shared by the calls on the runs of one report; its
+    value tables at p are made from the omega of the first run at p that
+    passes its omega check."""
     caps = caps or Caps()
-    encodings = {} if encodings is None else encodings
     checks: list[dict] = []
 
     def check(name, ok, detail=""):
@@ -584,13 +601,10 @@ def verify_transcript(
 
     recorded: dict[str, SparsePoly | None] = {}
     try:
-        if isinstance(obj, ReductionTranscript):
-            t = obj
-        else:
-            t = ReductionTranscript.from_obj(obj)
-            for name in ("g1", "g2", "h"):
-                if name in _RECORDED[obj["format"]] or obj.get(name) is not None:
-                    recorded[name] = None if obj[name] is None else poly_from_obj(obj[name])
+        t = ReductionTranscript.from_obj(obj)
+        for name in ("g1", "g2", "h"):
+            if name in _RECORDED[obj["format"]] or obj.get(name) is not None:
+                recorded[name] = None if obj[name] is None else poly_from_obj(obj[name])
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         check("parse", False, str(exc))
         return False, checks
@@ -607,26 +621,25 @@ def verify_transcript(
     )
     check("shape", ok_shape, "n, k, q_n consistent with the formula")
 
-    prime_ok = (
-        t.prime.p == 1 + t.prime.k * t.prime.q_n
-        and t.prime.q_n == t.q_n
-        and is_prime(t.prime.p)
-    )
+    # parsing checked that p = 1 + k*q_n is prime; a scanned k is the k-th trial
+    prime_ok = (t.prime.n, t.prime.q_n) == (t.n, t.q_n) and (
+        t.prime_strategy == "sample" or t.prime.trials_used == t.prime.k)
     check("prime", prime_ok, f"p = {t.prime.p}")
     if not (ok_shape and prime_ok):
         return False, checks
 
-    p = t.prime.p
-    omega_ok = pow(t.omega, t.q_n, p) == 1 and all(
-        pow(t.omega, t.q_n // q, p) != 1 for q in first_primes(t.n)
-    )
+    # omega is g**k for a generator g of F_p^*, p - 1 = k*q_n: for the primes q
+    # of q_n, g**((p - 1)/q) = omega**(q_n/q) != 1 makes omega a primitive
+    # q_n-th root of unity, so only the other primes of k add tests
+    p, g, k = t.prime.p, t.generator, t.prime.k
+    omega_ok = 0 < g < p and t.omega == pow(g, k, p) and is_generator(
+        g, p, {*first_primes(t.n), *(factor(k) if k > 1 else ())})
     check("omega", omega_ok, "omega is a primitive q_n-th root of unity")
     if not omega_ok:
         return False, checks
 
-    if cnf not in encodings:
-        encodings[cnf] = _encode(cnf, caps.term_count)
-    polys, layout, by_prime = encodings[cnf]
+    encoding = _encoding(encodings, cnf, caps.term_count)
+    polys = encoding[0]
     combined = t.mode == "randomized" and t.k > 0
     if combined:
         if t.a is not None:
@@ -657,14 +670,12 @@ def verify_transcript(
         check("no-combination", all(v is None for v in nulls),
               "deterministic runs carry no combination data")
 
-    if p not in by_prime:
-        by_prime[p] = _Tables(layout, t.omega, p, t.n)
-    matches = _scan_roots(by_prime[p], _rows(combined, t.a, t.b, t.k), t.omega, p, t.n)
+    matches, witness = _matches(encoding, cnf, combined, t.a, t.b, t.omega, p)
     check("verdict", t.verdict == bool(matches))
     check("match-count", t.match_count == len(matches))
     check("first-match", t.first_match == (matches[0] if matches else None))
 
-    check("witness", t.witness == _decode_witness(cnf, matches))
+    check("witness", t.witness == witness)
     if t.witness is not None:
         check("witness-satisfies",
               len(t.witness) == cnf.num_vars and satisfies(cnf, t.witness))

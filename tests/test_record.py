@@ -40,8 +40,7 @@ REPRS = [
      "ProgressionPrime(n=1, q_n=2, k=3, p=7, trials_used=2)"),
     (lambda: DensityReport(30, 1000, 20, 19.5, 20 / 19.5),
      "DensityReport(m=30, x=1000, count=20, predicted=19.5, ratio=1.0256410256410255)"),
-    (lambda: pipeline(Cnf3.from_signed(2, [[1, 2], [-1], [2]]), Config(seed=3),
-                      random.Random(3)),
+    (lambda: pipeline(Cnf3.from_signed(2, [[1, 2], [-1], [2]]), Config(seed=3)),
      "ReductionTranscript(mode='randomized', n=2, q_n=6, k=3, "
      "cnf=Cnf3(num_vars=2, clauses=(((1, False), (2, False)), ((1, True),), "
      "((2, False),))), seed=3, prime=ProgressionPrime(n=2, q_n=6, k=1, p=7, "
@@ -160,7 +159,7 @@ def test_run_with_majority_gives_each_run_its_own_seed():
     _, _, runs = run_with_majority(cnf, config)
     assert [t.seed for t in runs] == seeds
     for t, seed in zip(runs, seeds):
-        assert t == pipeline(cnf, config.replace(seed=seed), random.Random(seed))
+        assert t == pipeline(cnf, config.replace(seed=seed))
 
 
 def test_importing_the_cli_needs_neither_dataclasses_nor_inspect():

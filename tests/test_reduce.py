@@ -280,7 +280,7 @@ def test_pipeline_caps():
 
 def test_pipeline_randomized_records_reduction():
     cnf = Cnf3.from_signed(3, [[1, 2, 3], [-1, 2, 3], [1, -2, -3]])
-    t = pipeline(cnf, Config(mode="randomized", seed=21), random.Random(21))
+    t = pipeline(cnf, Config(mode="randomized", seed=21))
     polys = encode_system(cnf)
     d = max(f.degree for f in polys)
     assert t.big_n == 18 * d * 9
@@ -689,26 +689,24 @@ def test_transcript_reproducibility():
     cnf = Cnf3.from_signed(3, [[1, 2, 3], [-1, -2, -3]])
     for mode in ("deterministic", "randomized"):
         cfg = Config(mode=mode, seed=123)
-        t1 = pipeline(cnf, cfg, random.Random(123))
-        t2 = pipeline(cnf, cfg, random.Random(123))
+        t1 = pipeline(cnf, cfg)
+        t2 = pipeline(cnf, cfg)
         assert transcript_dumps(t1.to_obj()) == transcript_dumps(t2.to_obj())
     # different seeds draw different combinations
     cnf3 = Cnf3.from_signed(3, [[1, 2, 3], [-1, -2, -3], [1, -2, 3]])
-    a = pipeline(cnf3, Config(mode="randomized", seed=1), random.Random(1))
-    b = pipeline(cnf3, Config(mode="randomized", seed=2), random.Random(2))
+    a = pipeline(cnf3, Config(mode="randomized", seed=1))
+    b = pipeline(cnf3, Config(mode="randomized", seed=2))
     assert a.a != b.a
 
 
 def test_transcript_round_trip_and_verify():
     cnf = Cnf3.from_signed(3, [[1, 2, 3], [-1, 2, -3]])
-    t = pipeline(cnf, Config(mode="randomized", seed=99), random.Random(99))
+    t = pipeline(cnf, Config(mode="randomized", seed=99))
     obj = t.to_obj()
     back = ReductionTranscript.from_obj(obj)
     assert back == t
     ok, checks = verify_transcript(obj)
     assert ok, checks
-    ok, checks = verify_transcript(t)
-    assert ok
 
 
 TAMPERINGS = [
@@ -736,6 +734,22 @@ TAMPERINGS = [
     lambda o: o.__setitem__("verdict", "no"),
     lambda o: o.__setitem__("verdict", 1),
     lambda o: o.__setitem__("verdict", [0]),
+    # a run's mode, prime strategy and seed agree, and its prime is for its n
+    lambda o: as_deterministic(o, mode="banana"),
+    lambda o: as_deterministic(o, mode="banana", seed="7"),
+    lambda o: as_deterministic(o, prime_strategy="banana"),
+    lambda o: as_deterministic(o, prime_strategy="sample"),
+    lambda o: as_deterministic(o, seed="7"),
+    lambda o: o.__setitem__("prime_strategy", "banana"),
+    lambda o: o.__setitem__("seed", None),
+    lambda o: o["prime"].__setitem__("n", 2),
+    # omega is a power of a recorded generator, and a scanned k is its k-th trial
+    lambda o: o.__setitem__("generator", "0"),
+    lambda o: o.__setitem__("generator", "1"),
+    lambda o: o.__setitem__("generator", str(int(o["prime"]["p"]) + 5)),
+    lambda o: o.__setitem__("generator", str(int(o["prime"]["p"]) + int(o["generator"]))),
+    lambda o: o.__setitem__("generator", str(pow(int(o["generator"]), 7, int(o["prime"]["p"])))),
+    lambda o: o["prime"].__setitem__("trials_used", 999),
 ]
 # Edits that only contradict a recorded g1: in v3, g1 is rebuilt from a, so an
 # in-range change of a[0] is a different but consistent run, and there is no
@@ -752,11 +766,19 @@ V1_TAMPERINGS = [
 ]
 
 
+def as_deterministic(o, **changes):
+    """Relabel a randomized run without spurious matches as the deterministic
+    run it then equals: the same matches, no seed and no combination data
+    (nor, in v2 and v1, polynomials); changes are applied on top."""
+    nulls = ("seed", "a", "b", "qnr", "big_n", "max_degree", *sorted({"g1", "g2", "h"} & o.keys()))
+    o.update(dict.fromkeys(nulls), **{"mode": "deterministic", **changes})
+
+
 def tampering_subject():
     # three clauses (real combination vectors), and the all-true encoding
     # t = 0 is not a match, so first_match tampering is detectable
     cnf = Cnf3.from_signed(3, [[1, 2, 3], [-1, -2, -3], [1, -2, 3]])
-    return pipeline(cnf, Config(mode="randomized", seed=13), random.Random(13))
+    return pipeline(cnf, Config(mode="randomized", seed=13))
 
 
 @pytest.mark.parametrize("mutate", TAMPERINGS)
@@ -770,6 +792,31 @@ def test_verify_transcript_detects_tampering(mutate):
     mutate(obj)
     ok, checks = verify_transcript(obj)
     assert not ok, checks
+
+
+@pytest.mark.parametrize("convert", [lambda o: o, to_v2, to_v1])
+def test_the_tampering_subject_relabelled_as_deterministic_verifies(convert):
+    """The TAMPERINGS that build on as_deterministic fail only for their
+    changes."""
+    obj = convert(tampering_subject().to_obj())
+    as_deterministic(obj)
+    ok, checks = verify_transcript(obj)
+    assert ok, checks
+    assert "no-combination" in {c["name"] for c in checks}
+
+
+def test_verify_transcript_tests_the_generator_at_the_primes_of_k():
+    """A generator that misses a prime q of k = (p - 1)/q_n not dividing q_n
+    fails the omega check, though its k-th power is the recorded omega: g**e
+    with e = 1 modulo q_n and e = 0 modulo q."""
+    cnf = Cnf3.from_signed(3, [[1, 2, 3], [-1, -2, -3], [1, -2, 3]])
+    t = pipeline(cnf, Config(seed=0, prime_strategy="sample"))
+    (p, k), q = (t.prime.p, t.prime.k), 83
+    assert k == 5 * q and verify_transcript(t.to_obj())[0]
+    g = pow(t.generator, q * pow(q, -1, t.q_n), p)
+    assert pow(g, k, p) == t.omega and pow(g, (p - 1) // q, p) == 1
+    ok, checks = verify_transcript(t.to_obj() | {"generator": str(g)})
+    assert [c["name"] for c in checks if not c["ok"]] == ["omega"]
 
 
 def test_verify_transcript_deterministic_mode():
@@ -952,6 +999,78 @@ def test_v2_report_is_the_v1_report_without_h(formula, tmp_path, capsys):
         report["runs"] = [to_v1(run) for run in report["runs"]]
         text = transcript_dumps(report)
         assert hashlib.sha256(text.encode()).hexdigest() == V1_REPORT_DIGESTS[formula, i]
+
+
+# Digests of the verify-transcript reports on the reduce reports of the
+# V1_REPORT_DIGESTS formulas and arguments, and on their v2 and v1 forms.
+VERIFY_REPORT_DIGESTS = {
+    ((1, 2, 11), 0, "v3"): "84c721c52e14a4158bd6a843104c14b1de7d3d77a070dd976d9529d475c16bb7",
+    ((1, 2, 11), 0, "v2"): "5a31b53a6ed05d09f5b3277491b32d4c3e3efa18320c987f3cb3db620a7e8a3a",
+    ((1, 2, 11), 0, "v1"): "56326fb9bb7c1b2eb4510fc4a5a34aac6a7eb3f90d00679c85980b7dd36e91d2",
+    ((1, 2, 11), 1, "v3"): "f3889dbaa679064bd0f832029a5c9b6b4a55c0e740492a5e4646f4cdb4234dbd",
+    ((1, 2, 11), 1, "v2"): "f3889dbaa679064bd0f832029a5c9b6b4a55c0e740492a5e4646f4cdb4234dbd",
+    ((1, 2, 11), 1, "v1"): "f3889dbaa679064bd0f832029a5c9b6b4a55c0e740492a5e4646f4cdb4234dbd",
+    ((1, 2, 11), 2, "v3"): "0aa079561d3e9808f8f45bbd090634a9962aad8dee6b237c384c0889e9897a4b",
+    ((1, 2, 11), 2, "v2"): "6134dba03eda598aaec1d829c4315f75d396c76b30530b855f969be1aa5775e2",
+    ((1, 2, 11), 2, "v1"): "8a7e55e4ca55818fc57a129c482bf4d51ccf2eb319591e7fc4e7435fa1a6002e",
+    ((2, 4, 12), 0, "v3"): "910d43e81475445f9d2c70d5384c62687aab78222c2099cccc48cdd11258736c",
+    ((2, 4, 12), 0, "v2"): "4e3c82b72d0155e7017ac25620ba4293f999f52db125acef4c4c5088b9f9c6fa",
+    ((2, 4, 12), 0, "v1"): "9dc63f4aa05dcfefba81191f33dc75dab0361633197784e992b911953c0f0cfd",
+    ((2, 4, 12), 1, "v3"): "284d6bdc1e14c016d774beb08258dcae416c65bbe898f56b2bdd23488514a04e",
+    ((2, 4, 12), 1, "v2"): "284d6bdc1e14c016d774beb08258dcae416c65bbe898f56b2bdd23488514a04e",
+    ((2, 4, 12), 1, "v1"): "284d6bdc1e14c016d774beb08258dcae416c65bbe898f56b2bdd23488514a04e",
+    ((2, 4, 12), 2, "v3"): "53c2e93b129b19426edc2c32622f683d97043e957aa3d8663ae075f49c4953c7",
+    ((2, 4, 12), 2, "v2"): "46cf97c2fd80c557fc90664d34d27ababf6ca31dd4e3b72437f20b7a05962bf9",
+    ((2, 4, 12), 2, "v1"): "d061cd27b97c9f92b813b534acf25000d4ef464a5bd77a0e8c944bb0b044a8c7",
+    ((3, 7, 13), 0, "v3"): "eda0fb53f3de82eb24ccda7601960e360f23ff150aeb30c91f868c91b5acfe68",
+    ((3, 7, 13), 0, "v2"): "172dc09ba9051b01d23103215ab9c08d839a9de467bf4a6462a68e4d450d27d4",
+    ((3, 7, 13), 0, "v1"): "ec89f895152dd734775736b67c62993bbd8df409e2426264dabd3cf5b85d8dcd",
+    ((3, 7, 13), 1, "v3"): "0d9c391fb83309ea761e169c761e727925ff2220dc3db93c0278a779a5f5a8f5",
+    ((3, 7, 13), 1, "v2"): "0d9c391fb83309ea761e169c761e727925ff2220dc3db93c0278a779a5f5a8f5",
+    ((3, 7, 13), 1, "v1"): "0d9c391fb83309ea761e169c761e727925ff2220dc3db93c0278a779a5f5a8f5",
+    ((3, 7, 13), 2, "v3"): "8f32770376876763c74debdaa44f38233275b06f6eebc27992b0ff02c6981e52",
+    ((3, 7, 13), 2, "v2"): "95867c52f020df33e64fe9f2f928266e49ce15f9b2b1efd60be109ea46bb00cf",
+    ((3, 7, 13), 2, "v1"): "5ba1e5ea2b87145f0ceec5f049ba0eff251ecfef551ad6e758c89e73020b247a",
+    ((3, 16, 16), 0, "v3"): "0eb0fb1164a55c2fd09a373ec2e7338943a3180d0762ffa074b81904c6ccf0cf",
+    ((3, 16, 16), 0, "v2"): "09dc50d01f0d062c5e4064d87191bd6b31ece81a4f84aecd7fe69834fa21ba27",
+    ((3, 16, 16), 0, "v1"): "40dc96f09f12fc60121c7aaa7c5b6ca5501c9ddcde3bb6e3ae4e5eb7bab7e7d4",
+    ((3, 16, 16), 1, "v3"): "bdd27283e263ac0ff504bda9897651b5aa9342d87572361341a6d92e7fac9f82",
+    ((3, 16, 16), 1, "v2"): "bdd27283e263ac0ff504bda9897651b5aa9342d87572361341a6d92e7fac9f82",
+    ((3, 16, 16), 1, "v1"): "bdd27283e263ac0ff504bda9897651b5aa9342d87572361341a6d92e7fac9f82",
+    ((3, 16, 16), 2, "v3"): "3fc789f2ecca247181c1589ea1cfac37132740e8d48d0702de2dc3df63210314",
+    ((3, 16, 16), 2, "v2"): "79650999bbb279e6cc7659f6e7bdd76155c98d8f6b3b684fc8326ff0621a4288",
+    ((3, 16, 16), 2, "v1"): "d8dee02939806cdf6b64eff82c15cb8b5f7d262c38d698d19a516a31f3c9db05",
+    ((4, 12, 14), 0, "v3"): "e2f5ee42a14b715ef6196a308e89f1ca5250a9f7466ef16d09337bd7eaa60669",
+    ((4, 12, 14), 0, "v2"): "ac894113371a9f55fd520cdb954531c544f4ee986ed0e6a7290f3da9b6f61694",
+    ((4, 12, 14), 0, "v1"): "ed68d7fa056434be46c64d93888bc26f29f2eea88f4e748a52519c6e43fb741f",
+    ((4, 12, 14), 1, "v3"): "0af71b6a14a4a4c2fdbfeb3c2a0d109dfaf27d6c5391baea26173d4940d6da5e",
+    ((4, 12, 14), 1, "v2"): "0af71b6a14a4a4c2fdbfeb3c2a0d109dfaf27d6c5391baea26173d4940d6da5e",
+    ((4, 12, 14), 1, "v1"): "0af71b6a14a4a4c2fdbfeb3c2a0d109dfaf27d6c5391baea26173d4940d6da5e",
+    ((4, 12, 14), 2, "v3"): "ae4671c8c06caec9f5c02a7dc155e020a58cb8126b25e6fe10afd2de945166cf",
+    ((4, 12, 14), 2, "v2"): "ca15a80286439456984c7b4f925fb059dd328093e453f1236b7fe1169eaadf01",
+    ((4, 12, 14), 2, "v1"): "1aa6b8c0a562e5dea1b9ffd444f32bcd1fa2162210ecb052e45da2b93e598e51",
+    ((5, 21, 15), 0, "v3"): "5992efdb2318081f48fcad201be184ea9b630a6387ce05af6ae73f383708bdea",
+    ((5, 21, 15), 0, "v2"): "4d1d489e8a94e0feb9612c1bc68722353c6a1cb4b826d78a6219e05cd4cb9390",
+    ((5, 21, 15), 0, "v1"): "2255a161e764df80a5823058128ea88b16c9a619b783dc0c833e09b60c04fa58",
+    ((5, 21, 15), 1, "v3"): "4c57736817139f49d5e69cc52fb4b8a80ecd3e9991a8f826f40a5ef1ee699f32",
+    ((5, 21, 15), 1, "v2"): "4c57736817139f49d5e69cc52fb4b8a80ecd3e9991a8f826f40a5ef1ee699f32",
+    ((5, 21, 15), 1, "v1"): "4c57736817139f49d5e69cc52fb4b8a80ecd3e9991a8f826f40a5ef1ee699f32",
+    ((5, 21, 15), 2, "v3"): "b35bfa96f24595bd56f31876ac9d38ef08fb96110ac6fc27c190f2e893ee34b0",
+    ((5, 21, 15), 2, "v2"): "597d1795b6a1d0e91b28bf3cbda38148b58d0acbb87165a45f5e7151aca8e0e0",
+    ((5, 21, 15), 2, "v1"): "1510e0873683a388612d949b333216928e4415e3577a83159b8140601e861600",
+}
+
+
+@pytest.mark.parametrize("formula", sorted({f for f, _, _ in VERIFY_REPORT_DIGESTS}))
+def test_verify_reports_are_unchanged(formula, tmp_path, capsys):
+    forms = {"v3": lambda run: run, "v2": to_v2, "v1": to_v1}
+    for i, report in enumerate(list(reduce_reports(formula, tmp_path, capsys))):
+        for form, convert in forms.items():
+            path = tmp_path / f"{form}.json"
+            path.write_text(transcript_dumps(report | {"runs": list(map(convert, report["runs"]))}))
+            assert main(["verify-transcript", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_REPORT_DIGESTS[formula, i, form]
 
 
 def test_verify_transcript_caps_variables_before_any_work():

@@ -33,6 +33,8 @@ class Config(Record):
     caps: Caps = Caps()
 
     def __post_init__(self):
+        if type(self.seed) is not int:  # a transcript records the seed as an integer
+            raise ValueError(f"the seed must be an integer, not {self.seed!r}")
         if self.mode not in ("randomized", "deterministic"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.prime_strategy not in ("scan", "sample"):

@@ -11,8 +11,8 @@ deterministic mode, each clause polynomial) as rows of integers over the
 clause polynomials.  Each clause polynomial's values at the roots of unity
 are computed once per (formula, p), by one DFT over F_p computed as a single
 big-integer product with a chirp, at the first run's root omega0; a run
-whose root is omega0**u reads them at u*t, and a row sums its clauses'
-tables.  Every run is recorded in a transcript that can be re-verified without
+whose root is omega0**u scans s = u*t, reading each table in its own order.
+Every run is recorded in a transcript that can be re-verified without
 re-running any randomness.  A transcript records the combination vectors a
 and b, not the polynomials: g1 and g2 are rebuilt from a, b and the
 formula's clause polynomials, and h from g1, g2 and the non-residue.
@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import accumulate, compress, cycle, islice, repeat
+import sys
+from itertools import accumulate, compress, repeat
 from math import gcd, lcm
 from operator import mod, mul, neg, not_
-from struct import Struct
+from struct import Struct, iter_unpack
 
 from .bigmod import factor, find_generator, find_qnr, first_primes, is_generator, primorial
 from .config import Caps, Config
@@ -47,15 +48,14 @@ _RECORDED = {
     TRANSCRIPT_FORMAT_V1: ("g1", "g2", "h"),
 }
 
-# Randomized runs per run_with_majority call at n <= 6.  One more run at n = 6
-# takes 0.005-0.024 s for 10 to 160 clauses (2 vCPU, Python 3.11), so the cap
-# keeps a call within about 12 s.
+# Randomized runs per run_with_majority call at n <= 6, where one more run takes
+# 0.004-0.007 s for 10 to 160 clauses (2 vCPU, Python 3.11): about 4 s a call.
 MAX_REPEATS = 500
 
 
 def _repeats_cap(n: int) -> int:
     """MAX_REPEATS, shrunk beyond n = 6 in proportion to Q_n, which a run's
-    scan grows with: 29 runs at n = 7, which took 7-9 s."""
+    scan grows with: 29 runs at n = 7, which took 1.9-2.8 s for 30 clauses."""
     return min(MAX_REPEATS, MAX_REPEATS * primorial(6) // primorial(n))
 
 
@@ -365,59 +365,67 @@ class _Tables:
     """The value tables of the laid-out clause polynomials modulo p, shared by
     every run at p.  Polynomial i, laid out as (P, c), has the table of
     sum_j c_j * w0**(j*s) for s < P, w0 = omega0**(Q_n/P), where omega0 is the
-    primitive Q_n-th root of unity of the first run at p.  table(i) makes it
-    by one _dft on first use, with one chirp per period, and packs it into one
-    integer of width-byte little-endian slots, wide enough for a sum of k
-    products of residues.  Equal laid-out polynomials (repeated clauses)
-    share the table of the first: same[i] is its index.  A run's omega is
-    omega0**u, so the value of polynomial i at omega**t is slot u*t mod P of
-    its table."""
+    primitive Q_n-th root of unity of the first run at p: slot s holds its
+    value at omega0**s.  table(i) makes it by one _dft on first use, with one
+    chirp per period, and packs it into one integer of little-endian slots,
+    wide enough for a sum of k products of residues: 1, 2, 4 or 8 bytes, read
+    as native integers of format code, when that suffices on a little-endian
+    host.  Equal laid-out polynomials (repeated clauses) share the table of
+    the first: same[i] is its index."""
 
     def __init__(self, layout, omega0: int, p: int, n: int):
         self.layout, self.omega0, self.p, self.q_n = layout, omega0, p, primorial(n)
-        self.width = ((len(layout) * (p - 1) ** 2).bit_length() + 7) // 8
+        bits = (len(layout) * (p - 1) ** 2).bit_length()
+        native = [(w, c) for w, c in zip((1, 2, 4, 8), "BHIQ") if bits <= 8 * w]
+        self.width, self.code = (native[0] if native and sys.byteorder == "little"
+                                 else ((bits + 7) // 8, None))
         first: dict[tuple, int] = {}
         self.same = [first.setdefault((period, tuple(c)), i)
                      for i, (period, c) in enumerate(layout)]
         self.packed: list[int | None] = [None] * len(layout)
-        self.periods: dict[int, tuple] = {}  # P: (its chirp, a Struct that cuts P slots)
+        self.chirps: dict[int, tuple] = {}  # P: the chirp of period P
 
     def table(self, i: int) -> int:
         """The packed table of polynomial i, made on first use."""
         if self.packed[i] is None:
             period, coeffs = self.layout[i]
-            if period not in self.periods:
+            if period not in self.chirps:
                 w0 = pow(self.omega0, self.q_n // period, self.p)
-                self.periods[period] = (_chirp(period, w0, self.p),
-                                        Struct(f"{self.width}s" * period))
-            self.packed[i] = _pack(_dft(coeffs, self.periods[period][0], self.p), self.width)
+                self.chirps[period] = _chirp(period, w0, self.p)
+            self.packed[i] = _pack(_dft(coeffs, self.chirps[period], self.p), self.width)
         return self.packed[i]
 
-    def read(self, period: int, packed: int, u: int) -> list[int]:
-        """The slots of packed, a sum of tables of period P, at u*t mod P for
-        t < P: the values, not yet reduced modulo p, at omega0**(u*t)."""
-        cut = self.periods[period][1]
-        raw = packed.to_bytes(period * self.width, "little")
-        slots = list(map(int.from_bytes, cut.unpack(raw), repeat("little")))
-        return list(map(slots.__getitem__, map(mod, range(0, u * period, u), repeat(period))))
+    def widen(self, sums: dict[int, int], size: int) -> int:
+        """The packed sums[P] of P slots, each repeated to size slots, added."""
+        return sum(int.from_bytes(x.to_bytes(period * self.width, "little") * (size // period),
+                                  "little") for period, x in sums.items())
+
+    def read(self, size: int, packed: int):
+        """The size slots of packed: values, not yet reduced modulo p."""
+        raw = packed.to_bytes(size * self.width, "little")
+        if self.code:
+            return memoryview(raw).cast(self.code)
+        return [int.from_bytes(slot, "little") for slot, in iter_unpack(f"{self.width}s", raw)]
 
 
 def _scan_roots(shared: _Tables, rows, omega: int, p: int, n: int) -> list[int]:
     """Exponents t in [0, Q_n), ascending, at which every row's combination
     of the laid-out polynomials vanishes at omega**t modulo p.
 
-    With omega = omega0**u (_root_log), a row's value at t sums, per period
-    P, its coefficients (mod p) times the tables of its polynomials read at
-    u*t mod P: per row and period, one big-integer multiply-add per
-    polynomial on the packed tables, one unpack and one index permutation.
-    While at least as many exponents survive as the lcm L of the periods,
-    the row's tables are summed to length L and their zeros modulo p,
-    repeated, mask the survivors; after that each survivor sums its own
-    entries.  Rows stop once none survive, and a polynomial's table is only
-    made when a row first reaches it."""
-    q_n, k = primorial(n), len(shared.layout)
-    u = _root_log(omega, shared.omega0, p, n)
-    mask, survivors = int.from_bytes(b"\1" * q_n, "little"), None  # byte t: does t survive?
+    With omega = omega0**u (_root_log), the value at omega**t is that at
+    omega0**s, s = u*t, where a polynomial of period P reads slot s mod P of
+    its table: the scan runs over s and maps matches back by t = s/u mod Q_n
+    (u is a unit, as omega is primitive).  Per row and period, the packed
+    tables are summed by one multiply-add per polynomial.  While survivors
+    times periods reach the lcm L of the periods, the periods dividing a
+    common Q_n/q (q the largest prime dividing none of them) are added at
+    their lcm, these few sums are repeated to L and added, and one pass reads
+    their zeros modulo p to mask the exponents; then each survivor sums its
+    own slots.  Rows stop once none survive, and a polynomial's table is
+    only made when a row first reaches it."""
+    q_n, k, primes = primorial(n), len(shared.layout), first_primes(n)
+    v = pow(_root_log(omega, shared.omega0, p, n), -1, q_n)
+    mask, survivors = int.from_bytes(b"\1" * q_n, "little"), None  # byte s: does s survive?
     for row in rows:
         if not (mask if survivors is None else survivors):
             break
@@ -431,21 +439,23 @@ def _scan_roots(shared: _Tables, rows, omega: int, p: int, n: int) -> list[int]:
             if r:
                 period = shared.layout[i][0]
                 sums[period] = sums.get(period, 0) + r * shared.table(i)
-        tables = [shared.read(period, packed, u) for period, packed in sums.items()]
-        size = lcm(*map(len, tables))
-        if tables and survivors is None and mask.bit_count() >= size:
-            values = map(sum, islice(zip(*map(cycle, tables)), size))
-            zeros = bytes(map(not_, map(mod, values, repeat(p))))
+        size = lcm(*sums)
+        if sums and survivors is None and mask.bit_count() * len(sums) >= size:
+            groups: dict[int, dict[int, int]] = {}
+            for period, x in sums.items():
+                groups.setdefault(max((q for q in primes if period % q), default=1), {})[period] = x
+            total = shared.widen({lcm(*g): shared.widen(g, lcm(*g)) for g in groups.values()}, size)
+            zeros = bytes(map(not_, map(mod, shared.read(size, total), repeat(p))))
             mask &= int.from_bytes(zeros * (q_n // size), "little")
-        elif tables:
+        elif sums:
             if survivors is None:
                 survivors = list(compress(range(q_n), mask.to_bytes(q_n, "little")))
-            values = map(sum, zip(*[map(table.__getitem__, map(mod, survivors, repeat(len(table))))
-                                    for table in tables]))
+            values = map(sum, zip(*[map(shared.read(P, x).__getitem__, map(mod, survivors, repeat(P)))
+                                    for P, x in sums.items()]))
             survivors = list(compress(survivors, map(not_, map(mod, values, repeat(p)))))
     if survivors is None:
-        survivors = list(compress(range(q_n), mask.to_bytes(q_n, "little")))
-    return survivors
+        survivors = compress(range(q_n), mask.to_bytes(q_n, "little"))
+    return sorted(map(mod, map(mul, survivors, repeat(v)), repeat(q_n))) if v > 1 else list(survivors)
 
 
 def _decode_witness(cnf: Cnf3, matches) -> tuple[int, ...] | None:

@@ -106,6 +106,16 @@ def test_post_init_checks_run(call, message):
         call()
 
 
+@pytest.mark.parametrize("seed", [None, "x", 1.5, True], ids=repr)
+def test_config_refuses_a_seed_that_is_not_an_int(seed):
+    """A transcript records its run's seed as an integer, so any other seed is
+    refused when the Config is made, before any run starts."""
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        Config(seed=seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        Config().replace(seed=seed)
+
+
 def test_fields_cannot_be_assigned_or_deleted():
     caps = Caps()
     with pytest.raises(AttributeError):

@@ -709,7 +709,15 @@ def test_transcript_round_trip_and_verify():
     assert ok, checks
 
 
-TAMPERINGS = [
+def pinned(first, *edits):
+    """The edits as pytest params with fixed ids, <lambda>first and on: the
+    ids that pytest gave them by position, so that adding a case renames no
+    other.  A new case takes the next free number (40 and on)."""
+    return [pytest.param(edit, id=f"<lambda>{i}") for i, edit in enumerate(edits, first)]
+
+
+TAMPERINGS = pinned(
+    0,
     lambda o: o.__setitem__("verdict", not o["verdict"]),
     lambda o: o.__setitem__("match_count", o["match_count"] + 1),
     lambda o: o.__setitem__("witness", None),
@@ -750,20 +758,22 @@ TAMPERINGS = [
     lambda o: o.__setitem__("generator", str(int(o["prime"]["p"]) + int(o["generator"]))),
     lambda o: o.__setitem__("generator", str(pow(int(o["generator"]), 7, int(o["prime"]["p"])))),
     lambda o: o["prime"].__setitem__("trials_used", 999),
-]
+)
 # Edits that only contradict a recorded g1: in v3, g1 is rebuilt from a, so an
 # in-range change of a[0] is a different but consistent run, and there is no
 # g1 to edit.
-V2_TAMPERINGS = [
+V2_TAMPERINGS = pinned(
+    35,
     lambda o: o["a"].__setitem__(0, "1"),
     lambda o: o["g1"]["terms"].__setitem__(0, ["1", "0"]),
-]
-V1_TAMPERINGS = [
+)
+V1_TAMPERINGS = pinned(
+    37,
     lambda o: o["h"]["terms"].__setitem__(0, [str(int(o["h"]["terms"][0][0]) + 1),
                                               o["h"]["terms"][0][1]]),
     lambda o: o.__setitem__("h", None),
     lambda o: o.pop("h"),
-]
+)
 
 
 def as_deterministic(o, **changes):
@@ -1071,6 +1081,39 @@ def test_verify_reports_are_unchanged(formula, tmp_path, capsys):
             assert main(["verify-transcript", str(path)]) == 0
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_REPORT_DIGESTS[formula, i, form]
+
+
+# Digests of the v3 `reduce` reports, and of `verify-transcript` on them, that
+# the scan printed before it read the tables in their own order, for one
+# satisfiable formula at n = 5 and one at n = 6 and each V1_REPORT_ARGS.
+V3_REPORT_DIGESTS = {
+    ((5, 21, 17), 0, "reduce"): "ff6ddc7b3cf6ed4ea1b7643760dcb89a4c2c8061200962b3adcc9d747dc160a1",
+    ((5, 21, 17), 0, "verify"): "5992efdb2318081f48fcad201be184ea9b630a6387ce05af6ae73f383708bdea",
+    ((5, 21, 17), 1, "reduce"): "76d60521b442cb828b05baa57b359986c9ea99c18342abec30ea70eb5e0d0c88",
+    ((5, 21, 17), 1, "verify"): "4c57736817139f49d5e69cc52fb4b8a80ecd3e9991a8f826f40a5ef1ee699f32",
+    ((5, 21, 17), 2, "reduce"): "0e87169f9016284a33655df09f3a0261f63ad6551c222aa1c5956d8ad899c01a",
+    ((5, 21, 17), 2, "verify"): "b35bfa96f24595bd56f31876ac9d38ef08fb96110ac6fc27c190f2e893ee34b0",
+    ((6, 30, 18), 0, "reduce"): "f2db0b0029eb3a9af40805f3ac29ca41c0fe147b407fb0a16cb10d91f4391cff",
+    ((6, 30, 18), 0, "verify"): "76688f111c01a89cad1a9b1abe281407ceebcaeb87e5928c0885f3d50474fbbd",
+    ((6, 30, 18), 1, "reduce"): "84889d4ef88c9aa01ce2e22b8663dd81b7016817986c3fb1df0d9dbda8e29288",
+    ((6, 30, 18), 1, "verify"): "1724ab1d3ae0e6e318af6ceeceba1ce2d9218a2efaac02eb0bdb60d0327f80b5",
+    ((6, 30, 18), 2, "reduce"): "f615068b0cd16e0ca362cf3a90051c4e33cb7469172b632f1dabc0e87e22a863",
+    ((6, 30, 18), 2, "verify"): "7cacaa9b3075baf759f9d06c58554913e31ee63d007293531edb37b23e2c55fe",
+}
+
+
+@pytest.mark.parametrize("formula", sorted({f for f, _, _ in V3_REPORT_DIGESTS}))
+def test_v3_reduce_and_verify_reports_are_unchanged(formula, tmp_path, capsys):
+    path, report = tmp_path / "f.cnf", tmp_path / "t.json"
+    path.write_text(format_dimacs(seeded_formula(*formula)))
+    for i, args in enumerate(V1_REPORT_ARGS):
+        assert main(["reduce", str(path)] + args) == 0
+        report.write_text(capsys.readouterr().out)
+        assert main(["verify-transcript", str(report)]) == 0
+        digests = {kind: hashlib.sha256(text.encode()).hexdigest()
+                   for kind, text in (("reduce", report.read_text()),
+                                      ("verify", capsys.readouterr().out))}
+        assert digests == {kind: V3_REPORT_DIGESTS[formula, i, kind] for kind in digests}
 
 
 def test_verify_transcript_caps_variables_before_any_work():

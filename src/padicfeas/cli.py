@@ -19,9 +19,9 @@ from . import __version__
 from .config import Caps, Config
 from .errors import CapsExceeded, InexactDivision
 from .padic import bruteforce_decision, decide_binomial, has_degenerate_root_qp
-from .plaisted import parse_dimacs, satisfies
+from .plaisted import parse_dimacs
 from .primes import DENSITY_NOTE, find_prime_in_progression, prime_density_experiment
-from .reduce import run_with_majority, transcript_dumps, verify_transcript
+from .reduce import _majority, run_with_majority, transcript_dumps, verify_transcript
 from .sparsepoly import parse_int, parse_poly, poly_from_obj, poly_to_obj
 
 EXIT_TRUE = 0
@@ -144,15 +144,10 @@ def _cmd_reduce(args) -> int:
         caps=_caps_from_args(args),
     )
     verdict, witness, transcripts = run_with_majority(cnf, config)
-    if witness is not None and not satisfies(cnf, witness):
-        witness = None  # defensive: never print an unchecked witness
     report = {
         "command": "reduce",
         "config": config.to_obj(),
-        "verdict": verdict,
-        "feasible_runs": sum(1 for t in transcripts if t.verdict),
-        "repeats": len(transcripts),
-        "witness": None if witness is None else list(witness),
+        **_summary(verdict, witness, [t.verdict for t in transcripts]),
         "runs": [t.to_obj() for t in transcripts],
     }
     text = transcript_dumps(report)
@@ -168,6 +163,13 @@ def _cmd_reduce(args) -> int:
     return EXIT_TRUE if verdict else EXIT_FALSE
 
 
+def _summary(verdict: bool, witness, verdicts: list[bool]) -> dict:
+    """The summary fields of a reduce report: the majority verdict and the
+    witness that run_with_majority takes from runs with these verdicts."""
+    return {"verdict": verdict, "feasible_runs": sum(verdicts), "repeats": len(verdicts),
+            "witness": None if witness is None else list(witness)}
+
+
 def _cmd_find_prime(args) -> int:
     seed = _resolve_seed(args)
     rng = random.Random(seed)
@@ -179,11 +181,7 @@ def _cmd_find_prime(args) -> int:
         "command": "find-prime",
         "config": {"seed": str(seed), "k_max": caps.k_max},
         "strategy": args.strategy,
-        "n": result.n,
-        "q_n": str(result.q_n),
-        "k": str(result.k),
-        "p": str(result.p),
-        "trials_used": result.trials_used,
+        **result.to_obj(),
     }
     _print_report(report, f"p = {result.p} = 1 + {result.k} * {result.q_n}")
     return EXIT_TRUE
@@ -220,28 +218,49 @@ def _cmd_density(args) -> int:
     return EXIT_TRUE
 
 
+def _summary_mismatch(report: dict, encodings: dict) -> str:
+    """Why the summary of a report whose runs all verified disagrees with
+    them, or '' when it does not.  The runs must be of one formula, and
+    encodings, shared by their verification, holds one entry per formula.
+    Each summary field present must be the one _summary gives for the runs;
+    an absent one is not checked."""
+    if len(encodings) > 1:
+        return "the runs are of different formulas"
+    runs = report["runs"]
+    verdicts = [run["verdict"] for run in runs]
+    witnesses = [None if run["witness"] is None else tuple(map(parse_int, run["witness"]))
+                 for run in runs]
+    expected = _summary(*_majority(verdicts, witnesses), verdicts)
+    wrong = [name for name, value in expected.items()
+             if name in report and json.dumps(report[name]) != json.dumps(value)]
+    return f"the summary disagrees with the runs on {', '.join(wrong)}" if wrong else ""
+
+
 def _cmd_verify_transcript(args) -> int:
     with open(args.file) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError("a transcript file must hold a JSON object")
     caps = _caps_from_args(args)
+    why = ""
     if "runs" in obj:
         runs = obj["runs"]
         if not (isinstance(runs, list) and runs and all(isinstance(r, dict) for r in runs)):
             raise ValueError("'runs' must be a non-empty list of transcript objects")
         all_checks = []
-        ok = True
         encodings = {}
         for i, run in enumerate(runs):
             run_ok, checks = verify_transcript(run, caps, encodings)
-            ok = ok and run_ok
             all_checks.append({"run": i, "ok": run_ok, "checks": checks})
+        ok = all(run["ok"] for run in all_checks)
+        why = _summary_mismatch(obj, encodings) if ok else ""
+        ok = ok and not why
         report = {"command": "verify-transcript", "ok": ok, "runs": all_checks}
     else:
         ok, checks = verify_transcript(obj, caps)
         report = {"command": "verify-transcript", "ok": ok, "checks": checks}
-    _print_report(report, "transcript ok" if ok else "transcript verification FAILED")
+    line = "transcript ok" if ok else "transcript verification FAILED"
+    _print_report(report, f"{line}: {why}" if why else line)
     return EXIT_TRUE if ok else EXIT_FALSE
 
 

@@ -49,6 +49,11 @@ class ProgressionPrime(Record):
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
+    def to_obj(self) -> dict:
+        """The JSON fields of the prime, with big integers as decimal strings."""
+        return {"n": self.n, "q_n": str(self.q_n), "k": str(self.k), "p": str(self.p),
+                "trials_used": self.trials_used}
+
 
 class DensityReport(Record):
     m: int

@@ -127,13 +127,7 @@ class ReductionTranscript(Record):
             "k": self.k,
             "cnf": {"num_vars": self.cnf.num_vars, "clauses": self.cnf.to_signed()},
             "seed": None if self.seed is None else str(self.seed),
-            "prime": {
-                "n": self.prime.n,
-                "q_n": str(self.prime.q_n),
-                "k": str(self.prime.k),
-                "p": str(self.prime.p),
-                "trials_used": self.prime.trials_used,
-            },
+            "prime": self.prime.to_obj(),
             "prime_strategy": self.prime_strategy,
             "generator": str(self.generator),
             "omega": str(self.omega),
@@ -170,13 +164,8 @@ class ReductionTranscript(Record):
                 raise ValueError(f"{v!r} is not true or false")
             return v
 
-        prime = ProgressionPrime(
-            n=parse_int(obj["prime"]["n"]),
-            q_n=parse_int(obj["prime"]["q_n"]),
-            k=parse_int(obj["prime"]["k"]),
-            p=parse_int(obj["prime"]["p"]),
-            trials_used=parse_int(obj["prime"]["trials_used"]),
-        )
+        prime = ProgressionPrime(*(parse_int(obj["prime"][name])
+                                   for name in ProgressionPrime._fields))
         return cls(
             mode=obj["mode"],
             n=parse_int(obj["n"]),
@@ -474,17 +463,45 @@ def _decode_witness(cnf: Cnf3, matches) -> tuple[int, ...] | None:
     return None
 
 
-def _matches(encoding, cnf: Cnf3, combined: bool, a, b, omega: int, p: int):
-    """(matches, witness) of a run on cnf at omega modulo p: the exponents
-    that _scan_roots finds for the run's _rows on the tables at p of cnf's
-    _encoding (made from the omega of the first run at p), and the witness
-    decoded from them."""
-    _, layout, by_prime = encoding
-    n = cnf.num_vars
+def _run(encoding, cnf: Cnf3, mode: str, seed, prime: ProgressionPrime, strategy: str,
+         generator: int, a, b, qnr) -> ReductionTranscript:
+    """The transcript of the run on cnf with these choices, the one place that
+    derives what they fix, for pipeline and verify_transcript alike: omega =
+    generator**((p - 1)/Q_n); for a randomized run with k >= 3 clauses, the
+    max_degree and big_n that bound a and b (k <= 2 passes the clause
+    polynomials through); and the exponents that _scan_roots finds for the
+    run's _rows on the tables at p of cnf's _encoding (made from the omega of
+    the first run at p), with the witness decoded from them.  The generator
+    must generate F_p^*, so that omega is a primitive Q_n-th root of unity."""
+    polys, layout, by_prime = encoding
+    n, k, p = cnf.num_vars, len(cnf.clauses), prime.p
+    omega = pow(generator, prime.k, p)
+    combined = mode == "randomized" and k > 0
+    max_degree, big_n = _combination_bound(polys) if combined and k > 2 else (None, None)
     if p not in by_prime:
         by_prime[p] = _Tables(layout, omega, p, n)
-    matches = _scan_roots(by_prime[p], _rows(combined, a, b, len(cnf.clauses)), omega, p, n)
-    return matches, _decode_witness(cnf, matches)
+    matches = _scan_roots(by_prime[p], _rows(combined, a, b, k), omega, p, n)
+    return ReductionTranscript(
+        mode=mode,
+        n=n,
+        q_n=prime.q_n,
+        k=k,
+        cnf=cnf,
+        seed=seed,
+        prime=prime,
+        prime_strategy=strategy,
+        generator=generator,
+        omega=omega,
+        max_degree=max_degree,
+        big_n=big_n,
+        a=a,
+        b=b,
+        qnr=qnr,
+        match_count=len(matches),
+        first_match=matches[0] if matches else None,
+        verdict=bool(matches),
+        witness=_decode_witness(cnf, matches),
+    )
 
 
 def _check_size(cnf: Cnf3, caps: Caps):
@@ -515,47 +532,18 @@ def pipeline(
     _check_size(cnf, config.caps)
     randomized = config.mode == "randomized"
     rng = random.Random(config.seed) if randomized else None
-    n = cnf.num_vars
-    q_n = primorial(n)
     k = len(cnf.clauses)
     encoding = _encoding(encodings, cnf, config.caps.term_count)
-
     strategy = config.prime_strategy if randomized else "scan"
-    prime = find_prime_in_progression(n, strategy=strategy, rng=rng, caps=config.caps)
-    p = prime.p
-    gen = find_generator(p, rng)
-    omega = pow(gen, (p - 1) // q_n, p)
-
-    max_degree = big_n = avec = bvec = qnr = None
-    combined = randomized and k > 0  # empty conjunction: every encoding works
-    if combined:
+    prime = find_prime_in_progression(cnf.num_vars, strategy=strategy, rng=rng, caps=config.caps)
+    gen = find_generator(prime.p, rng)
+    a = b = qnr = None
+    if randomized and k > 0:  # empty conjunction: every encoding works
         if k > 2:
-            max_degree, big_n = _combination_bound(encoding[0])
-            avec, bvec = _draw(k, big_n, rng)
-        qnr = find_qnr(p, rng)  # p = 1 + k*q_n is odd
-    matches, witness = _matches(encoding, cnf, combined, avec, bvec, omega, p)
-
-    return ReductionTranscript(
-        mode=config.mode,
-        n=n,
-        q_n=q_n,
-        k=k,
-        cnf=cnf,
-        seed=config.seed if randomized else None,
-        prime=prime,
-        prime_strategy=strategy,
-        generator=gen,
-        omega=omega,
-        max_degree=max_degree,
-        big_n=big_n,
-        a=avec,
-        b=bvec,
-        qnr=qnr,
-        match_count=len(matches),
-        first_match=matches[0] if matches else None,
-        verdict=bool(matches),
-        witness=witness,
-    )
+            a, b = _draw(k, _combination_bound(encoding[0])[1], rng)
+        qnr = find_qnr(prime.p, rng)  # p = 1 + k*q_n is odd
+    return _run(encoding, cnf, config.mode, config.seed if randomized else None, prime, strategy,
+                gen, a, b, qnr)
 
 
 def run_with_majority(
@@ -576,15 +564,16 @@ def run_with_majority(
     child_seeds = [base.getrandbits(64) for _ in range(repeats)]
     encodings: dict = {}
     transcripts = [pipeline(cnf, config.replace(seed=child), encodings) for child in child_seeds]
-    yes = sum(1 for t in transcripts if t.verdict)
-    verdict = yes * 2 > len(transcripts)
-    witness = None
-    if verdict:
-        for t in transcripts:
-            if t.verdict and t.witness is not None and satisfies(cnf, t.witness):
-                witness = t.witness
-                break
-    return verdict, witness, transcripts
+    return (*_majority([t.verdict for t in transcripts], [t.witness for t in transcripts]),
+            transcripts)
+
+
+def _majority(verdicts, witnesses) -> tuple[bool, tuple[int, ...] | None]:
+    """The majority of the runs' verdicts and, when it is true, the first
+    witness among the runs'.  Each run's witness satisfies the formula: it
+    is decoded only from a satisfying match, and verify_transcript checks it."""
+    verdict = sum(verdicts) * 2 > len(verdicts)
+    return verdict, next((w for w in witnesses if w is not None), None) if verdict else None
 
 
 # -- transcript re-verification ----------------------------------------------------
@@ -594,10 +583,12 @@ def verify_transcript(
     obj, caps: Caps | None = None, encodings: dict | None = None
 ) -> tuple[bool, list[dict]]:
     """Re-check every reproducible claim in a transcript object without
-    re-running any randomness.  Returns (all_ok, per-check results).  The
-    scan reads the rows a and b, as pipeline does; g1 and g2 are rebuilt from
-    them only to check the g1, g2 and h that a v2 or v1 transcript records
-    (or any run carries).  A formula with more than caps.max_vars variables
+    re-running any randomness.  Returns (all_ok, per-check results).  Once
+    the transcript's prime and omega pass, _run derives the run from its
+    recorded choices, as pipeline does, and the recorded bound, verdict,
+    matches and witness are compared with the derived ones.  g1 and g2 are
+    rebuilt from a and b only to check the g1, g2 and h that a v2 or v1
+    transcript records (or any run carries).  A formula with more than caps.max_vars variables
     raises CapsExceeded before any work that grows with it.  encodings, as in
     pipeline, is a dict shared by the calls on the runs of one report; its
     value tables at p are made from the omega of the first run at p that
@@ -649,25 +640,18 @@ def verify_transcript(
         return False, checks
 
     encoding = _encoding(encodings, cnf, caps.term_count)
-    polys = encoding[0]
-    combined = t.mode == "randomized" and t.k > 0
-    if combined:
-        if t.a is not None:
-            d, bound = _combination_bound(polys)
-            ok_n = t.max_degree == d and t.big_n == bound
-            check("combination-bound", ok_n, f"N = 18*{d}*{t.k}^2")
-            ok_range = (
-                t.b is not None
-                and t.big_n is not None
-                and len(t.a) == len(t.b) == t.k
-                and all(1 <= v <= t.big_n for v in t.a + t.b)
-            )
-            check("combination-range", ok_range)
+    run = _run(encoding, cnf, t.mode, t.seed, t.prime, t.prime_strategy, g, t.a, t.b, t.qnr)
+    if t.mode == "randomized" and t.k > 0:
+        bound_ok = (t.max_degree, t.big_n) == (run.max_degree, run.big_n)
+        if run.big_n is None:
+            check("combination-bound", bound_ok and t.a is None and t.b is None,
+                  "pass-through for k <= 2")
         else:
-            check("combination-bound", t.big_n is None and t.max_degree is None
-                  and t.b is None, "pass-through for k <= 2")
+            check("combination-bound", bound_ok, f"N = 18*{run.max_degree}*{t.k}^2")
+            check("combination-range", len(t.a or ()) == len(t.b or ()) == t.k
+                  and all(1 <= v <= run.big_n for v in t.a + t.b))
         if recorded:
-            g1, g2 = _pair(t.a, t.b, polys)
+            g1, g2 = _pair(t.a, t.b, encoding[0])
             for name, f in (("g1", g1), ("g2", g2)):
                 if name in recorded:
                     check(name, recorded[name] == f)
@@ -680,12 +664,8 @@ def verify_transcript(
         check("no-combination", all(v is None for v in nulls),
               "deterministic runs carry no combination data")
 
-    matches, witness = _matches(encoding, cnf, combined, t.a, t.b, t.omega, p)
-    check("verdict", t.verdict == bool(matches))
-    check("match-count", t.match_count == len(matches))
-    check("first-match", t.first_match == (matches[0] if matches else None))
-
-    check("witness", t.witness == witness)
+    for field in ("verdict", "match_count", "first_match", "witness"):
+        check(field.replace("_", "-"), getattr(t, field) == getattr(run, field))
     if t.witness is not None:
         check("witness-satisfies",
               len(t.witness) == cnf.num_vars and satisfies(cnf, t.witness))

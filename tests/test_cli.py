@@ -495,6 +495,54 @@ def test_reduce_and_verify(tmp_path, capsys):
     assert code == 1 and report(vout)["ok"] is False
 
 
+# every sign pattern over variables 1-3: unsatisfiable
+ALL_SIGNS = "p cnf 3 8\n" + "".join(f"{a} {2 * b} {3 * c} 0\n"
+                                    for a, b, c in itertools.product((1, -1), repeat=3))
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param({"verdict": True, "feasible_runs": 5, "witness": [1, 1, 1]}, id="feasible"),
+    pytest.param({"verdict": True}, id="verdict"),
+    pytest.param({"verdict": 0}, id="verdict-not-boolean"),
+    pytest.param({"feasible_runs": 1}, id="feasible_runs"),
+    pytest.param({"repeats": 4}, id="repeats"),
+    pytest.param({"witness": [1, 1, 1]}, id="witness"),
+])
+def test_verify_transcript_checks_a_reports_summary(tmp_path, capsys, edit):
+    """A report whose summary fields disagree with its runs fails: exit 1
+    and one stderr line naming the fields, though every run verifies."""
+    cnf = tmp_path / "u.cnf"
+    cnf.write_text(ALL_SIGNS)
+    out_file = tmp_path / "t.json"
+    code, out, _ = run_cli(capsys, ["reduce", str(cnf), "--seed", "1", "--out", str(out_file)])
+    assert code == 1
+    assert run_cli(capsys, ["verify-transcript", str(out_file)])[0] == 0
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(report(out) | edit))
+    code, vout, err = run_cli(capsys, ["verify-transcript", str(forged)])
+    r = report(vout)
+    assert code == 1 and r["ok"] is False and all(run["ok"] for run in r["runs"])
+    assert err == ("transcript verification FAILED: the summary disagrees with the runs on "
+                   f"{', '.join(edit)}\n")
+
+
+def test_verify_transcript_checks_a_report_is_of_one_formula(tmp_path, capsys):
+    """The runs of two formulas' reports each verify as a report without a
+    summary, and together fail."""
+    runs = []
+    for text in (ALL_SIGNS, "p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n"):
+        cnf, bare = tmp_path / "f.cnf", tmp_path / "bare.json"
+        cnf.write_text(text)
+        _, out, _ = run_cli(capsys, ["reduce", str(cnf), "--seed", "1"])
+        runs += report(out)["runs"]
+        bare.write_text(json.dumps({"runs": report(out)["runs"]}))
+        assert run_cli(capsys, ["verify-transcript", str(bare)])[0] == 0
+    bare.write_text(json.dumps({"runs": runs}))
+    code, vout, err = run_cli(capsys, ["verify-transcript", str(bare)])
+    assert code == 1 and report(vout)["ok"] is False
+    assert err == "transcript verification FAILED: the runs are of different formulas\n"
+
+
 def test_reduce_unsat_exit(tmp_path, capsys):
     cnf = tmp_path / "u.cnf"
     cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
@@ -735,11 +783,20 @@ _RUNS = _valid_runs()
     st.booleans(),
 )
 def test_verify_transcript_field_fuzz(tmp_path_factory, index, data, value, as_report):
+    """One field of a valid run, or of the summary of its one-run report, set
+    to any JSON value: no traceback, and a changed summary field exits 1."""
     run = dict(_RUNS[index])
-    field = data.draw(st.sampled_from(sorted(run)))
-    run[field] = value
-    obj = {"runs": [run]} if as_report else run
+    summary = {"verdict": run["verdict"], "feasible_runs": int(run["verdict"]), "repeats": 1,
+               "witness": run["witness"] if run["verdict"] else None}
+    obj = {"runs": [run], **summary} if as_report else run
+    fields = [("run", name) for name in sorted(run)]
+    if as_report:
+        fields += [("summary", name) for name in sorted(summary)]
+    where, field = data.draw(st.sampled_from(fields))
+    (run if where == "run" else obj)[field] = value
     argv = ["verify-transcript", "--max-vars", "3"]
     code, out = _run_loader(tmp_path_factory, argv, json.dumps(obj))
     if code in (0, 1):
         assert report(out)["ok"] is (code == 0)
+    if where == "summary":
+        assert code == (0 if json.dumps(value) == json.dumps(summary[field]) else 1)

@@ -758,6 +758,10 @@ TAMPERINGS = pinned(
     lambda o: o.__setitem__("generator", str(int(o["prime"]["p"]) + int(o["generator"]))),
     lambda o: o.__setitem__("generator", str(pow(int(o["generator"]), 7, int(o["prime"]["p"])))),
     lambda o: o["prime"].__setitem__("trials_used", 999),
+) + pinned(
+    40,
+    # a k >= 3 run carries its combination vectors
+    lambda o: as_pass_through(o),
 )
 # Edits that only contradict a recorded g1: in v3, g1 is rebuilt from a, so an
 # in-range change of a[0] is a different but consistent run, and there is no
@@ -782,6 +786,25 @@ def as_deterministic(o, **changes):
     (nor, in v2 and v1, polynomials); changes are applied on top."""
     nulls = ("seed", "a", "b", "qnr", "big_n", "max_degree", *sorted({"g1", "g2", "h"} & o.keys()))
     o.update(dict.fromkeys(nulls), **{"mode": "deterministic", **changes})
+
+
+def claim_scan(o, polys):
+    """Set the run's verdict, match count, first match and witness to those
+    of the common roots of polys among the powers of its omega."""
+    t = ReductionTranscript.from_obj(o)
+    matches = naive_roots(polys, t.omega, t.prime.p, t.q_n)
+    witness = _decode_witness(t.cnf, matches)
+    o.update(verdict=bool(matches), match_count=len(matches),
+             first_match=str(matches[0]) if matches else None,
+             witness=None if witness is None else list(witness))
+
+
+def as_pass_through(o):
+    """Drop a run's combination vectors and bound, and claim the scan of its
+    first and last clause polynomials, as a run with k <= 2 would."""
+    o.update(dict.fromkeys(("a", "b", "big_n", "max_degree")))
+    polys = encode_system(ReductionTranscript.from_obj(o).cnf)
+    claim_scan(o, [polys[0], polys[-1]])
 
 
 def tampering_subject():
@@ -813,6 +836,22 @@ def test_the_tampering_subject_relabelled_as_deterministic_verifies(convert):
     ok, checks = verify_transcript(obj)
     assert ok, checks
     assert "no-combination" in {c["name"] for c in checks}
+
+
+def test_verify_transcript_refuses_combination_vectors_below_three_clauses():
+    """A randomized run with k = 2 passes its clause polynomials through, so
+    a run that carries a and b fails combination-bound, even when its bound
+    and scan fields are those of its a and b."""
+    cnf = Cnf3.from_signed(3, [[1, 2, 3], [-1, -2, -3]])
+    obj = pipeline(cnf, Config(seed=0)).to_obj()
+    assert obj["a"] is None and verify_transcript(obj)[0]
+    polys = encode_system(cnf)
+    d = max(f.degree for f in polys)
+    obj.update(a=["1", "1"], b=["1", "1"], max_degree=str(d), big_n=str(18 * d * 2 ** 2))
+    claim_scan(obj, [polys[0] + polys[1]])
+    ok, checks = verify_transcript(obj)
+    assert not ok
+    assert [c["name"] for c in checks if not c["ok"]] == ["combination-bound"]
 
 
 def test_verify_transcript_tests_the_generator_at_the_primes_of_k():

@@ -21,7 +21,7 @@ from .errors import CapsExceeded, InexactDivision
 from .padic import bruteforce_decision, decide_binomial, has_degenerate_root_qp
 from .plaisted import parse_dimacs
 from .primes import DENSITY_NOTE, find_prime_in_progression, prime_density_experiment
-from .reduce import _majority, run_with_majority, transcript_dumps, verify_transcript
+from .reduce import reduce_report, run_with_majority, transcript_dumps, verify_report, verify_transcript
 from .sparsepoly import parse_int, parse_poly, poly_from_obj, poly_to_obj
 
 EXIT_TRUE = 0
@@ -54,17 +54,10 @@ def _load_poly(path: str):
 
 
 def _caps_from_args(args) -> Caps:
-    kwargs = {}
-    for field, attr in (
-        ("degree", "degree_cap"),
-        ("k_max", "k_max"),
-        ("sieve_limit", "sieve_cap"),
-        ("max_vars", "max_vars"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            kwargs[field] = value
-    return Caps(**kwargs)
+    """The caps that the subcommand's cap flags set; each flag's dest is its
+    Caps field."""
+    return Caps(**{name: value for name in Caps._fields
+                   if (value := getattr(args, name, None)) is not None})
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -143,31 +136,19 @@ def _cmd_reduce(args) -> int:
         prime_strategy=args.prime_strategy,
         caps=_caps_from_args(args),
     )
-    verdict, witness, transcripts = run_with_majority(cnf, config)
-    report = {
-        "command": "reduce",
-        "config": config.to_obj(),
-        **_summary(verdict, witness, [t.verdict for t in transcripts]),
-        "runs": [t.to_obj() for t in transcripts],
-    }
+    _, _, transcripts = run_with_majority(cnf, config)
+    report = reduce_report(config, transcripts)
     text = transcript_dumps(report)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     sys.stdout.write(text)
-    verdict_word = "satisfiable" if verdict else "unsatisfiable"
+    verdict_word = "satisfiable" if report["verdict"] else "unsatisfiable"
     sys.stderr.write(
         f"{verdict_word} ({report['feasible_runs']}/{report['repeats']} runs feasible, "
         f"mode={config.mode}, p={transcripts[0].prime.p})\n"
     )
-    return EXIT_TRUE if verdict else EXIT_FALSE
-
-
-def _summary(verdict: bool, witness, verdicts: list[bool]) -> dict:
-    """The summary fields of a reduce report: the majority verdict and the
-    witness that run_with_majority takes from runs with these verdicts."""
-    return {"verdict": verdict, "feasible_runs": sum(verdicts), "repeats": len(verdicts),
-            "witness": None if witness is None else list(witness)}
+    return EXIT_TRUE if report["verdict"] else EXIT_FALSE
 
 
 def _cmd_find_prime(args) -> int:
@@ -218,24 +199,6 @@ def _cmd_density(args) -> int:
     return EXIT_TRUE
 
 
-def _summary_mismatch(report: dict, encodings: dict) -> str:
-    """Why the summary of a report whose runs all verified disagrees with
-    them, or '' when it does not.  The runs must be of one formula, and
-    encodings, shared by their verification, holds one entry per formula.
-    Each summary field present must be the one _summary gives for the runs;
-    an absent one is not checked."""
-    if len(encodings) > 1:
-        return "the runs are of different formulas"
-    runs = report["runs"]
-    verdicts = [run["verdict"] for run in runs]
-    witnesses = [None if run["witness"] is None else tuple(map(parse_int, run["witness"]))
-                 for run in runs]
-    expected = _summary(*_majority(verdicts, witnesses), verdicts)
-    wrong = [name for name, value in expected.items()
-             if name in report and json.dumps(report[name]) != json.dumps(value)]
-    return f"the summary disagrees with the runs on {', '.join(wrong)}" if wrong else ""
-
-
 def _cmd_verify_transcript(args) -> int:
     with open(args.file) as fh:
         obj = json.load(fh)
@@ -244,18 +207,8 @@ def _cmd_verify_transcript(args) -> int:
     caps = _caps_from_args(args)
     why = ""
     if "runs" in obj:
-        runs = obj["runs"]
-        if not (isinstance(runs, list) and runs and all(isinstance(r, dict) for r in runs)):
-            raise ValueError("'runs' must be a non-empty list of transcript objects")
-        all_checks = []
-        encodings = {}
-        for i, run in enumerate(runs):
-            run_ok, checks = verify_transcript(run, caps, encodings)
-            all_checks.append({"run": i, "ok": run_ok, "checks": checks})
-        ok = all(run["ok"] for run in all_checks)
-        why = _summary_mismatch(obj, encodings) if ok else ""
-        ok = ok and not why
-        report = {"command": "verify-transcript", "ok": ok, "runs": all_checks}
+        ok, runs, why = verify_report(obj, caps)
+        report = {"command": "verify-transcript", "ok": ok, "runs": runs}
     else:
         ok, checks = verify_transcript(obj, caps)
         report = {"command": "verify-transcript", "ok": ok, "checks": checks}
@@ -285,13 +238,13 @@ def _build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("decide", help="decide a polynomial file over Q_p (brute force)")
     pd.add_argument("poly_file")
     pd.add_argument("--prime", type=parse_int, required=True)
-    pd.add_argument("--degree-cap", type=parse_int, default=None)
+    pd.add_argument("--degree-cap", dest="degree", metavar="DEGREE_CAP", type=parse_int)
     pd.set_defaults(func=_cmd_decide)
 
     pg = sub.add_parser("degenerate", help="detect a repeated degree-1 factor over Q_p")
     pg.add_argument("poly_file")
     pg.add_argument("--prime", type=parse_int, required=True)
-    pg.add_argument("--degree-cap", type=parse_int, default=None)
+    pg.add_argument("--degree-cap", dest="degree", metavar="DEGREE_CAP", type=parse_int)
     pg.set_defaults(func=_cmd_degenerate)
 
     pr = sub.add_parser("reduce", help="run the 3SAT reduction pipeline on a DIMACS file")
@@ -300,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--seed", type=parse_int, default=None)
     pr.add_argument("--repeats", type=parse_int, default=5)
     pr.add_argument("--prime-strategy", choices=("scan", "sample"), default="scan")
-    pr.add_argument("--max-vars", type=parse_int, default=None)
+    pr.add_argument("--max-vars", type=parse_int)
     pr.add_argument("--out", default=None, help="also write the report to this file")
     pr.set_defaults(func=_cmd_reduce)
 
@@ -308,17 +261,17 @@ def _build_parser() -> argparse.ArgumentParser:
     pf.add_argument("n", type=parse_int)
     pf.add_argument("--strategy", choices=("scan", "sample"), default="scan")
     pf.add_argument("--seed", type=parse_int, default=None)
-    pf.add_argument("--k-max", dest="k_max", type=parse_int, default=None)
+    pf.add_argument("--k-max", type=parse_int)
     pf.set_defaults(func=_cmd_find_prime)
 
     pe = sub.add_parser("density", help="count primes = 1 (mod M) up to x vs Li(x)/phi(M)")
     pe.add_argument("pairs", type=parse_int, nargs="+", metavar="M_OR_X")
-    pe.add_argument("--sieve-cap", type=parse_int, default=None)
+    pe.add_argument("--sieve-cap", dest="sieve_limit", metavar="SIEVE_CAP", type=parse_int)
     pe.set_defaults(func=_cmd_density)
 
     pv = sub.add_parser("verify-transcript", help="re-verify a reduction transcript")
     pv.add_argument("file")
-    pv.add_argument("--max-vars", type=parse_int, default=None)
+    pv.add_argument("--max-vars", type=parse_int)
     pv.set_defaults(func=_cmd_verify_transcript)
 
     return parser

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .record import Record
+from .sparsepoly import parse_int
 
 
 class Caps(Record):
@@ -50,3 +51,14 @@ class Config(Record):
             "prime_strategy": self.prime_strategy,
             "caps": self.caps.asdict(),
         }
+
+    @classmethod
+    def from_obj(cls, obj) -> "Config":
+        """The config that to_obj wrote, read from its seed, mode, repeats and
+        prime_strategy; other keys, caps among them, are ignored."""
+        try:
+            return cls(seed=parse_int(obj["seed"]), mode=obj["mode"],
+                       repeats=parse_int(obj["repeats"]), prime_strategy=obj["prime_strategy"])
+        except (KeyError, TypeError):
+            raise ValueError("a report's config must be an object with seed, mode, repeats "
+                             "and prime_strategy") from None

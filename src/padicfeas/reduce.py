@@ -119,28 +119,8 @@ class ReductionTranscript(Record):
         return None if g1 is None else _quadratic_form(g1, g2, self.qnr)
 
     def to_obj(self) -> dict:
-        return {
-            "format": TRANSCRIPT_FORMAT,
-            "mode": self.mode,
-            "n": self.n,
-            "q_n": str(self.q_n),
-            "k": self.k,
-            "cnf": {"num_vars": self.cnf.num_vars, "clauses": self.cnf.to_signed()},
-            "seed": None if self.seed is None else str(self.seed),
-            "prime": self.prime.to_obj(),
-            "prime_strategy": self.prime_strategy,
-            "generator": str(self.generator),
-            "omega": str(self.omega),
-            "max_degree": None if self.max_degree is None else str(self.max_degree),
-            "big_n": None if self.big_n is None else str(self.big_n),
-            "a": None if self.a is None else [str(v) for v in self.a],
-            "b": None if self.b is None else [str(v) for v in self.b],
-            "qnr": None if self.qnr is None else str(self.qnr),
-            "match_count": self.match_count,
-            "first_match": None if self.first_match is None else str(self.first_match),
-            "verdict": self.verdict,
-            "witness": None if self.witness is None else list(self.witness),
-        }
+        return {"format": TRANSCRIPT_FORMAT,
+                **{name: write(getattr(self, name)) for name, (write, _) in _FIELDS.items()}}
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ReductionTranscript":
@@ -150,44 +130,57 @@ class ReductionTranscript(Record):
             raise ValueError("a transcript must be a JSON object")
         if obj.get("format") not in _RECORDED:
             raise ValueError(f"unknown transcript format {obj.get('format')!r}")
+        return cls(**{name: read(obj[name]) for name, (_, read) in _FIELDS.items()})
 
-        def opt_int(v):
-            return None if v is None else parse_int(v)
 
-        def opt_ints(v):
-            if v is not None and type(v) is not list:
-                raise ValueError(f"{v!r} is not a list of integers")
-            return None if v is None else tuple(map(parse_int, v))
+def _same(v):
+    return v
 
-        def flag(v):
-            if type(v) is not bool:
-                raise ValueError(f"{v!r} is not true or false")
-            return v
 
-        prime = ProgressionPrime(*(parse_int(obj["prime"][name])
-                                   for name in ProgressionPrime._fields))
-        return cls(
-            mode=obj["mode"],
-            n=parse_int(obj["n"]),
-            q_n=parse_int(obj["q_n"]),
-            k=parse_int(obj["k"]),
-            cnf=Cnf3.from_signed(parse_int(obj["cnf"]["num_vars"]),
-                                 [opt_ints(c) for c in obj["cnf"]["clauses"]]),
-            seed=opt_int(obj["seed"]),
-            prime=prime,
-            prime_strategy=obj["prime_strategy"],
-            generator=parse_int(obj["generator"]),
-            omega=parse_int(obj["omega"]),
-            max_degree=opt_int(obj["max_degree"]),
-            big_n=opt_int(obj["big_n"]),
-            a=opt_ints(obj["a"]),
-            b=opt_ints(obj["b"]),
-            qnr=opt_int(obj["qnr"]),
-            match_count=parse_int(obj["match_count"]),
-            first_match=opt_int(obj["first_match"]),
-            verdict=flag(obj["verdict"]),
-            witness=opt_ints(obj["witness"]),
-        )
+def _optional(convert):
+    """convert, passing None through."""
+    return lambda v: None if v is None else convert(v)
+
+
+def _ints(v) -> tuple[int, ...]:
+    if type(v) is not list:
+        raise ValueError(f"{v!r} is not a list of integers")
+    return tuple(map(parse_int, v))
+
+
+def _flag(v) -> bool:
+    if type(v) is not bool:
+        raise ValueError(f"{v!r} is not true or false")
+    return v
+
+
+# Each transcript field's JSON form, as (write, read): big integers are
+# decimal strings.  from_obj reads the fields in this order, prime first.
+_OPT_INT = (_optional(str), _optional(parse_int))
+_OPT_INTS = (_optional(lambda v: list(map(str, v))), _optional(_ints))
+_FIELDS = {
+    "prime": (ProgressionPrime.to_obj,
+              lambda o: ProgressionPrime(*(parse_int(o[name]) for name in ProgressionPrime._fields))),
+    "mode": (_same, _same),
+    "n": (_same, parse_int),
+    "q_n": (str, parse_int),
+    "k": (_same, parse_int),
+    "cnf": (lambda cnf: {"num_vars": cnf.num_vars, "clauses": cnf.to_signed()},
+            lambda o: Cnf3.from_signed(parse_int(o["num_vars"]), map(_ints, o["clauses"]))),
+    "seed": _OPT_INT,
+    "prime_strategy": (_same, _same),
+    "generator": (str, parse_int),
+    "omega": (str, parse_int),
+    "max_degree": _OPT_INT,
+    "big_n": _OPT_INT,
+    "a": _OPT_INTS,
+    "b": _OPT_INTS,
+    "qnr": _OPT_INT,
+    "match_count": (_same, parse_int),
+    "first_match": _OPT_INT,
+    "verdict": (_same, _flag),
+    "witness": (_optional(list), _optional(_ints)),
+}
 
 
 def transcript_dumps(obj) -> str:
@@ -560,20 +553,36 @@ def run_with_majority(
     cap = _repeats_cap(cnf.num_vars)
     if repeats > cap:
         raise CapsExceeded(f"{repeats} repeats exceed the cap of {cap} runs")
-    base = random.Random(config.seed)
-    child_seeds = [base.getrandbits(64) for _ in range(repeats)]
     encodings: dict = {}
-    transcripts = [pipeline(cnf, config.replace(seed=child), encodings) for child in child_seeds]
-    return (*_majority([t.verdict for t in transcripts], [t.witness for t in transcripts]),
-            transcripts)
+    transcripts = [pipeline(cnf, config.replace(seed=seed), encodings)
+                   for seed in _seeds(config.seed, repeats)]
+    summary = _summary([t.verdict for t in transcripts], [t.witness for t in transcripts])
+    return summary["verdict"], summary["witness"], transcripts
 
 
-def _majority(verdicts, witnesses) -> tuple[bool, tuple[int, ...] | None]:
-    """The majority of the runs' verdicts and, when it is true, the first
-    witness among the runs'.  Each run's witness satisfies the formula: it
-    is decoded only from a satisfying match, and verify_transcript checks it."""
+def _seeds(seed: int, count: int) -> list[int]:
+    """The seeds of the first count runs of a report made with this seed."""
+    base = random.Random(seed)
+    return [base.getrandbits(64) for _ in range(count)]
+
+
+def _summary(verdicts, witnesses) -> dict:
+    """The summary fields of a report on runs with these verdicts and
+    witnesses: the majority verdict, the feasible and total run counts and,
+    when the majority is true, the first witness among the runs'.  Each
+    run's witness satisfies the formula: it is decoded only from a
+    satisfying match, and verify_transcript checks it."""
     verdict = sum(verdicts) * 2 > len(verdicts)
-    return verdict, next((w for w in witnesses if w is not None), None) if verdict else None
+    return {"verdict": verdict, "feasible_runs": sum(verdicts), "repeats": len(verdicts),
+            "witness": next((w for w in witnesses if w is not None), None) if verdict else None}
+
+
+def reduce_report(config: Config, runs) -> dict:
+    """The JSON object of a `reduce` report: the config, the summary and
+    the transcripts of the runs that run_with_majority made with it."""
+    return {"command": "reduce", "config": config.to_obj(),
+            **_summary([run.verdict for run in runs], [run.witness for run in runs]),
+            "runs": [run.to_obj() for run in runs]}
 
 
 # -- transcript re-verification ----------------------------------------------------
@@ -671,3 +680,45 @@ def verify_transcript(
               len(t.witness) == cnf.num_vars and satisfies(cnf, t.witness))
 
     return all(c["ok"] for c in checks), checks
+
+
+def verify_report(obj: dict, caps: Caps | None = None) -> tuple[bool, list[dict], str]:
+    """Re-check a `reduce` report: each run by verify_transcript, the runs
+    sharing one encodings dict, and then, when every run passes, the report
+    around them.  The runs must be of one formula.  The config, when
+    present, must be the one that made them: the mode, the run count (one in
+    deterministic mode), and each run's prime strategy and seed, drawn by
+    _seeds from the config's seed (a deterministic run scans and records no
+    seed).  Each summary field present must be the one _summary gives.
+    Returns (all_ok, per-run results, why the report fails although its
+    runs pass, or '').  Malformed runs or a malformed config raise
+    ValueError before any run is verified."""
+    runs = obj.get("runs")
+    if not (isinstance(runs, list) and runs and all(isinstance(r, dict) for r in runs)):
+        raise ValueError("'runs' must be a non-empty list of transcript objects")
+    config = Config.from_obj(obj["config"]) if "config" in obj else None
+    encodings: dict = {}
+    verified = [verify_transcript(run, caps, encodings) for run in runs]
+    results = [{"run": i, "ok": ok, "checks": checks} for i, (ok, checks) in enumerate(verified)]
+    if not all(ok for ok, _ in verified):
+        return False, results, ""
+    if len(encodings) > 1:
+        return False, results, "the runs are of different formulas"
+    # every run verified, so each of these fields reads as from_obj reads it
+    read = {name: [_FIELDS[name][1](run[name]) for run in runs]
+            for name in ("mode", "prime_strategy", "seed", "verdict", "witness")}
+    parts = []
+    if config is not None:
+        randomized, count = config.mode == "randomized", len(runs)
+        made = {"mode": [config.mode] * count,
+                "prime_strategy": [config.prime_strategy if randomized else "scan"] * count,
+                "repeats": config.repeats if randomized else 1,
+                "seed": _seeds(config.seed, count) if randomized else [None] * count}
+        parts.append(("config", made, {**read, "repeats": count}))
+    parts.append(("summary", _summary(read["verdict"], read["witness"]), obj))
+    for part, expected, given in parts:
+        wrong = [name for name, value in expected.items()
+                 if name in given and json.dumps(given[name]) != json.dumps(value)]
+        if wrong:
+            return False, results, f"the {part} disagrees with the runs on {', '.join(wrong)}"
+    return True, results, ""

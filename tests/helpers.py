@@ -44,6 +44,12 @@ from padicfeas.sparsepoly import (
 )
 
 
+# Config and caps keys that earlier versions wrote into a report's config.
+REMOVED_CONFIG = {"threads": 1, "sample_c": 2, "sample_cprime": 2}
+REMOVED_CAPS = {"gcd_degree": 100_000, "rho_iterations": 1_000_000,
+                "trial_division_bound": 1_000_000}
+
+
 def naive_is_prime(n: int) -> bool:
     if n < 2:
         return False

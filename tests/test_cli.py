@@ -22,7 +22,7 @@ from padicfeas.plaisted import Cnf3, satisfies
 from padicfeas.reduce import MAX_REPEATS, TRANSCRIPT_FORMAT_V1, TRANSCRIPT_FORMAT_V2, pipeline
 from padicfeas.sparsepoly import from_dense, poly_to_obj
 
-from helpers import P256_HARD, order_route_binomial, taylor_shift
+from helpers import P256_HARD, REMOVED_CAPS, REMOVED_CONFIG, order_route_binomial, taylor_shift
 
 
 def run_cli(capsys, argv):
@@ -445,6 +445,26 @@ def test_decide_report_digests(tmp_path, capsys, case):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == DECIDE_REPORT_DIGESTS[case]
 
 
+def test_each_cap_flag_sets_its_caps_field(tmp_path, capsys):
+    """Each cap flag's dest is its Caps field, so the flag's value reaches
+    the report's config."""
+    poly, cnf = tmp_path / "f.txt", tmp_path / "f.cnf"
+    poly.write_text("x^2 - 2")
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    for argv, keys, value in (
+        (["decide", str(poly), "--prime", "7", "--degree-cap", "9"], ["degree_cap"], 9),
+        (["degenerate", str(poly), "--prime", "7", "--degree-cap", "8"], ["degree_cap"], 8),
+        (["density", "30", "1000", "--sieve-cap", "1001"], ["sieve_cap"], 1001),
+        (["find-prime", "2", "--k-max", "7"], ["k_max"], 7),
+        (["reduce", str(cnf), "--max-vars", "2"], ["caps", "max_vars"], 2),
+    ):
+        _, out, _ = run_cli(capsys, argv)
+        config = report(out)["config"]
+        for key in keys:
+            config = config[key]
+        assert config == value, argv
+
+
 def test_raised_caps_exit_3_without_a_traceback(tmp_path, capsys):
     huge = tmp_path / "huge.txt"
     huge.write_text(f"x^{10 ** 12} + 1")
@@ -524,6 +544,58 @@ def test_verify_transcript_checks_a_reports_summary(tmp_path, capsys, edit):
     assert code == 1 and r["ok"] is False and all(run["ok"] for run in r["runs"])
     assert err == ("transcript verification FAILED: the summary disagrees with the runs on "
                    f"{', '.join(edit)}\n")
+
+
+def config_edit(**changes):
+    """The edit of a report that changes these keys of its config."""
+    return lambda r: r | {"config": r["config"] | changes}
+
+
+def config_disagrees(fields):
+    return f"transcript verification FAILED: the config disagrees with the runs on {fields}\n"
+
+
+@pytest.mark.parametrize("mode, edit, code, err", [
+    pytest.param("randomized", config_edit(mode="deterministic", repeats=2, seed="999"), 1,
+                 config_disagrees("mode, repeats, seed"), id="relabelled"),
+    pytest.param("randomized", config_edit(seed="2"), 1, config_disagrees("seed"), id="seed"),
+    pytest.param("randomized", config_edit(repeats=4), 1, config_disagrees("repeats"),
+                 id="repeats"),
+    pytest.param("randomized", config_edit(repeats=10 ** 12), 1, config_disagrees("repeats"),
+                 id="repeats-huge"),
+    pytest.param("randomized", config_edit(prime_strategy="sample"), 1,
+                 config_disagrees("prime_strategy"), id="prime_strategy"),
+    pytest.param("deterministic", config_edit(mode="randomized"), 1,
+                 config_disagrees("mode, repeats, seed"), id="deterministic-relabelled"),
+    pytest.param("randomized", lambda r: r | {"config": r["config"] | REMOVED_CONFIG | {
+        "caps": r["config"]["caps"] | REMOVED_CAPS}}, 0, "transcript ok\n", id="removed-keys"),
+    pytest.param("deterministic", config_edit(seed="7", prime_strategy="sample"), 0,
+                 "transcript ok\n", id="deterministic-unread-keys"),
+    pytest.param("randomized", lambda r: {k: v for k, v in r.items() if k != "config"}, 0,
+                 "transcript ok\n", id="no-config"),
+    pytest.param("randomized", lambda r: r | {"config": 5}, 2, None, id="config-not-an-object"),
+    pytest.param("randomized", lambda r: r | {"config": {k: v for k, v in r["config"].items()
+                                                         if k != "seed"}},
+                 2, None, id="seed-missing"),
+    pytest.param("randomized", config_edit(seed="x"), 2, None, id="seed-not-an-integer"),
+])
+def test_verify_transcript_checks_a_reports_config(tmp_path, capsys, mode, edit, code, err):
+    """A report's config must be the one that made its runs: a mismatch in
+    its seed, mode, repeats or prime_strategy exits 1 with the reason, and
+    a malformed config exits 2, each within a second.  Other keys are not
+    read, nor are a deterministic config's seed and prime strategy, and a
+    report without a config is not checked against one."""
+    cnf, forged = tmp_path / "f.cnf", tmp_path / "forged.json"
+    cnf.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n")
+    _, out, _ = run_cli(capsys, ["reduce", str(cnf), "--seed", "1", "--mode", mode])
+    forged.write_text(json.dumps(edit(report(out))))
+    start = time.perf_counter()
+    got, vout, verr = run_cli(capsys, ["verify-transcript", str(forged)])
+    assert time.perf_counter() - start < 1.0
+    if code == 2:
+        assert (got, vout) == (2, "") and verr.startswith("error: ") and verr.count("\n") == 1
+    else:
+        assert (got, verr) == (code, err) and all(run["ok"] for run in report(vout)["runs"])
 
 
 def test_verify_transcript_checks_a_report_is_of_one_formula(tmp_path, capsys):

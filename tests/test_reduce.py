@@ -39,7 +39,8 @@ from padicfeas.reduce import (
 )
 from padicfeas.sparsepoly import SparsePoly, parse_poly, poly_to_obj
 
-from helpers import format_dimacs, random_cnf, random_nonzero_sparse, sparse_gcd, truth_table_sat
+from helpers import (REMOVED_CAPS, REMOVED_CONFIG, format_dimacs, random_cnf, random_nonzero_sparse,
+                     sparse_gcd, truth_table_sat)
 
 CANONICAL_SHAPES = [[1, 2, 3], [-1, 2, 3], [-1, -2, 3], [-1, -2, -3]]
 
@@ -700,13 +701,37 @@ def test_transcript_reproducibility():
 
 
 def test_transcript_round_trip_and_verify():
-    cnf = Cnf3.from_signed(3, [[1, 2, 3], [-1, 2, -3]])
-    t = pipeline(cnf, Config(mode="randomized", seed=99))
-    obj = t.to_obj()
-    back = ReductionTranscript.from_obj(obj)
-    assert back == t
-    ok, checks = verify_transcript(obj)
-    assert ok, checks
+    """from_obj reads back what to_obj writes, through JSON, for a run of
+    each kind, and each verifies; a transcript with a bad prime and a bad n
+    fails to parse on its prime, which from_obj reads first."""
+    k3 = Cnf3.from_signed(3, [[1, 2, 3], [-1, 2, -3], [1, -2, 3]])
+    runs = {
+        "randomized, k >= 3": (k3, Config(seed=99)),
+        "randomized, k <= 2": (Cnf3.from_signed(3, [[1, 2, 3], [-1, 2, -3]]), Config(seed=99)),
+        "k = 0": (Cnf3.from_signed(3, []), Config(seed=99)),
+        "deterministic": (k3, Config(mode="deterministic")),
+        "sampled prime": (k3, Config(seed=99, prime_strategy="sample")),
+    }
+    shapes = {}
+    for kind, (cnf, config) in runs.items():
+        t = pipeline(cnf, config)
+        obj = json.loads(transcript_dumps(t.to_obj()))
+        assert ReductionTranscript.from_obj(obj) == t, kind
+        ok, checks = verify_transcript(obj)
+        assert ok, (kind, checks)
+        shapes[kind] = (t.mode, t.k, t.a is not None, t.qnr is not None, t.prime_strategy)
+    assert shapes == {
+        "randomized, k >= 3": ("randomized", 3, True, True, "scan"),
+        "randomized, k <= 2": ("randomized", 2, False, True, "scan"),
+        "k = 0": ("randomized", 0, False, False, "scan"),
+        "deterministic": ("deterministic", 3, False, False, "scan"),
+        "sampled prime": ("randomized", 3, True, True, "sample"),
+    }
+    obj = pipeline(k3, Config(seed=99)).to_obj()
+    assert obj["prime"]["p"] == "31"
+    obj["prime"]["p"], obj["n"] = "61", 2.5
+    assert verify_transcript(obj) == (
+        False, [{"name": "parse", "ok": False, "detail": "p must equal 1 + k * q_n"}])
 
 
 def pinned(first, *edits):
@@ -982,9 +1007,6 @@ V1_REPORT_DIGESTS = {
     ((3, 16, 16), 1): "91de866cfd2275a046711e0ea69d0a3bca470f45cded9c24a0f8eab64754b0a7",
     ((3, 16, 16), 2): "cd26f2689a3289c7a8133dc95f7b0b30c0822ac3d3353cb740f6c47951b3cf61",
 }
-REMOVED_CONFIG = {"threads": 1, "sample_c": 2, "sample_cprime": 2}
-REMOVED_CAPS = {"gcd_degree": 100_000, "rho_iterations": 1_000_000,
-                "trial_division_bound": 1_000_000}
 V1_REPORT_ARGS = [
     ["--seed", "3"],
     ["--mode", "deterministic"],

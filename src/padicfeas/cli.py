@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Every subcommand prints one JSON report (sorted keys, stable layout) to
-stdout and a short human-readable summary to stderr.  Exit codes form a
-stable contract: 0 feasible/true/ok, 1 infeasible/false, 2 input error,
-3 cap or budget exhaustion.  Runs are deterministic given --seed (or the
-PADICFEAS_SEED environment variable) and the inputs.
+Every subcommand writes one JSON report (sorted keys, stable layout) to
+stdout; `reduce --out FILE` writes the same bytes to FILE first.  Stderr
+gets one summary line per result (one per row for `density`).  The exit
+code comes from the verdict: 0 feasible/true/verified, 1 infeasible/false/
+failed check.  Exits 2 (input error) and 3 (cap or budget exhausted) print
+nothing on stdout and one `error:` line on stderr.  Each `_cmd_*` returns
+(report, summary, verdict), and `main` alone prints them.  Runs are
+deterministic given --seed (or the PADICFEAS_SEED environment variable)
+and the inputs.
 """
 
 from __future__ import annotations
@@ -39,11 +43,6 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _print_report(report: dict, summary: str):
-    sys.stdout.write(transcript_dumps(report))
-    sys.stderr.write(summary + "\n")
-
-
 def _load_poly(path: str):
     with open(path) as fh:
         text = fh.read()
@@ -63,9 +62,9 @@ def _caps_from_args(args) -> Caps:
 # -- subcommands -----------------------------------------------------------------
 
 
-def _report_decision(report: dict, decision, p: int) -> int:
-    """Add a decision's verdict, rule and witness to the report, print it,
-    and return the exit code."""
+def _report_decision(report: dict, decision, p: int):
+    """Add a decision's verdict, rule and witness to the report; return it
+    with its summary and verdict."""
     witness = decision.witness
     report["feasible"] = decision.feasible
     report["rule"] = decision.rule
@@ -76,11 +75,10 @@ def _report_decision(report: dict, decision, p: int) -> int:
         "valuation_shift": str(witness.valuation_shift),
     }
     verdict = "feasible" if decision.feasible else "infeasible"
-    _print_report(report, f"{verdict} over Q_{p} ({decision.rule})")
-    return EXIT_TRUE if decision.feasible else EXIT_FALSE
+    return report, f"{verdict} over Q_{p} ({decision.rule})", decision.feasible
 
 
-def _cmd_decide_binomial(args) -> int:
+def _cmd_decide_binomial(args):
     decision = decide_binomial(args.c1, args.a1, args.c2, args.a2, args.prime)
     report = {
         "command": "decide-binomial",
@@ -96,41 +94,36 @@ def _cmd_decide_binomial(args) -> int:
     return _report_decision(report, decision, args.prime)
 
 
-def _cmd_decide(args) -> int:
+def _decide_poly_file(args, command: str, decide):
+    """Load the polynomial file and the caps, decide, and return the report
+    head with the result."""
     f = _load_poly(args.poly_file)
     caps = _caps_from_args(args)
-    decision = bruteforce_decision(f, args.prime, caps)
+    result = decide(f, args.prime, caps)
     report = {
-        "command": "decide",
+        "command": command,
         "config": {"degree_cap": caps.degree},
         "input": {"poly": poly_to_obj(f), "prime": str(args.prime)},
     }
+    return report, result
+
+
+def _cmd_decide(args):
+    report, decision = _decide_poly_file(args, "decide", bruteforce_decision)
     return _report_decision(report, decision, args.prime)
 
 
-def _cmd_degenerate(args) -> int:
-    f = _load_poly(args.poly_file)
-    caps = _caps_from_args(args)
-    result = has_degenerate_root_qp(f, args.prime, caps)
-    report = {
-        "command": "degenerate",
-        "config": {"degree_cap": caps.degree},
-        "input": {"poly": poly_to_obj(f), "prime": str(args.prime)},
-        "degenerate_root": result,
-    }
-    _print_report(
-        report,
-        f"{'has' if result else 'no'} repeated degree-1 factor over Q_{args.prime}",
-    )
-    return EXIT_TRUE if result else EXIT_FALSE
+def _cmd_degenerate(args):
+    report, result = _decide_poly_file(args, "degenerate", has_degenerate_root_qp)
+    report["degenerate_root"] = result
+    return report, f"{'has' if result else 'no'} repeated degree-1 factor over Q_{args.prime}", result
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args):
     with open(args.cnf_file) as fh:
         cnf = parse_dimacs(fh.read())
-    seed = _resolve_seed(args)
     config = Config(
-        seed=seed,
+        seed=_resolve_seed(args),
         mode=args.mode,
         repeats=args.repeats,
         prime_strategy=args.prime_strategy,
@@ -138,20 +131,13 @@ def _cmd_reduce(args) -> int:
     )
     _, _, transcripts = run_with_majority(cnf, config)
     report = reduce_report(config, transcripts)
-    text = transcript_dumps(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
     verdict_word = "satisfiable" if report["verdict"] else "unsatisfiable"
-    sys.stderr.write(
-        f"{verdict_word} ({report['feasible_runs']}/{report['repeats']} runs feasible, "
-        f"mode={config.mode}, p={transcripts[0].prime.p})\n"
-    )
-    return EXIT_TRUE if report["verdict"] else EXIT_FALSE
+    summary = (f"{verdict_word} ({report['feasible_runs']}/{report['repeats']} runs feasible, "
+               f"mode={config.mode}, p={transcripts[0].prime.p})")
+    return report, summary, report["verdict"]
 
 
-def _cmd_find_prime(args) -> int:
+def _cmd_find_prime(args):
     seed = _resolve_seed(args)
     rng = random.Random(seed)
     caps = _caps_from_args(args)
@@ -164,11 +150,10 @@ def _cmd_find_prime(args) -> int:
         "strategy": args.strategy,
         **result.to_obj(),
     }
-    _print_report(report, f"p = {result.p} = 1 + {result.k} * {result.q_n}")
-    return EXIT_TRUE
+    return report, f"p = {result.p} = 1 + {result.k} * {result.q_n}", True
 
 
-def _cmd_density(args) -> int:
+def _cmd_density(args):
     values = args.pairs
     if len(values) % 2 != 0:
         raise ValueError("density expects pairs: M x [M x ...]")
@@ -195,11 +180,10 @@ def _cmd_density(args) -> int:
         f"M={row['M']} x={row['x']}: {row['count']} primes, ratio {row['ratio']:.4f}"
         for row in rows
     ]
-    _print_report(report, "\n".join(lines))
-    return EXIT_TRUE
+    return report, "\n".join(lines), True
 
 
-def _cmd_verify_transcript(args) -> int:
+def _cmd_verify_transcript(args):
     with open(args.file) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
@@ -213,8 +197,7 @@ def _cmd_verify_transcript(args) -> int:
         ok, checks = verify_transcript(obj, caps)
         report = {"command": "verify-transcript", "ok": ok, "checks": checks}
     line = "transcript ok" if ok else "transcript verification FAILED"
-    _print_report(report, f"{line}: {why}" if why else line)
-    return EXIT_TRUE if ok else EXIT_FALSE
+    return report, f"{line}: {why}" if why else line, ok
 
 
 # -- parser ------------------------------------------------------------------------
@@ -235,17 +218,15 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--prime", type=parse_int, required=True)
     pb.set_defaults(func=_cmd_decide_binomial)
 
-    pd = sub.add_parser("decide", help="decide a polynomial file over Q_p (brute force)")
-    pd.add_argument("poly_file")
-    pd.add_argument("--prime", type=parse_int, required=True)
-    pd.add_argument("--degree-cap", dest="degree", metavar="DEGREE_CAP", type=parse_int)
-    pd.set_defaults(func=_cmd_decide)
-
-    pg = sub.add_parser("degenerate", help="detect a repeated degree-1 factor over Q_p")
-    pg.add_argument("poly_file")
-    pg.add_argument("--prime", type=parse_int, required=True)
-    pg.add_argument("--degree-cap", dest="degree", metavar="DEGREE_CAP", type=parse_int)
-    pg.set_defaults(func=_cmd_degenerate)
+    for name, text, func in (
+        ("decide", "decide a polynomial file over Q_p (brute force)", _cmd_decide),
+        ("degenerate", "detect a repeated degree-1 factor over Q_p", _cmd_degenerate),
+    ):
+        pd = sub.add_parser(name, help=text)
+        pd.add_argument("poly_file")
+        pd.add_argument("--prime", type=parse_int, required=True)
+        pd.add_argument("--degree-cap", dest="degree", metavar="DEGREE_CAP", type=parse_int)
+        pd.set_defaults(func=func)
 
     pr = sub.add_parser("reduce", help="run the 3SAT reduction pipeline on a DIMACS file")
     pr.add_argument("cnf_file")
@@ -281,7 +262,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        report, summary, verdict = args.func(args)
+        text = transcript_dumps(report)
+        if getattr(args, "out", None):
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        sys.stdout.write(text)
+        sys.stderr.write(summary + "\n")
+        return EXIT_TRUE if verdict else EXIT_FALSE
     except (CapsExceeded, MemoryError, OverflowError) as exc:  # raised caps admit the last two
         why = exc if isinstance(exc, CapsExceeded) else f"too large to allocate ({type(exc).__name__})"
         sys.stderr.write(f"error: {why}\n")

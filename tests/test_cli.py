@@ -749,6 +749,94 @@ def test_config_echoed_in_report(tmp_path, capsys):
     assert r["config"]["mode"] == "randomized"
 
 
+# -- the output contract ---------------------------------------------------------
+
+# the files that the argv cases below name; REPORT and FORGED are a reduce
+# report of SAT with --seed 1 and that report with its verdict flipped
+FILES = {
+    "POLY": '{"terms": [["-2", "0"], ["1", "2"]]}',  # x^2 - 2
+    "NOROOT": "x^2 + 1",
+    "SQUARE": "x^4 - 4*x^2 + 4",  # (x^2 - 2)^2
+    "SEVEN": "x^4 - 14*x^2 + 49",  # (x^2 - 7)^2
+    "SAT": "p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n",
+    "UNSAT": ALL_SIGNS,
+    "DET": "p cnf 4 3\n1 2 3 0\n-2 3 -4 0\n1 -3 4 0\n",
+}
+
+
+def contract_files(tmp_path, capsys):
+    """Write FILES, REPORT and FORGED to tmp_path; return the name -> path map."""
+    paths = {name: str(tmp_path / name) for name in (*FILES, "REPORT", "FORGED")}
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    assert main(["reduce", paths["SAT"], "--seed", "1", "--out", paths["REPORT"]]) == 0
+    capsys.readouterr()
+    r = json.loads((tmp_path / "REPORT").read_text())
+    (tmp_path / "FORGED").write_text(json.dumps(r | {"verdict": not r["verdict"]}))
+    return paths
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    pytest.param(["decide-binomial", "1", "2", "-2", "0", "--prime", "7"], 0,
+                 "feasible over Q_7 (cyclic-order)\n", id="decide-binomial-feasible"),
+    pytest.param(["decide-binomial", "1", "2", "-7", "0", "--prime", "7"], 1,
+                 "infeasible over Q_7 (valuation-mismatch)\n", id="decide-binomial-infeasible"),
+    pytest.param(["decide", "POLY", "--prime", "7"], 0,
+                 "feasible over Q_7 (hensel-certified)\n", id="decide-feasible"),
+    pytest.param(["decide", "NOROOT", "--prime", "7"], 1,
+                 "infeasible over Q_7 (exhausted)\n", id="decide-infeasible"),
+    pytest.param(["degenerate", "SQUARE", "--prime", "7"], 0,
+                 "has repeated degree-1 factor over Q_7\n", id="degenerate-has"),
+    pytest.param(["degenerate", "SEVEN", "--prime", "7"], 1,
+                 "no repeated degree-1 factor over Q_7\n", id="degenerate-no"),
+    pytest.param(["reduce", "SAT", "--seed", "1"], 0,
+                 "satisfiable (5/5 runs feasible, mode=randomized, p=31)\n", id="reduce-sat"),
+    pytest.param(["reduce", "UNSAT", "--seed", "1"], 1,
+                 "unsatisfiable (0/5 runs feasible, mode=randomized, p=31)\n", id="reduce-unsat"),
+    pytest.param(["reduce", "DET", "--mode", "deterministic"], 0,
+                 "satisfiable (1/1 runs feasible, mode=deterministic, p=211)\n",
+                 id="reduce-deterministic"),
+    pytest.param(["find-prime", "3"], 0, "p = 31 = 1 + 1 * 30\n", id="find-prime"),
+    pytest.param(["density", "1", "10000", "30", "100000"], 0,
+                 "M=1 x=10000: 1229 primes, ratio 0.9871\n"
+                 "M=30 x=100000: 1189 primes, ratio 0.9879\n", id="density-two-rows"),
+    pytest.param(["verify-transcript", "REPORT"], 0, "transcript ok\n", id="verify-ok"),
+    pytest.param(["verify-transcript", "FORGED"], 1,
+                 "transcript verification FAILED: the summary disagrees with the runs on verdict\n",
+                 id="verify-forged"),
+])
+def test_each_subcommand_prints_its_summary_and_exits_by_its_verdict(
+        tmp_path, capsys, argv, code, err):
+    """A report on stdout, exactly the summary lines on stderr, and the
+    verdict's exit code."""
+    files = contract_files(tmp_path, capsys)
+    got_code, out, got_err = run_cli(capsys, [files.get(arg, arg) for arg in argv])
+    assert (got_code, got_err) == (code, err)
+    assert report(out)["command"] == argv[0]
+
+
+def test_out_holds_the_bytes_printed_on_stdout(tmp_path, capsys):
+    files = contract_files(tmp_path, capsys)
+    out_file = tmp_path / "t.json"
+    code, out, err = run_cli(capsys, ["reduce", files["UNSAT"], "--seed", "2",
+                                      "--out", str(out_file)])
+    assert code == 1 and err.startswith("unsatisfiable ") and err.count("\n") == 1
+    assert out_file.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("target", ["a-directory", "missing/t.json"])
+def test_unwritable_out_exits_2_and_prints_no_report(tmp_path, capsys, target):
+    """An --out that cannot be written is an input error: no report on
+    stdout, one error line and no summary on stderr."""
+    files = contract_files(tmp_path, capsys)
+    (tmp_path / "a-directory").mkdir()
+    code, out, err = run_cli(capsys, ["reduce", files["SAT"], "--seed", "1",
+                                      "--out", str(tmp_path / target)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 # -- loader fuzzing --------------------------------------------------------------
 
 _SCALARS = st.one_of(

@@ -263,6 +263,47 @@ def test_find_prime(capsys):
         assert time.perf_counter() - start < 1.0
 
 
+# exit code, sha256 of stdout and stderr of `find-prime` with these arguments:
+# the scanned k, the sampled k (which fixes the order of the seeded draws and
+# the trial count) and the exhausted scan
+FIND_PRIME_DIGESTS = {
+    "1": (0, "592f129428259e2ccf140c616b966caaad7707c5c4437b25502cd157651d3044",
+          "p = 3 = 1 + 1 * 2\n"),
+    "3": (0, "0ff7dc9d7d31dabb3d3ebcc2ea3076749cc3b534a5e57c064f400ba8157189f9",
+          "p = 31 = 1 + 1 * 30\n"),
+    "6": (0, "e511f2a314a3c27932623462439b417620e7615dd4faaeb9f8cfab48208158a4",
+          "p = 120121 = 1 + 4 * 30030\n"),
+    "12": (0, "ffb9a1c33bf27c24e9b32d38331034ea8138ef1d7f1b7399e63a24672ea94c72",
+           "p = 29682952539241 = 1 + 4 * 7420738134810\n"),
+    "4 --strategy sample --seed 0": (
+        0, "171fe7cb0dae1e9e8b92f3bb7b2ed8dfd5907688e76a9494191914e240351f89",
+        "p = 1114471 = 1 + 5307 * 210\n"),
+    "4 --strategy sample --seed 7": (
+        0, "1bb104c2d25004928a42de414ee84d62ddbd418ec3e680953d43f493264317c4",
+        "p = 1329091 = 1 + 6329 * 210\n"),
+    "5 --strategy sample --seed 0": (
+        0, "fce1cbecaf3bdd7aa5386585011b002aa42f97311c5a43237a69fb884db634a7",
+        "p = 59721296251 = 1 + 25853375 * 2310\n"),
+    "5 --strategy sample --seed 7": (
+        0, "4a781911246f95e394cc40d6348990d137c410386ee10b33c06c952696ec5c6e",
+        "p = 61206122671 = 1 + 26496157 * 2310\n"),
+    "8 --strategy sample --seed 0": (
+        0, "e25eaa0f607fe5d1f1ae67c47f27e30ce39afdf39b266c0339ecb0cb5c49ca43",
+        "p = 90302458579173410931100741 = 1 + 9309829342914403546 * 9699690\n"),
+    "8 --strategy sample --seed 7": (
+        0, "9aede6fd511c31a978386f7ec8b922baf3c1b65de1b180315775dffe8b094549",
+        "p = 96743681742090255198856531 = 1 + 9973894190648387237 * 9699690\n"),
+    "4 --k-max 0": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                    "error: no prime 1 + k*210 for k <= 0 (0 trials)\n"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(FIND_PRIME_DIGESTS))
+def test_find_prime_digests(capsys, args):
+    code, out, err = run_cli(capsys, ["find-prime"] + args.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == FIND_PRIME_DIGESTS[args]
+
+
 def test_density(capsys):
     code, out, _ = run_cli(capsys, ["density", "1", "10000", "30", "100000"])
     assert code == 0

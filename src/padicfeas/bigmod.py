@@ -9,6 +9,7 @@ choices always come from an explicitly passed ``random.Random``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 
@@ -156,8 +157,6 @@ def factor(
     stack = [n]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             record(m)
             continue
@@ -165,15 +164,10 @@ def factor(
         if root * root == m:
             stack.extend((root, root))
             continue
-        found = None
         for c in range(1, 64):
-            if budget <= 0:
-                raise FactorBudgetExceeded(
-                    f"pollard-rho budget of {rho_iterations} iterations exhausted on {m}"
-                )
             found, used = _pollard_rho_brent(m, c, budget)
             budget -= used
-            if found is not None:
+            if found is not None or budget <= 0:
                 break
         if found is None:
             raise FactorBudgetExceeded(
@@ -224,18 +218,14 @@ def first_primes(n: int) -> tuple[int, ...]:
 
 def primorial(n: int) -> int:
     """Product of the first n primes (1 for n = 0)."""
-    out = 1
-    for p in first_primes(n):
-        out *= p
-    return out
+    return math.prod(first_primes(n))
 
 
 def find_qnr(p: int, rng: random.Random) -> int:
     """A quadratic non-residue modulo an odd prime p, by repeated random draws.
 
-    Draws candidates two at a time (a single pair already succeeds with
-    probability >= 3/4) and keeps drawing until one passes the Euler
-    criterion, so the expected number of draws is O(1).
+    Draws one candidate at a time until one passes the Euler criterion; half
+    of 1, ..., p - 1 do, so the expected number of draws is 2.
     """
     if p == 2:
         raise ValueError("no quadratic non-residue is used modulo 2")
@@ -243,9 +233,9 @@ def find_qnr(p: int, rng: random.Random) -> int:
         raise ValueError(f"{p} is not prime")
     e = (p - 1) // 2
     while True:
-        for a in (rng.randrange(1, p), rng.randrange(1, p)):
-            if pow(a, e, p) == p - 1:
-                return a
+        a = rng.randrange(1, p)
+        if pow(a, e, p) == p - 1:
+            return a
 
 
 def _dlog_in_two_group(target: int, ell: int) -> int:
@@ -305,12 +295,5 @@ def find_generator(p: int, rng: random.Random | None = None) -> int:
     if p == 2:
         return 1
     qs = list(factor(p - 1))
-    if rng is not None:
-        for _ in range(64):
-            g = rng.randrange(2, p)
-            if is_generator(g, p, qs):
-                return g
-    for g in range(2, p):
-        if is_generator(g, p, qs):
-            return g
-    raise AssertionError("unreachable: every prime has a generator")
+    draws = () if rng is None else (rng.randrange(2, p) for _ in range(64))
+    return next(g for g in itertools.chain(draws, range(2, p)) if is_generator(g, p, qs))

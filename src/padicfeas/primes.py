@@ -83,25 +83,19 @@ def find_prime_in_progression(
     caps = caps or Caps()
     q = primorial(n)
     if strategy == "scan":
-        for k in range(1, caps.k_max + 1):
-            p = 1 + k * q
-            if is_prime(p):
-                return ProgressionPrime(n, q, k, p, trials_used=k)
-        raise PrimeSearchExhausted(
-            f"no prime 1 + k*{q} for k <= {caps.k_max} ({caps.k_max} trials)"
-        )
-    if rng is None:
+        ks = range(1, caps.k_max + 1)
+        exhausted = f"no prime 1 + k*{q} for k <= {caps.k_max} ({caps.k_max} trials)"
+    elif rng is None:
         raise ValueError("the sampling strategy needs an rng")
-    interval = 2 ** (n ** SAMPLE_C)
-    max_trials = 9 * n ** SAMPLE_CPRIME
-    for trial in range(1, max_trials + 1):
-        k = rng.randint(1, interval)
-        p = 1 + k * q
-        if is_prime(p):
+    else:
+        interval = 2 ** (n ** SAMPLE_C)
+        max_trials = 9 * n ** SAMPLE_CPRIME
+        ks = (rng.randint(1, interval) for _ in range(max_trials))
+        exhausted = f"no prime 1 + k*{q} found in {max_trials} sampling trials"
+    for trial, k in enumerate(ks, 1):  # a scan's trial count is k
+        if is_prime(p := 1 + k * q):
             return ProgressionPrime(n, q, k, p, trials_used=trial)
-    raise PrimeSearchExhausted(
-        f"no prime 1 + k*{q} found in {max_trials} sampling trials"
-    )
+    raise PrimeSearchExhausted(exhausted)
 
 
 # -- logarithmic integral -------------------------------------------------------

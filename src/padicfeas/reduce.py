@@ -231,11 +231,7 @@ def _pair(a, b, polys) -> tuple[SparsePoly, SparsePoly]:
 
 def _combine(coeffs, polys) -> SparsePoly:
     """sum(a * f for a, f in zip(coeffs, polys)), accumulated in one pass."""
-    acc: dict[int, int] = {}
-    for a, f in zip(coeffs, polys):
-        for c, e in f.terms:
-            acc[e] = acc.get(e, 0) + a * c
-    return SparsePoly((c, e) for e, c in acc.items())
+    return SparsePoly((a * c, e) for a, f in zip(coeffs, polys) for c, e in f.terms)
 
 
 def _quadratic_form(f: SparsePoly, g: SparsePoly, qnr: int | None) -> SparsePoly:

@@ -6,6 +6,7 @@ import pytest
 from padicfeas.bigmod import (
     _MR_DETERMINISTIC_BOUND,
     Modulus,
+    _pollard_rho_brent,
     _valuation,
     decompose_2adic_unit,
     euler_phi,
@@ -146,6 +147,15 @@ def test_factor_budget_is_explicit():
         factor(p * q, trial_bound=1000, rho_iterations=1)
     # with a real budget the same number factors fine
     assert factor(p * q) == {p: 1, q: 1}
+    # a perfect square is split at its square root before any rho step
+    assert factor(1000003 ** 2) == {1000003: 2}
+
+
+def test_pollard_rho_backtracks_when_a_batch_gcd_is_n():
+    """With c = 2 on 13837 = 101 * 137 one batch's product is divisible by
+    both primes, so its gcd is n; stepping again one difference at a time
+    from the batch's start separates them."""
+    assert _pollard_rho_brent(13837, 2, 10 ** 6) == (137, 30)
 
 
 def test_primorial_examples():
@@ -241,3 +251,6 @@ def test_find_generator():
     rng = random.Random(9)
     g = find_generator(31, rng)
     assert naive_order(g, 31) == 30
+    assert find_generator(2) == 1
+    with pytest.raises(ValueError):
+        find_generator(9)

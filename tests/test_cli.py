@@ -201,6 +201,9 @@ def test_decide_caps_exit(tmp_path, capsys):
     f.write_text("x^1000 - 2")
     code, _, err = run_cli(capsys, ["decide", str(f), "--prime", "7", "--degree-cap", "10"])
     assert code == 3 and "cap" in err.lower()
+    f.write_text("x^20 - 2")
+    code, out, err = run_cli(capsys, ["degenerate", str(f), "--prime", "7", "--degree-cap", "10"])
+    assert (code, out, err) == (3, "", "error: degree 20 exceeds the oracle cap 10\n")
 
 
 @pytest.mark.parametrize("prime", ["4", "1", "-7"])
@@ -719,6 +722,10 @@ def test_reduce_malformed_dimacs(tmp_path, capsys):
     cnf.write_text("p cnf 1 1\n1 0\np cnf 5 1\n")
     code, out, err = run_cli(capsys, ["reduce", str(cnf), "--mode", "deterministic"])
     assert (code, out) == (2, "") and err.startswith("error: second problem line")
+    for text, expected in (("p cnf 3\n1 2 3 0\n", "error: malformed problem line: 'p cnf 3'\n"),
+                           ("c only a comment\n", "error: missing problem line\n")):
+        cnf.write_text(text)
+        assert run_cli(capsys, ["reduce", str(cnf)]) == (2, "", expected)
 
 
 def test_reduce_max_vars_cap(tmp_path, capsys):

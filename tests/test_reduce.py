@@ -909,6 +909,11 @@ def test_verify_transcript_rejects_unknown_format():
     assert not ok and checks[0]["name"] == "parse"
 
 
+def test_verify_transcript_refuses_a_transcript_that_is_not_an_object():
+    assert verify_transcript([]) == (False, [
+        {"name": "parse", "ok": False, "detail": "a transcript must be a JSON object"}])
+
+
 @pytest.mark.parametrize("mutate", TAMPERINGS + V2_TAMPERINGS)
 def test_verify_transcript_v2_detects_tampering(mutate):
     obj = to_v2(tampering_subject().to_obj())

@@ -355,6 +355,31 @@ def test_gcd_dense_falls_back_to_the_subresultant_sequence(monkeypatch):
             assert len(points) == 12 and points[::2] == sorted(set(points[::2])), points
 
 
+def test_gcd_dense_routes_agree_when_the_heuristic_gcd_gives_up(monkeypatch):
+    """On pairs with a common factor of degree >= 1, the subresultant route
+    that gcd_dense takes when _heuristic_gcd returns None gives the gcd that
+    the heuristic route accepted."""
+    rng = random.Random(1989)
+    pairs = []
+    for _ in range(200):
+        c = _random_dense(rng, rng.randint(1, 4))
+        pairs.append((_random_dense(rng, rng.randint(0, 8)) * c,
+                      _random_dense(rng, rng.randint(0, 8)) * c * c))
+    accepted = []
+    heuristic_gcd = sparsepoly._heuristic_gcd
+
+    def recorded(a, b):
+        accepted.append(heuristic_gcd(a, b))
+        return accepted[-1]
+
+    monkeypatch.setattr(sparsepoly, "_heuristic_gcd", recorded)
+    heuristic = [sparse_gcd(f, g) for f, g in pairs]
+    assert len(accepted) == len(pairs) and None not in accepted
+    assert min(h.degree for h in heuristic) >= 1
+    monkeypatch.setattr(sparsepoly, "_heuristic_gcd", lambda a, b: None)
+    assert [sparse_gcd(f, g) for f, g in pairs] == heuristic
+
+
 def test_divides_matches_division_over_the_rationals():
     """The heuristic gcd's check: a primitive h divides a in Z[x] exactly
     when the rational remainder is zero, and then the quotient times h is a.

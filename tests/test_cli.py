@@ -477,6 +477,34 @@ DECIDE_REPORT_DIGESTS = {
     "degenerate 7 shifted-128-0^2": (
         1, "33e8ba0ee3f9d0440bdf3d05fe86b60ef5d5d83cce0df389850f2ecdd2f16b06"
     ),
+    # the zero and constant polynomials; gcd(f, f') = x**2 with its root at
+    # 0; the root 1/2 of gcd(f, f') = 2x - 1, found only by the reversed
+    # search; a squarefree f; and a root certified on the squarefree part
+    # x - 1 but not on f = (x - 1)**3, so the witness is null
+    "decide 7 0": (
+        0, "227aac7cfcb260bd9f0013ae2fe5931d6c65cf6891dfa1ed7dfd2455f3c7411b"
+    ),
+    "decide 7 5": (
+        1, "1d0977dff82c054c3ae77d338436aa8f8adf4eca420efeb87015fcff133fe29e"
+    ),
+    "degenerate 7 0": (
+        0, "ccc3702c9e7d015256b28acde15aecb9f9ba5adac9d00cb375e61fc83f1506ca"
+    ),
+    "degenerate 7 5": (
+        1, "f12a497ddf8a6017c07406e501e1b5272f05211fc71a2f52686a8cea7b4cb6e6"
+    ),
+    "degenerate 5 x^3": (
+        0, "f1bcf08a61505a0452eb0eb3ce58f9cefa26773b853f6d6ddffdb47d86159dbb"
+    ),
+    "degenerate 2 4*x^2-4*x+1": (
+        0, "bd3c22ca0e66cf0a7cb6873ef9355bf4b8ffbe853afd1c962d35396b9bf1ad66"
+    ),
+    "degenerate 7 x^2-2": (
+        1, "9a9fcbf9b8886cc5f7d12fa1ae1f0c7df79c9c9fa74424cf005d2a9a24d8395c"
+    ),
+    "decide 2 x^3-3*x^2+3*x-1": (
+        0, "84b70bfea7cf723a36eadfd51d3c22eca012da0af7cc3c70dc6db8a77981e0f6"
+    ),
 }
 
 

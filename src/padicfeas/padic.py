@@ -14,7 +14,7 @@ from .bigmod import Modulus, _valuation, is_prime
 from .config import Caps
 from .errors import CapsExceeded
 from .record import Record
-from .sparsepoly import SparsePoly, _primitive, _quotient, from_dense, gcd_dense, to_dense
+from .sparsepoly import SparsePoly, _primitive, _quotient, gcd_dense, to_dense
 
 # Branches that can decide feasibility; every decision names the one that fired.
 RULE_ZERO_ROOT = "zero-root"
@@ -67,7 +67,7 @@ class HenselSeed(Record):
 
 def _check_seed(f: SparsePoly, seed: HenselSeed, p: int) -> int:
     if seed.ell < 1 or seed.vprime < 0:
-        raise ValueError("seed precision and derivative valuation must be nonnegative")
+        raise ValueError("seed precision ell must be >= 1 and derivative valuation vprime >= 0")
     if 2 * seed.vprime >= seed.ell:
         raise ValueError("seed violates the Newton condition 2*vprime < ell")
     x0 = seed.x0 % p ** seed.ell
@@ -170,6 +170,21 @@ def decide_binomial(c1: int, a1: int, c2: int, a2: int, p: int) -> PadicDecision
 # -- brute-force feasibility oracle --------------------------------------------
 
 
+def _dense(f: SparsePoly, p: int, caps: Caps | None) -> list[int]:
+    """f's coefficient list, [] for the zero polynomial, once p is prime and
+    f's degree is within the oracle cap."""
+    caps = caps or Caps()
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if f and f.degree > caps.degree:
+        raise CapsExceeded(f"degree {f.degree} exceeds the oracle cap {caps.degree}")
+    return to_dense(f, caps.degree)
+
+
+def _derivative(a: list[int]) -> list[int]:
+    return [c * e for e, c in enumerate(a)][1:]
+
+
 def _squarefree_primitive(dense: list[int]) -> list[int]:
     """Primitive integer representative of f / gcd(f, f'), same root set as f.
     The gcd is the heuristic gcd, checked by exact division, or the
@@ -177,7 +192,7 @@ def _squarefree_primitive(dense: list[int]) -> list[int]:
     the quotient of the primitive part of f by it is an integer polynomial,
     itself primitive with a positive leading coefficient."""
     a = _primitive(dense)
-    return _quotient(gcd_dense(a, [c * e for e, c in enumerate(a)][1:]), a)
+    return _quotient(gcd_dense(a, _derivative(a)), a)
 
 
 def _eval_dense_mod(coeffs: list[int], x: int, m: int) -> int:
@@ -202,9 +217,7 @@ def _integral_root_witness(sf: list[int], p: int):
     ord_p sf'(x) <= rho < ell/2, and it certifies.  Returns (residue, ell)
     or None.
     """
-    if len(sf) <= 1:
-        return None
-    sfd = [c * e for e, c in enumerate(sf)][1:]
+    sfd = _derivative(sf)
     candidates = [x for x in range(p) if _eval_dense_mod(sf, x, p) == 0]
     ell = 1
     while candidates:
@@ -224,15 +237,36 @@ def _integral_root_witness(sf: list[int], p: int):
     return None
 
 
+def _decide_dense(a: list[int], p: int) -> PadicDecision:
+    """bruteforce_decision on the coefficient list a, [] for the zero
+    polynomial.  A witness of the direct search is certified on a itself, so
+    it is null when a root certifies on the squarefree part but not on a."""
+    if len(a) == 1:
+        return PadicDecision(False, RULE_EXHAUSTED)
+    if not a or a[0] == 0:
+        return PadicDecision(True, RULE_ZERO_ROOT)
+    sf = _squarefree_primitive(a)
+    if (direct := _integral_root_witness(sf, p)) is not None:
+        x, ell = direct
+        mod = p ** ell
+        dv = _eval_dense_mod(_derivative(a), x, mod)
+        certified = _eval_dense_mod(a, x, mod) == 0 and dv != 0 and 2 * _valuation(dv, p) < ell
+        witness = Witness(x, Modulus(p, ell), 0) if certified else None
+        return PadicDecision(True, RULE_HENSEL_CERTIFIED, witness)
+    if _integral_root_witness(_primitive(sf[::-1]), p) is not None:
+        return PadicDecision(True, RULE_HENSEL_CERTIFIED)
+    return PadicDecision(False, RULE_EXHAUSTED)
+
+
 def bruteforce_decision(f: SparsePoly, p: int, caps: Caps | None = None) -> PadicDecision:
     """Decide root existence in the p-adic rationals by exhaustive residue
     refinement; independent of decide_binomial.  Integral roots are searched
     directly, negative-valuation roots through the reversed polynomial.
 
     The squarefree part sf = f / gcd(f, f') is computed once per decision.
-    f(0) != 0 here, so the roots of x**deg * f(1/x) are the reciprocals of
-    f's, and its squarefree primitive part is sf's coefficient list read
-    backwards.  Its gcd is a heuristic gcd checked by exact division, with
+    Past the zero-root test f(0) != 0, so the roots of x**deg * f(1/x) are
+    the reciprocals of f's, and its squarefree primitive part is sf's
+    coefficient list read backwards.  Its gcd is a heuristic gcd checked by exact division, with
     the subresultant sequence as the fallback.  The degree cap leaves two
     costs unbounded.  Each search first finds the roots of sf mod p by
     trying every residue, O(p * deg) work.  And the gcd's arithmetic grows
@@ -240,31 +274,7 @@ def bruteforce_decision(f: SparsePoly, p: int, caps: Caps | None = None) -> Padi
     multiple, f = g(x) * g(x + 7) of degree 512 decides in 0.5 s when g has
     coefficients in [-9, 9], and in about 15 s when f has 4600-bit ones,
     nearly all of it in the heuristic gcd's integer gcd and evaluations."""
-    caps = caps or Caps()
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if f.is_zero:
-        return PadicDecision(True, RULE_ZERO_ROOT)
-    if f.degree > caps.degree:
-        raise CapsExceeded(f"degree {f.degree} exceeds the oracle cap {caps.degree}")
-    if f.degree == 0:
-        return PadicDecision(False, RULE_EXHAUSTED)
-    if f.min_exponent > 0:
-        return PadicDecision(True, RULE_ZERO_ROOT)
-
-    sf = _squarefree_primitive(to_dense(f, caps.degree))
-    direct = _integral_root_witness(sf, p)
-    if direct is not None:
-        x, ell = direct
-        mod = p ** ell
-        witness = None
-        dv = f.derivative().eval_mod(x, mod)
-        if f.eval_mod(x, mod) == 0 and dv != 0 and 2 * _valuation(dv, p) < ell:
-            witness = Witness(x, Modulus(p, ell), 0)
-        return PadicDecision(True, RULE_HENSEL_CERTIFIED, witness)
-    if _integral_root_witness(_primitive(sf[::-1]), p) is not None:
-        return PadicDecision(True, RULE_HENSEL_CERTIFIED)
-    return PadicDecision(False, RULE_EXHAUSTED)
+    return _decide_dense(_dense(f, p, caps), p)
 
 
 # -- degenerate roots ----------------------------------------------------------
@@ -272,14 +282,8 @@ def bruteforce_decision(f: SparsePoly, p: int, caps: Caps | None = None) -> Padi
 
 def has_degenerate_root_qp(f: SparsePoly, p: int, caps: Caps | None = None) -> bool:
     """Whether f is divisible by the square of a degree-1 polynomial over the
-    p-adic rationals, i.e. whether gcd(f, f') has a p-adic root.  f has a
-    p-adic root exactly when f.square() has a degenerate one."""
-    caps = caps or Caps()
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if f.is_zero:
-        return True
-    if f.degree > caps.degree:
-        raise CapsExceeded(f"degree {f.degree} exceeds the oracle cap {caps.degree}")
-    g = gcd_dense(to_dense(f, caps.degree), to_dense(f.derivative(), caps.degree))
-    return bruteforce_decision(from_dense(g), p, caps).feasible
+    p-adic rationals, i.e. whether gcd(f, f') has a p-adic root, decided by
+    the same core as bruteforce_decision.  f has a p-adic root exactly when
+    f.square() has a degenerate one."""
+    a = _dense(f, p, caps)
+    return not a or _decide_dense(gcd_dense(a, _derivative(a)), p).feasible

@@ -634,12 +634,9 @@ def verify_transcript(
     if not (ok_shape and prime_ok):
         return False, checks
 
-    # omega is g**k for a generator g of F_p^*, p - 1 = k*q_n: for the primes q
-    # of q_n, g**((p - 1)/q) = omega**(q_n/q) != 1 makes omega a primitive
-    # q_n-th root of unity, so only the other primes of k add tests
+    # omega is g**k for a generator g of F_p^*, p - 1 = k*q_n
     p, g, k = t.prime.p, t.generator, t.prime.k
-    omega_ok = 0 < g < p and t.omega == pow(g, k, p) and is_generator(
-        g, p, {*first_primes(t.n), *(factor(k) if k > 1 else ())})
+    omega_ok = 0 < g < p and t.omega == pow(g, k, p) and is_generator(g, p, factor(p - 1))
     check("omega", omega_ok, "omega is a primitive q_n-th root of unity")
     if not omega_ok:
         return False, checks

@@ -6,6 +6,7 @@ import pytest
 from padicfeas.bigmod import (
     _MR_DETERMINISTIC_BOUND,
     Modulus,
+    _dlog_in_two_group,
     _pollard_rho_brent,
     _valuation,
     decompose_2adic_unit,
@@ -163,12 +164,16 @@ def test_primorial_examples():
     assert primorial(5) == 2310
     assert primorial(0) == 1
     assert first_primes(4) == (2, 3, 5, 7)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        first_primes(-1)
 
 
 def test_euler_phi():
     assert euler_phi(1) == 1
     for n in range(2, 300):
         assert euler_phi(n) == sum(1 for a in range(1, n) if math.gcd(a, n) == 1)
+    with pytest.raises(ValueError, match="totient requires n >= 1"):
+        euler_phi(0)
 
 
 def test_find_qnr_exhaustive_small_primes():
@@ -223,6 +228,9 @@ def test_decompose_2adic_unit_examples():
         decompose_2adic_unit(4, 3)
     with pytest.raises(ValueError):
         decompose_2adic_unit(3, 2)
+    # 3 = -1 mod 4 is not in <5> = 1 + 4Z modulo 32
+    with pytest.raises(ValueError, match="not in the subgroup generated by 5"):
+        _dlog_in_two_group(3, 5)
 
 
 def test_decompose_2adic_unit_is_a_bijection():

@@ -741,6 +741,29 @@ def test_verify_transcript_variable_cap(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_transcript_exits_3_when_rho_cannot_split_k(tmp_path, capsys):
+    """The generator check factors p - 1 = k*q_n.  Here k = 59*r1*r2 for
+    the primes r1, r2 just above 2**45 + 12345 and 2**46 + 999, p = 1 + 30*k
+    is prime and omega = g**k, so every check before it passes, and Pollard
+    rho spends its budget on r1*r2."""
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 1\n1 -2 3 0\n")
+    out_file = tmp_path / "t.json"
+    run_cli(capsys, ["reduce", str(cnf), "--seed", "2", "--prime-strategy", "sample",
+                     "--out", str(out_file)])
+    obj = json.loads(out_file.read_text())
+    k = 146076924689450490817566386347
+    for run in obj["runs"]:
+        run["prime"]["k"], run["prime"]["p"] = str(k), str(1 + 30 * k)
+        run["omega"] = str(pow(int(run["generator"]), k, 1 + 30 * k))
+    crafted = tmp_path / "crafted.json"
+    crafted.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, ["verify-transcript", str(crafted)])
+    assert (code, out) == (3, "")
+    assert err == ("error: pollard-rho budget of 1000000 iterations exhausted on "
+                   "2475880079482211708772311633\n")
+
+
 def test_reduce_malformed_dimacs(tmp_path, capsys):
     cnf = tmp_path / "bad.cnf"
     cnf.write_text("p cnf 3 1\n1 2 3 4 0\n")

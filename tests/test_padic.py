@@ -65,11 +65,20 @@ def test_hensel_seed_validation():
     with pytest.raises(ValueError):
         hensel_lift_trace(f, HenselSeed(1, 1, 0), 7, 3)  # 1 is not a root mod 7
     with pytest.raises(ValueError):
-        hensel_lift_trace(f, HenselSeed(3, 1, 1), 7, 3)  # wrong derivative valuation
+        hensel_lift_trace(f, HenselSeed(3, 1, 1), 7, 3)  # violates 2*vprime < ell (2 >= 1)
     with pytest.raises(ValueError):
         hensel_lift_trace(f, HenselSeed(3, 2, 1), 7, 3)  # violates 2*vprime < ell
     with pytest.raises(ValueError):
         hensel_lift_trace(f, HenselSeed(3, 1, 0), 6, 3)  # p not prime
+    for seed in (HenselSeed(3, 0, 0), HenselSeed(3, 1, -1)):
+        with pytest.raises(ValueError, match=r"ell must be >= 1 and .* vprime >= 0"):
+            hensel_lift_trace(f, seed, 7, 3)
+    with pytest.raises(ValueError, match="target precision must be positive"):
+        hensel_lift_trace(f, HenselSeed(3, 1, 0), 7, 0)
+    # 1 is a root of (x - 1)(x - 50) mod 7**5, but f'(1) = -49 has valuation 2
+    g = parse_poly("x^2 - 51*x + 50")
+    with pytest.raises(ValueError, match="seed derivative valuation differs from vprime"):
+        hensel_lift_trace(g, HenselSeed(1, 5, 0), 7, 6)
 
 
 def _random_certified_seed(rng):

@@ -124,6 +124,8 @@ def test_literal_poly_examples():
     assert expand(literal_poly((3, False), 3)) == binom(6)
     with pytest.raises(ValueError):
         literal_poly((4, False), 3)
+    with pytest.raises(ValueError, match="variable index 4 out of range for n=3"):
+        clause_poly(((4, False),), 3)
 
 
 def test_clause_poly_examples():

@@ -364,6 +364,22 @@ def test_bruteforce_decides_h_as_the_run_and_the_truth_table_do_at_n_4():
     assert seen == {False, True}
 
 
+def test_bruteforce_decides_h_as_the_run_and_the_truth_table_do_at_n_5():
+    """The cross-half oracle at n = 5 (p = 2311, deg h <= 2*Q_5 = 4620, above
+    the default degree cap): seven of the eight sign patterns over x1, x2, x4
+    plus (x3 or x5) is satisfiable, and all eight patterns make it
+    unsatisfiable.  Each decision takes about 2 s."""
+    patterns = [[a * 1, b * 2, c * 4] for a, b, c in itertools.product((1, -1), repeat=3)]
+    for seed, clauses in ((0, patterns[1:]), (1, patterns)):
+        cnf = Cnf3.from_signed(5, clauses + [[3, 5]])
+        want = truth_table_sat(cnf) is not None
+        assert want == (seed == 0)
+        t = pipeline(cnf, Config(seed=seed))
+        assert t.k > 0 and t.prime.p == 2311 and t.h.degree <= 4620, seed
+        assert t.verdict == want, seed
+        assert bruteforce_decision(t.h, t.prime.p, Caps(degree=5000)).feasible == want, seed
+
+
 def test_pipeline_single_runs_agree_in_at_least_8_of_9():
     rng = random.Random(31337)
     for i in range(12):

@@ -12,9 +12,8 @@ import math
 
 from .bigmod import Modulus, _valuation, is_prime
 from .config import Caps
-from .errors import CapsExceeded
 from .record import Record
-from .sparsepoly import SparsePoly, _primitive, _quotient, gcd_dense, to_dense
+from .sparsepoly import SparsePoly, _derivative, _horner, _primitive, _quotient, gcd_dense, to_dense
 
 # Branches that can decide feasibility; every decision names the one that fired.
 RULE_ZERO_ROOT = "zero-root"
@@ -173,16 +172,9 @@ def decide_binomial(c1: int, a1: int, c2: int, a2: int, p: int) -> PadicDecision
 def _dense(f: SparsePoly, p: int, caps: Caps | None) -> list[int]:
     """f's coefficient list, [] for the zero polynomial, once p is prime and
     f's degree is within the oracle cap."""
-    caps = caps or Caps()
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if f and f.degree > caps.degree:
-        raise CapsExceeded(f"degree {f.degree} exceeds the oracle cap {caps.degree}")
-    return to_dense(f, caps.degree)
-
-
-def _derivative(a: list[int]) -> list[int]:
-    return [c * e for e, c in enumerate(a)][1:]
+    return to_dense(f, (caps or Caps()).degree)
 
 
 def _squarefree_primitive(dense: list[int]) -> list[int]:
@@ -193,13 +185,6 @@ def _squarefree_primitive(dense: list[int]) -> list[int]:
     itself primitive with a positive leading coefficient."""
     a = _primitive(dense)
     return _quotient(gcd_dense(a, _derivative(a)), a)
-
-
-def _eval_dense_mod(coeffs: list[int], x: int, m: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % m
-    return acc
 
 
 def _integral_root_witness(sf: list[int], p: int):
@@ -218,12 +203,12 @@ def _integral_root_witness(sf: list[int], p: int):
     or None.
     """
     sfd = _derivative(sf)
-    candidates = [x for x in range(p) if _eval_dense_mod(sf, x, p) == 0]
+    candidates = [x for x in range(p) if _horner(sf, x, p) == 0]
     ell = 1
     while candidates:
         mod = p ** ell
         for x in candidates:
-            dv = _eval_dense_mod(sfd, x, mod)
+            dv = _horner(sfd, x, mod)
             if dv != 0 and 2 * _valuation(dv, p) < ell:
                 return x, ell
         mod_next = mod * p
@@ -231,7 +216,7 @@ def _integral_root_witness(sf: list[int], p: int):
             y
             for x in candidates
             for y in (x + t * mod for t in range(p))
-            if _eval_dense_mod(sf, y, mod_next) == 0
+            if _horner(sf, y, mod_next) == 0
         ]
         ell += 1
     return None
@@ -249,8 +234,8 @@ def _decide_dense(a: list[int], p: int) -> PadicDecision:
     if (direct := _integral_root_witness(sf, p)) is not None:
         x, ell = direct
         mod = p ** ell
-        dv = _eval_dense_mod(_derivative(a), x, mod)
-        certified = _eval_dense_mod(a, x, mod) == 0 and dv != 0 and 2 * _valuation(dv, p) < ell
+        dv = _horner(_derivative(a), x, mod)
+        certified = _horner(a, x, mod) == 0 and dv != 0 and 2 * _valuation(dv, p) < ell
         witness = Witness(x, Modulus(p, ell), 0) if certified else None
         return PadicDecision(True, RULE_HENSEL_CERTIFIED, witness)
     if _integral_root_witness(_primitive(sf[::-1]), p) is not None:

@@ -10,12 +10,13 @@ because x**Q - 1 is separable modulo p.  The scan reads g1 and g2 (or, in
 deterministic mode, each clause polynomial) as rows of integers over the
 clause polynomials.  Each clause polynomial's values at the roots of unity
 are computed once per (formula, p), by one DFT over F_p computed as a single
-big-integer product with a chirp, at the first run's root omega0; a run
-whose root is omega0**u scans s = u*t, reading each table in its own order.
-Every run is recorded in a transcript that can be re-verified without
-re-running any randomness.  A transcript records the combination vectors a
-and b, not the polynomials: g1 and g2 are rebuilt from a, b and the
-formula's clause polynomials, and h from g1, g2 and the non-residue.
+big-integer product with a chirp (sparsepoly._dft), at the first run's root
+omega0; a run whose root is omega0**u scans s = u*t, reading each table in
+its own order.  Every run is recorded in a transcript that can be
+re-verified without re-running any randomness.  A transcript records the
+combination vectors a and b, not the polynomials: g1 and g2 are rebuilt from
+a, b and the formula's clause polynomials, and h from g1, g2 and the
+non-residue.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import random
 import sys
 from itertools import accumulate, compress, repeat
 from math import gcd, lcm
-from operator import mod, mul, neg, not_
-from struct import Struct, iter_unpack
+from operator import mod, mul, not_
+from struct import iter_unpack
 
 from .bigmod import factor, find_generator, find_qnr, first_primes, is_generator, primorial
 from .config import Caps, Config
@@ -34,7 +35,7 @@ from .errors import CapsExceeded
 from .plaisted import Cnf3, encode_system, satisfies
 from .primes import ProgressionPrime, find_prime_in_progression
 from .record import Record
-from .sparsepoly import SparsePoly, parse_int, poly_from_obj
+from .sparsepoly import SparsePoly, _chirp, _dft, _pack, parse_int, poly_from_obj
 
 # v3 omits g1 and g2, which a, b and the formula fix, as v2 omitted h, which
 # g1, g2 and qnr fix.  v1 and v2 transcripts still verify, and each must carry
@@ -278,39 +279,6 @@ def _encoding(encodings: dict | None, cnf: Cnf3, term_cap: int):
         polys = encode_system(cnf, term_cap=term_cap)
         encodings[cnf] = polys, _layout(polys, primorial(cnf.num_vars)), {}
     return encodings[cnf]
-
-
-def _pack(values, width: int) -> int:
-    """The integer whose width-byte little-endian slots hold values in order."""
-    return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(width), repeat("little"))),
-                          "little")
-
-
-def _chirp(period: int, w: int, p: int):
-    """What the DFTs at w, a primitive period-th root of unity modulo p, share:
-    the width in bytes of a slot (a sum of period products of residues), the
-    inverse chirp w**-C(j, 2) for j < period, the packed reversed chirp
-    w**C(s, 2) for s < 2*period - 1 and a Struct that cuts period slots."""
-    powers = list(accumulate(repeat(w, period - 1), lambda x, _: x * w % p, initial=1))
-    tri = list(map(mod, accumulate(range(2 * period - 2), initial=0), repeat(period)))
-    width = ((period * (p - 1) ** 2).bit_length() + 7) // 8
-    inverse = list(map(powers.__getitem__, map(neg, tri[:period])))
-    packed = _pack(map(powers.__getitem__, reversed(tri)), width)
-    return width, inverse, packed, Struct(f"{width}s" * period)
-
-
-def _dft(coeffs, chirp, p: int) -> list[int]:
-    """[sum_j coeffs[j] * w**(j*k) mod p for k < period] by one big-integer
-    product (Bluestein 1970).  As j*k = C(j+k, 2) - C(j, 2) - C(k, 2), value k
-    is w**-C(k, 2) times sum_j a_j * w**C(j+k, 2), a_j = coeffs[j] * w**-C(j, 2):
-    slot 2*period - 2 - k of the packed a_j times the packed reversed chirp,
-    that is slot k, read big-endian, of the window from slot period - 1 on."""
-    width, inverse, packed, cut = chirp
-    period = len(inverse)
-    a = _pack(map(mod, map(mul, coeffs, inverse), repeat(p)), width)
-    product = (a * packed).to_bytes((3 * period - 2) * width, "big")
-    slots = map(int.from_bytes, cut.unpack_from(product, (period - 1) * width), repeat("big"))
-    return list(map(mod, map(mul, slots, inverse), repeat(p)))
 
 
 def _rows(randomized: bool, a, b, k: int) -> list:

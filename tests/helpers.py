@@ -1,8 +1,9 @@
 """Shared oracles, reference routines and generators for the test suite.
 
 The brute-force oracles are deliberately naive: trial division, truth tables,
-dense Fraction arithmetic.  They must stay independent of the package's own
-algorithms so that agreement between the two routes is evidence, not an echo.
+dense Fraction arithmetic, counting roots modulo a prime power.  They must
+stay independent of the package's own algorithms so that agreement between
+the two routes is evidence, not an echo.
 The reference routines (CRT, roots of unity modulo p, solvability in a cyclic
 group, literal polynomials, DIMACS output, assignment encoding, sparse size,
 the resultant-first integral root search, the subresultant gcd) are exact
@@ -30,14 +31,13 @@ from padicfeas.bigmod import (
     primorial,
 )
 from padicfeas.errors import InexactDivision
-from padicfeas.padic import _eval_dense_mod
 from padicfeas.plaisted import BinomialProduct, Cnf3, Literal, satisfies
 from padicfeas.sparsepoly import (
     SparsePoly,
+    _horner,
     _primitive,
     _subresultant_prs,
     exact_div,
-    from_dense,
     gcd_dense,
     resultant_dense,
     to_dense,
@@ -176,6 +176,15 @@ def order_route_binomial(c1: int, a1: int, c2: int, a2: int, p: int) -> tuple[bo
     return sign == 0 and solvable_in_cyclic(order_5b, d, half_group), "two-adic"
 
 
+def from_dense(coeffs: list[int]) -> SparsePoly:
+    return SparsePoly((c, e) for e, c in enumerate(coeffs) if c != 0)
+
+
+def min_exponent(f: SparsePoly):
+    """The least exponent of f, or None for the zero polynomial."""
+    return f.terms[0][1] if f.terms else None
+
+
 def _eval_dense(coeffs: list[int], x: int) -> int:
     acc = 0
     for c in reversed(coeffs):
@@ -195,7 +204,7 @@ def eager_integral_root_witness(sf: list[int], p: int):
     res = resultant_dense(from_dense(sf), from_dense(sfd))
     assert res != 0
     ell_max = 1 + 2 * _valuation(res, p)
-    candidates = [x for x in range(p) if _eval_dense_mod(sf, x, p) == 0]
+    candidates = [x for x in range(p) if _horner(sf, x, p) == 0]
     for ell in range(1, ell_max + 1):
         for x in candidates:
             dv = _eval_dense(sfd, x)
@@ -209,7 +218,7 @@ def eager_integral_root_witness(sf: list[int], p: int):
             y
             for x in candidates
             for y in (x + t * step for t in range(p))
-            if _eval_dense_mod(sf, y, mod_next) == 0
+            if _horner(sf, y, mod_next) == 0
         ]
         if not candidates:
             return None
@@ -383,6 +392,45 @@ def fraction_resultant(f: SparsePoly, g: SparsePoly) -> Fraction:
             return Fraction(0)
         res *= (-1) ** (da * db) * b[-1] ** (da - (len(r) - 1))
         a, b = b, r
+
+
+def squarefree_oracle(f: SparsePoly) -> SparsePoly:
+    """f / gcd(f, f') by Euclid and long division over the rationals, as the
+    primitive integer polynomial with positive leading coefficient."""
+    a = dense(f)
+    q, r = dense_divmod(a, dense_gcd_monic(a, dense(f.derivative())))
+    assert not r
+    return dense_to_sparse_primitive(q)
+
+
+def flat_root_oracle(f: SparsePoly, p: int, budget: int) -> bool | None:
+    """Whether f has a root in the p-adic rationals, by a flat search over
+    residues: no refinement tree, nothing from padic and not gcd_dense.
+    None when neither search finds a root and one of them would run over
+    more than budget residues.
+
+    sf = squarefree_oracle(f) has f's roots, simply.  Unless 0 is one of
+    them, sf read backwards has their inverses, and its roots in Z_p are the
+    inverses of sf's roots of valuation <= 0.  For g each of the two, as a
+    primitive integer list, let rho = ord_p Res(g, g').
+    A root of g in Z_p gives a residue x mod p**(2*rho + 1) with g(x) = 0
+    there.  Conversely, Res = A*g + B*g' with A, B in Z[x], so
+    min(ord_p g(x), ord_p g'(x)) <= rho: g(x) = 0 mod p**(2*rho + 1) leaves
+    ord_p g'(x) <= rho, and Hensel's lemma lifts x to a root.  So f has a
+    root exactly when one of the two counts of such residues is positive,
+    and each search stops at its first such residue."""
+    if not f.degree:
+        return f.is_zero  # the zero polynomial vanishes everywhere, a constant nowhere
+    sf = to_dense(squarefree_oracle(f), f.degree)
+    over_budget = False
+    for g in (sf, sf[::-1]) if sf[0] else (sf,):
+        g_poly = from_dense(g)
+        m = p ** (2 * naive_valuation(int(fraction_resultant(g_poly, g_poly.derivative())), p) + 1)
+        if m > budget:
+            over_budget = True
+        elif any(_eval_dense(g, x) % m == 0 for x in range(m)):
+            return True
+    return None if over_budget else False
 
 
 def subresultant_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:

@@ -217,6 +217,11 @@ def test_criterion_6_hensel_contract():
 
 
 def test_criterion_7_squared_polynomial_equivalence():
+    """bruteforce_decision(f) and has_degenerate_root_qp(f**2) agree.  Both
+    run the same refinement search on the same squarefree part up to sign,
+    as gcd(f**2, 2*f*f') has f's squarefree part as its own, so this checks
+    sparsepoly.gcd_dense, not the search; test_padic's flat-oracle test
+    checks the search."""
     rng = random.Random(7007)
     disagreements = 0
     total = 0

@@ -20,9 +20,16 @@ from padicfeas.cli import main
 from padicfeas.config import Config
 from padicfeas.plaisted import Cnf3, satisfies
 from padicfeas.reduce import MAX_REPEATS, TRANSCRIPT_FORMAT_V1, TRANSCRIPT_FORMAT_V2, pipeline
-from padicfeas.sparsepoly import from_dense, poly_to_obj
+from padicfeas.sparsepoly import poly_to_obj
 
-from helpers import P256_HARD, REMOVED_CAPS, REMOVED_CONFIG, order_route_binomial, taylor_shift
+from helpers import (
+    P256_HARD,
+    REMOVED_CAPS,
+    REMOVED_CONFIG,
+    from_dense,
+    order_route_binomial,
+    taylor_shift,
+)
 
 
 def run_cli(capsys, argv):

@@ -21,19 +21,19 @@ from padicfeas.padic import (
     has_degenerate_root_qp,
     hensel_lift_trace,
 )
-from padicfeas.sparsepoly import SparsePoly, _primitive, from_dense, parse_poly, to_dense
+from padicfeas.sparsepoly import SparsePoly, _primitive, parse_poly, to_dense
 
 from helpers import (
     P256_HARD,
-    dense,
-    dense_divmod,
-    dense_gcd_monic,
-    dense_to_sparse_primitive,
     eager_integral_root_witness,
+    flat_root_oracle,
+    from_dense,
+    min_exponent,
     naive_valuation,
     order_route_binomial,
     random_nonzero_sparse,
     roots_of_unity_mod_p,
+    squarefree_oracle,
     taylor_shift,
 )
 
@@ -424,7 +424,7 @@ def _assert_lazy_bound_matches_eager(f: SparsePoly, p: int):
     None on the squarefree part sf of f and on sf read backwards, so
     bruteforce_decision gives the same verdict, rule and witness with
     either."""
-    if f.degree and not f.min_exponent:
+    if f.degree and not min_exponent(f):
         sf = padic._squarefree_primitive(to_dense(f, f.degree))
         for g in (sf, _primitive(sf[::-1])):
             assert padic._integral_root_witness(g, p) == \
@@ -484,6 +484,57 @@ def test_lazy_bound_named_multiple_root_cases(p):
     assert bruteforce_decision(cases[2], p).feasible
 
 
+@st.composite
+def _flat_oracle_cases(draw):
+    """f of degree at most 10 at p <= 7: a product of small factors, among
+    them squares, pairs of roots congruent mod p**j and roots of negative
+    valuation."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    f = from_dense([draw(st.sampled_from((1, -1, 2, -3, p)))])
+    for kind in draw(st.lists(st.sampled_from(("any", "square", "pair", "negative")),
+                              min_size=1, max_size=3)):
+        a = draw(st.integers(-20, 20))
+        if kind == "any":
+            g = from_dense(draw(st.lists(st.integers(-9, 9), min_size=2, max_size=5)))
+        elif kind == "square":  # (x - a)**2, or the square of x**2 + b*x + a
+            b = draw(st.integers(-3, 3))
+            g = from_dense(draw(st.sampled_from(([-a, 1], [a, b, 1])))).square()
+        elif kind == "pair":  # (x - a)(x - a - p**j * b): roots congruent mod p**j
+            j, b = draw(st.integers(1, 2)), draw(st.integers(-2, 2))
+            g = from_dense([-a, 1]) * from_dense([-(a + p ** j * b), 1])
+        else:  # p**j x - a, p*x**2 - c, p**2 x**2 - c: roots of valuation -j, none, -1
+            j, c = draw(st.integers(1, 2)), draw(st.sampled_from((1, 2, 3, 4, a * a or 1)))
+            g = from_dense(draw(st.sampled_from(([-a, p ** j], [-c, 0, p], [-c, 0, p * p]))))
+        if g and (f * g).degree <= 10:
+            f = f * g
+    return f, p
+
+
+def test_decider_agrees_with_the_flat_oracle():
+    """bruteforce_decision(f) and has_degenerate_root_qp(f**2) agree with
+    flat_root_oracle, which shares neither the squarefree part's gcd nor the
+    refinement search nor the evaluator with the decider.  Draws whose
+    count would run over more than 10**5 residues, a bound set by cost, are
+    left out, and their share is printed."""
+    tally = {"drawn": 0, "left out": 0}
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=_flat_oracle_cases())
+    def check(case):
+        f, p = case
+        tally["drawn"] += 1
+        expected = flat_root_oracle(f, p, 10 ** 5)
+        if expected is None:
+            tally["left out"] += 1
+            return
+        assert bruteforce_decision(f, p).feasible == expected, (f, p)
+        assert has_degenerate_root_qp(f.square(), p) == expected, (f, p)
+
+    check()
+    print(f"flat oracle: {tally['left out']} of {tally['drawn']} draws left out")
+    assert tally["left out"] * 2 < tally["drawn"]
+
+
 def test_degree_96_input_with_only_a_multiple_root_mod_7():
     """f = (x - 1)(x - 8) * r with r of degree 94 and no root mod 7: level 1
     finds only the multiple root 1, so the search refines past level 1 and
@@ -500,15 +551,6 @@ def test_degree_96_input_with_only_a_multiple_root_mod_7():
     w = decision.witness
     assert (w.residue, w.modulus.p, w.modulus.ell) == (1, 7, 3)
     assert eager_integral_root_witness(padic._squarefree_primitive(to_dense(f, 96)), 7) == (1, 3)
-
-
-def squarefree_oracle(f: SparsePoly) -> SparsePoly:
-    """f / gcd(f, f') by Euclid and long division over the rationals, as the
-    primitive integer polynomial with positive leading coefficient."""
-    a = dense(f)
-    q, r = dense_divmod(a, dense_gcd_monic(a, dense(f.derivative())))
-    assert not r
-    return dense_to_sparse_primitive(q)
 
 
 def test_squarefree_part_matches_rational_oracle():

@@ -21,10 +21,8 @@ from padicfeas.reduce import (
     TRANSCRIPT_FORMAT_V1,
     TRANSCRIPT_FORMAT_V2,
     ReductionTranscript,
-    _chirp,
     _combine,
     _decode_witness,
-    _dft,
     _layout,
     _root_log,
     _rows,
@@ -37,7 +35,7 @@ from padicfeas.reduce import (
     transcript_dumps,
     verify_transcript,
 )
-from padicfeas.sparsepoly import SparsePoly, parse_poly, poly_to_obj
+from padicfeas.sparsepoly import SparsePoly, _chirp, _dft, parse_poly, poly_to_obj
 
 from helpers import (REMOVED_CAPS, REMOVED_CONFIG, format_dimacs, random_cnf, random_nonzero_sparse,
                      sparse_gcd, truth_table_sat)

@@ -10,8 +10,8 @@ from padicfeas import sparsepoly
 from padicfeas.errors import CapsExceeded, InexactDivision
 from padicfeas.sparsepoly import (
     SparsePoly,
+    _horner,
     exact_div,
-    from_dense,
     parse_poly,
     poly_from_obj,
     poly_to_obj,
@@ -25,6 +25,7 @@ from helpers import (
     dense_gcd_monic,
     dense_to_sparse_primitive,
     fraction_resultant,
+    from_dense,
     random_nonzero_sparse,
     random_sparse,
     size,
@@ -96,6 +97,9 @@ def test_eval_mod_is_multiplicative():
         x = rng.randint(-20, 20)
         m = rng.randint(2, 1000)
         assert (f * g).eval_mod(x, m) == f.eval_mod(x, m) * g.eval_mod(x, m) % m
+        for y in (x, x + m, x - 2 * m):  # the dense Horner agrees, x >= m and x < 0 included
+            assert _horner(to_dense(f, 10), y, m) == f.eval_mod(y, m)
+            assert _horner(to_dense(f, 10), y) == sum(c * y ** e for c, e in f.terms)
 
 
 def test_eval_mod_huge_exponent():

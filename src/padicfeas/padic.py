@@ -12,6 +12,7 @@ import math
 
 from .bigmod import Modulus, _valuation, is_prime
 from .config import Caps
+from .errors import CapsExceeded
 from .record import Record
 from .sparsepoly import SparsePoly, _derivative, _horner, _primitive, _quotient, gcd_dense, to_dense
 
@@ -31,6 +32,10 @@ RULES = (
     RULE_HENSEL_CERTIFIED,
     RULE_EXHAUSTED,
 )
+
+# The residue search's work bound, in coefficient steps of Horner's rule: at
+# most this many, summed over its levels, per search.
+SEARCH_BUDGET = 1 << 24
 
 
 class Witness(Record):
@@ -191,34 +196,34 @@ def _integral_root_witness(sf: list[int], p: int):
     """Search for a certified root in the p-adic integers of the squarefree
     primitive polynomial sf (a coefficient list).
 
-    Runs a residue-refinement tree: candidates x with sf(x) = 0 (mod p**ell)
-    are certified as soon as ord_p sf'(x) < ell/2, which sf'(x) mod p**ell
-    decides.  Level 1 costs O(p * deg) evaluations and decides alone when sf
-    has no root mod p (None) or a simple one (certified).  The tree ends by
-    level 1 + 2*rho, rho = ord_p Res(sf, sf'), without computing rho.  As sf
-    is squarefree, Res is a nonzero integer, and Res = A*sf + B*sf' with
-    A, B in Z[x], so min(ord_p sf(x), ord_p sf'(x)) <= rho for every integer
-    x.  A candidate at level ell > 2*rho has ord_p sf(x) >= ell > rho, hence
-    ord_p sf'(x) <= rho < ell/2, and it certifies.  Returns (residue, ell)
-    or None.
+    Runs a residue-refinement tree: each level lifts every candidate x mod
+    p**(ell-1) to the p residues y = x (mod p**(ell-1)) with sf(y) = 0 (mod
+    p**ell), from the one candidate 0 mod 1, and certifies y as soon as
+    ord_p sf'(y) < ell/2, which sf'(y) mod p**ell decides.  Level 1 costs
+    O(p * deg) evaluations and decides alone when sf has no root mod p
+    (None) or a simple one (certified).  The tree ends by level 1 + 2*rho,
+    rho = ord_p Res(sf, sf'), without computing rho.  As sf is squarefree,
+    Res is a nonzero integer, and Res = A*sf + B*sf' with A, B in Z[x], so
+    min(ord_p sf(x), ord_p sf'(x)) <= rho for every integer x.  A candidate
+    at level ell > 2*rho has ord_p sf(x) >= ell > rho, hence ord_p sf'(x) <=
+    rho < ell/2, and it certifies.  Returns (residue, ell) or None; raises
+    CapsExceeded before a level that would take the search past
+    SEARCH_BUDGET coefficient steps (candidates * p * len(sf) per level).
     """
     sfd = _derivative(sf)
-    candidates = [x for x in range(p) if _horner(sf, x, p) == 0]
-    ell = 1
+    candidates, mod, ell, steps = [0], 1, 0, 0
     while candidates:
-        mod = p ** ell
+        steps += len(candidates) * p * len(sf)
+        if steps > SEARCH_BUDGET:
+            raise CapsExceeded(f"the residue search at p = {p} exceeds its budget of "
+                               f"{SEARCH_BUDGET} steps at level {ell + 1}")
+        prev, mod, ell = mod, mod * p, ell + 1
+        candidates = [y for x in candidates for y in range(x, x + mod, prev)
+                      if _horner(sf, y, mod) == 0]
         for x in candidates:
             dv = _horner(sfd, x, mod)
             if dv != 0 and 2 * _valuation(dv, p) < ell:
                 return x, ell
-        mod_next = mod * p
-        candidates = [
-            y
-            for x in candidates
-            for y in (x + t * mod for t in range(p))
-            if _horner(sf, y, mod_next) == 0
-        ]
-        ell += 1
     return None
 
 
@@ -252,10 +257,10 @@ def bruteforce_decision(f: SparsePoly, p: int, caps: Caps | None = None) -> Padi
     Past the zero-root test f(0) != 0, so the roots of x**deg * f(1/x) are
     the reciprocals of f's, and its squarefree primitive part is sf's
     coefficient list read backwards.  Its gcd is a heuristic gcd checked by exact division, with
-    the subresultant sequence as the fallback.  The degree cap leaves two
-    costs unbounded.  Each search first finds the roots of sf mod p by
-    trying every residue, O(p * deg) work.  And the gcd's arithmetic grows
-    with the coefficients, which no cap bounds.  With every root mod 7
+    the subresultant sequence as the fallback.  Each search first finds the
+    roots of sf mod p by trying every residue, O(p * deg) work, and raises
+    CapsExceeded past SEARCH_BUDGET steps.  The gcd's arithmetic grows with
+    the coefficients, which no cap bounds.  With every root mod 7
     multiple, f = g(x) * g(x + 7) of degree 512 decides in 0.5 s when g has
     coefficients in [-9, 9], and in about 15 s when f has 4600-bit ones,
     nearly all of it in the heuristic gcd's integer gcd and evaluations."""

@@ -4,9 +4,11 @@ and the package's one home for arithmetic on dense coefficient lists.
 A polynomial is a tuple of (coefficient, exponent) terms with strictly
 increasing nonnegative exponents and no zero coefficients; the empty tuple is
 the zero polynomial.  Exponents may be astronomically larger than the term
-count, so a SparsePoly never expands to a dense representation: eval_mod and
-derivative work term by term, one modular power per term, which is what
-lets Hensel lifting take exponents that no coefficient list can hold.
+count, so eval_mod, derivative and Hensel lifting never expand to a dense
+representation: they work term by term, one modular power per term, which
+is what lets Hensel lifting take exponents that no coefficient list can
+hold.  exact_div does expand, to coefficient lists in x**s for s the gcd
+of the exponents, under a degree cap.
 
 A coefficient list [c_0, ..., c_d] comes from to_dense, guarded by a degree
 cap, or from a caller that builds it (the reduction's laid-out clause
@@ -23,7 +25,6 @@ decider does not call it, the tests' refinement-depth oracle does."""
 
 from __future__ import annotations
 
-import heapq
 import re
 from itertools import accumulate, repeat
 from math import gcd as _int_gcd, isqrt
@@ -95,33 +96,21 @@ class SparsePoly:
         return SparsePoly(self._terms + other._terms)
 
     def __neg__(self):
-        out = SparsePoly()
-        out._terms = tuple((-c, e) for c, e in self._terms)
-        return out
+        return self * -1
 
     def __sub__(self, other):
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self + (-other)
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return SparsePoly((c * other, e) for c, e in self._terms)
+            other = SparsePoly(((other, 0),))
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        acc: dict[int, int] = {}
-        for c1, e1 in self._terms:
-            for c2, e2 in other._terms:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        out = SparsePoly()
-        out._terms = tuple((c, e) for e, c in sorted(acc.items()) if c != 0)
-        return out
+        return SparsePoly((c1 * c2, e1 + e2) for c1, e1 in self._terms for c2, e2 in other._terms)
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def square(self) -> "SparsePoly":
         return self * self
@@ -146,51 +135,18 @@ class SparsePoly:
 
 
 def exact_div(f: SparsePoly, g: SparsePoly, *, term_cap: int = 1_000_000) -> SparsePoly:
-    """Integer quotient q with f = q*g, by sparse long division from the top
-    term in integer arithmetic.
+    """Integer quotient q with f = q*g, by _quotient's long division of the
+    coefficient lists in y = x**s, s the gcd of all exponents of f and g.
 
-    Each step divides the top remainder coefficient by lc(g).  Raises
-    InexactDivision("quotient is not an integer polynomial") as soon as that
-    division leaves a remainder, InexactDivision("nonzero remainder") when
-    a term below deg(g) is left over, and CapsExceeded if the working term
-    count blows past term_cap (a dense-blowup guard, not a correctness limit).
-    """
+    Raises InexactDivision as _quotient does, and CapsExceeded, before any
+    list is built, when f or g has degree in y beyond term_cap."""
     if g.is_zero:
         raise ValueError("division by the zero polynomial")
     if f.is_zero:
         return SparsePoly()
-    cg, eg = g.terms[-1]
-    lower = g.terms[:-1]  # the leading term cancels exactly
-    rem = {e: c for c, e in f.terms}
-    heap = [-e for e in rem]
-    heapq.heapify(heap)
-    quot = []  # one term per step, exponents strictly descending
-    while rem:
-        if len(rem) + len(quot) > term_cap:
-            raise CapsExceeded(f"exact_div exceeded the term cap of {term_cap}")
-        er = -heapq.heappop(heap)
-        cr = rem.pop(er, None)
-        if cr is None:
-            continue  # stale heap entry
-        if er < eg:
-            raise InexactDivision("nonzero remainder")
-        qc, r = divmod(cr, cg)
-        if r:
-            raise InexactDivision("quotient is not an integer polynomial")
-        qe = er - eg
-        quot.append((qc, qe))
-        for c, e in lower:
-            te = qe + e
-            new = rem.get(te, 0) - qc * c
-            if new == 0:
-                rem.pop(te, None)
-            else:
-                if te not in rem:
-                    heapq.heappush(heap, -te)
-                rem[te] = new
-    out = SparsePoly()
-    out._terms = tuple(reversed(quot))
-    return out
+    s = _int_gcd(*(e for _, e in f.terms + g.terms)) or 1
+    a, h = (to_dense(SparsePoly((c, e // s) for c, e in u.terms), term_cap) for u in (f, g))
+    return SparsePoly((c, j * s) for j, c in enumerate(_quotient(h, a)))
 
 
 # -- dense helpers (the brute-force decider's route) --------------------------
@@ -311,23 +267,26 @@ def _subresultant_prs(a: list[int], b: list[int]):
     return a, b, h, sign
 
 
-def _quotient(h: list[int], a: list[int]) -> list[int] | None:
-    """a / h in Z[x] as a coefficient list, or None when h does not divide a,
-    by long division that stops at the first top coefficient lc(h) does not
-    divide.  For primitive h that is division over Q (Gauss's lemma), and
-    unlike a pseudo-remainder the working coefficients never grow by powers
-    of lc(h)."""
+def _quotient(h: list[int], a: list[int]) -> list[int]:
+    """a / h in Z[x] as a coefficient list, by long division that stops at
+    the first top coefficient lc(h) does not divide.  Raises
+    InexactDivision("quotient is not an integer polynomial") there, and
+    InexactDivision("nonzero remainder") when the division ends with one.
+    For primitive h that is division over Q (Gauss's lemma), and unlike a
+    pseudo-remainder the working coefficients never grow by powers of lc(h)."""
     r = list(a)
     dh = len(h) - 1
     q = [0] * (len(a) - dh)
     for shift in range(len(a) - 1 - dh, -1, -1):
         c, rem = divmod(r.pop(), h[-1])
         if rem:
-            return None
+            raise InexactDivision("quotient is not an integer polynomial")
         q[shift] = c
         for i in range(dh):
             r[shift + i] -= c * h[i]
-    return None if any(r) else q
+    if any(r):
+        raise InexactDivision("nonzero remainder")
+    return q
 
 
 def _heuristic_gcd(a: list[int], b: list[int]):
@@ -352,9 +311,13 @@ def _heuristic_gcd(a: list[int], b: list[int]):
             h.append(digit)
             gamma = (gamma - digit) // xi
         h = _primitive(h)  # a constant h is [1], which divides both
-        if len(h) == 1 or _quotient(h, a) is not None and _quotient(h, b) is not None:
+        try:
+            if len(h) > 1:
+                _quotient(h, a)
+                _quotient(h, b)
             return h
-        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+        except InexactDivision:
+            xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
     return None
 
 

@@ -213,6 +213,19 @@ def test_decide_caps_exit(tmp_path, capsys):
     assert (code, out, err) == (3, "", "error: degree 20 exceeds the oracle cap 10\n")
 
 
+@pytest.mark.parametrize("text, p, level", [
+    ("x^2 - 2", 2 ** 61 - 1, 1),  # 2 is a square mod p, and level 1 tries every residue
+    ("x^2 - 10009*x + 10008", 10007, 3),  # (x - 1)(x - 1 - p): every lift of 1 survives level 2
+])
+def test_residue_search_past_its_budget_exits_3(tmp_path, capsys, text, p, level):
+    f = tmp_path / "f.txt"
+    f.write_text(text)
+    code, out, err = run_cli(capsys, ["decide", str(f), "--prime", str(p)])
+    assert (code, out) == (3, "")
+    assert err == (f"error: the residue search at p = {p} exceeds its budget of 16777216 "
+                   f"steps at level {level}\n")
+
+
 @pytest.mark.parametrize("prime", ["4", "1", "-7"])
 def test_zero_polynomial_with_a_non_prime_exits_2(tmp_path, capsys, prime):
     z = tmp_path / "z.txt"

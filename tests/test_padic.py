@@ -620,6 +620,21 @@ def test_bruteforce_caps():
         bruteforce_decision(SparsePoly(((1, 10 ** 9), (-1, 0))), 5, Caps(degree=100))
 
 
+def test_residue_search_budget():
+    """(x - 1)(x - 1 - p) has the double root 1 mod p, and all p of its lifts
+    survive level 2, so level 3 tries p**2 residues: 3 * 1009**2 steps fit
+    in SEARCH_BUDGET, 3 * 10007**2 do not."""
+    def f(p):
+        return parse_poly("x - 1") * parse_poly(f"x - {1 + p}")
+
+    d = bruteforce_decision(f(1009), 1009)
+    assert d.rule == RULE_HENSEL_CERTIFIED
+    assert (d.witness.residue, d.witness.modulus.ell) == (1, 3)
+    assert 3 * 1009 ** 2 < padic.SEARCH_BUDGET < 3 * 10007 ** 2
+    with pytest.raises(CapsExceeded, match="at level 3"):
+        bruteforce_decision(f(10007), 10007)
+
+
 # -- degenerate-root reduction -----------------------------------------------------
 
 

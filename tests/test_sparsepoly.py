@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -23,7 +24,9 @@ from helpers import (
     dense,
     dense_divmod,
     dense_gcd_monic,
+    dense_mul,
     dense_to_sparse_primitive,
+    dense_trim,
     fraction_resultant,
     from_dense,
     random_nonzero_sparse,
@@ -76,6 +79,21 @@ def test_scalar_mul():
     f = parse_poly("x^2 - 3")
     assert 2 * f == f * 2 == parse_poly("2*x^2 - 6")
     assert (0 * f).is_zero
+
+
+def test_ring_operations_match_the_dense_oracle():
+    """*, binary - and unary - agree with the rational dense oracle, with
+    integer scalars on either side, and return normalized polynomials."""
+    rng = random.Random(27)
+    for _ in range(300):
+        f, g = random_sparse(rng), random_sparse(rng)
+        a, b = dense(f), dense(g)
+        difference = dense_trim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+        results = [(f * g, dense_mul(a, b)), (f - g, difference), (-f, [-x for x in a])]
+        for k in (-2, -1, 0, 1, 3):
+            results += [(k * f, dense_mul([Fraction(k)], a)), (f * k, dense_mul(a, [Fraction(k)]))]
+        for h, expected in results:
+            assert dense(h) == expected and SparsePoly(h.terms) == h, (f, g, h)
 
 
 def test_eval_mod_examples():
@@ -134,6 +152,8 @@ def test_exact_div_examples():
     with pytest.raises(ValueError):
         exact_div(binom(3), SparsePoly())
     assert exact_div(SparsePoly(), binom(3)).is_zero
+    # divided in y = x^(10^6), the exponents' gcd: two coefficients, not 2*10^6
+    assert exact_div(binom(2 * 10 ** 6), binom(10 ** 6)) == X(10 ** 6) + ONE
 
 
 def test_exact_div_round_trip():
@@ -185,6 +205,9 @@ def test_exact_div_matches_rational_oracle():
 def test_exact_div_term_cap():
     with pytest.raises(CapsExceeded):
         exact_div(binom(1000), binom(1), term_cap=10)
+    # exponents with gcd 1: the dividend's coefficient list would hold 10^7 + 1
+    with pytest.raises(CapsExceeded):
+        exact_div(X(10 ** 7) + X(10 ** 7 - 1), X(1) + ONE)
 
 
 def test_size_examples():
@@ -389,7 +412,8 @@ def test_divides_matches_division_over_the_rationals():
     when the rational remainder is zero, and then the quotient times h is a.
     Flooring the inexact top quotient of (3x + 1) / (2x + 1) would leave a
     zero remainder."""
-    assert sparsepoly._quotient([1, 2], [1, 3]) is None
+    with pytest.raises(InexactDivision):
+        sparsepoly._quotient([1, 2], [1, 3])
     rng = random.Random(1971)
     for _ in range(400):
         h = _random_dense(rng, rng.randint(0, 5))
@@ -401,10 +425,37 @@ def test_divides_matches_division_over_the_rationals():
         hd = sparsepoly._primitive(to_dense(h, 5))
         ad = sparsepoly._primitive(to_dense(a, 12))
         expected = not dense_divmod(dense(a), dense(h))[1]
-        q = sparsepoly._quotient(hd, ad)
+        try:
+            q = sparsepoly._quotient(hd, ad)
+        except InexactDivision:
+            q = None
         assert (q is not None) == expected, (h, a)
         if q is not None:
             assert from_dense(q) * from_dense(hd) == from_dense(ad), (h, a)
+
+
+def test_gcd_dense_accepts_a_constant_gcd_without_dividing(monkeypatch):
+    """Most squarefree f give gcd(f, f') = 1, so the heuristic gcd accepts a
+    constant candidate without checking it by division: _quotient only ever
+    sees candidates of positive degree, and coprime operands whose first
+    evaluation point gives a constant never reach it."""
+    divisors = []
+    quotient = sparsepoly._quotient
+
+    def spy(h, a):
+        divisors.append(h)
+        return quotient(h, a)
+
+    monkeypatch.setattr(sparsepoly, "_quotient", spy)
+    rng = random.Random(1989)
+    undivided = 0
+    for f in (_random_dense(rng, rng.randint(2, 12)) for _ in range(100)):
+        g = f.derivative()
+        divisors.clear()
+        gcd = sparse_gcd(f, g)
+        assert gcd == subresultant_gcd(f, g) and all(len(h) > 1 for h in divisors), (f, g)
+        undivided += gcd == ONE and not divisors
+    assert undivided >= 50
 
 
 @pytest.mark.parametrize("f, g, candidate", [

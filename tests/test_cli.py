@@ -105,6 +105,69 @@ def test_python_m_runs_the_cli(module, capsys):
     assert _run_module(module, []).returncode == 2
 
 
+# exit code and sha256 of stdout and stderr of argparse's own text at
+# COLUMNS=80: help, version, and each kind of usage error, one of them
+# ("--bogus") raised by the top-level parser after a subcommand parsed.
+# argparse words these differently across minor Python releases ("optional
+# arguments:" on 3.10), so the digests are those of Python 3.11, the
+# benchmark's Python; other releases check the exit codes alone.
+NO_TEXT = hashlib.sha256(b"").hexdigest()
+CLI_TEXT_DIGESTS = {
+    "": (2, NO_TEXT,
+         "bd5099435d5897d556185743c75523e8b1330e9922ed4a029d85b31b4c18a191"),
+    "-h": (0, "e36b705264b2d8ac4502af7a1777c49a4e287ac59eb2e81ee2806b839bac7046",
+           NO_TEXT),
+    "--help": (0, "e36b705264b2d8ac4502af7a1777c49a4e287ac59eb2e81ee2806b839bac7046",
+               NO_TEXT),
+    "--version": (0, "f32b997fe0baf18bb8f7a3fab0ea8f3d2edd7d91b3d8d4415d78e57790cfb714",
+                  NO_TEXT),
+    "--version decide": (0, "f32b997fe0baf18bb8f7a3fab0ea8f3d2edd7d91b3d8d4415d78e57790cfb714",
+                         NO_TEXT),
+    "nope": (2, NO_TEXT,
+             "1e27cc8a045e16f96be829ff452c6aaa8065a59fc7479d3b7a25c4677f8e2b60"),
+    "decide-binomial --help": (0, "17d79b3dbe2006d60357a4afb75373eca9843eaee534527551cef901e37bc18f",
+                               NO_TEXT),
+    "decide --help": (0, "72769134e024995788e781251c6ac3c861cee8c57151ed70db3dbb7ef9c3c1f6",
+                      NO_TEXT),
+    "degenerate --help": (0, "0f07955dc0e332fa1a63051098329f8774c09ff1e74a6d5987a1d96123ac773c",
+                          NO_TEXT),
+    "reduce --help": (0, "1b2b995c6b7618a0dbbddce8a5c208f1190df9f2be52bd56506be5d227704bc0",
+                      NO_TEXT),
+    "find-prime --help": (0, "9ec59d1087994990dc306cdcb20f1546ee2b0683ede0e5544ee45a5ec46975d4",
+                          NO_TEXT),
+    "density --help": (0, "6a63d59720c491458b20cc5d93b4acc8508db7fcfd69371fe83e31812c6ed400",
+                       NO_TEXT),
+    "verify-transcript --help": (0, "84425004ff101140d3a0eeb5341938dd2f1e3f6958ada858d6b2e66eb37b0a26",
+                                 NO_TEXT),
+    "decide": (2, NO_TEXT,
+               "071d62d0c6d5edca7b27684dbc1a131115a40e9b1b20b05ebe3cc93c48f1e7f0"),
+    "decide --prime": (2, NO_TEXT,
+                       "8fad088b23b9b3e68ded828b283c5152b7d8394fcbf2e4411fa6fd09c9c3c419"),
+    "decide-binomial 1 2": (2, NO_TEXT,
+                            "e427ef0b1be0c3f129b229277565c0bd86527cec56a5a9459bd248fc2be54f7c"),
+    "find-prime x": (2, NO_TEXT,
+                     "ad2aa784fcb304ca31eee33084ef0ad50797db577f3a16ed5863acd62dbb97e2"),
+    "reduce f --mode bad": (2, NO_TEXT,
+                            "f3e985cc1faa908acffe1c4a711ecbaa00b90d098ae1b625103601c626712db6"),
+    "density": (2, NO_TEXT,
+                "dadb7553ccc40cb64390944e0f995315dbe10db06322ec9cf6123a0f83338e49"),
+    "decide f --prime 7 --bogus": (2, NO_TEXT,
+                                   "835280b9ab6beab9512168190591e8c6843ed9a68557ce191e7294a02926d8ab"),
+}
+
+
+@pytest.mark.parametrize("args", CLI_TEXT_DIGESTS)
+def test_cli_text_digests(capsys, monkeypatch, args):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, args.split())
+    expected = CLI_TEXT_DIGESTS[args]
+    if sys.version_info[:2] != (3, 11):
+        assert code == expected[0]
+        return
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
+    assert (code, *digests) == expected
+
+
 MAX_DIGITS = 4000
 SMALL = 10**6
 

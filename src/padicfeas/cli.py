@@ -9,6 +9,12 @@ nothing on stdout and one `error:` line on stderr.  Each `_cmd_*` returns
 (report, summary, verdict), and `main` alone prints them.  Runs are
 deterministic given --seed (or the PADICFEAS_SEED environment variable)
 and the inputs.
+
+A call builds only the parser of the subcommand it names (all of them when
+its first argument names none) and loads only the modules that subcommand
+runs: `padic`, `plaisted`, `primes` and `reduce` are the package's lazy
+submodules, read as attributes at call time, and each executes on its first
+attribute use.
 """
 
 from __future__ import annotations
@@ -19,14 +25,10 @@ import os
 import random
 import sys
 
-from . import __version__
+from . import __version__, padic, plaisted, primes, reduce
 from .config import Caps, Config
 from .errors import CapsExceeded, InexactDivision
-from .padic import bruteforce_decision, decide_binomial, has_degenerate_root_qp
-from .plaisted import parse_dimacs
-from .primes import DENSITY_NOTE, find_prime_in_progression, prime_density_experiment
-from .reduce import reduce_report, run_with_majority, transcript_dumps, verify_report, verify_transcript
-from .sparsepoly import parse_int, parse_poly, poly_from_obj, poly_to_obj
+from .sparsepoly import parse_int, parse_poly, poly_from_obj, poly_to_obj, transcript_dumps
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -79,7 +81,7 @@ def _report_decision(report: dict, decision, p: int):
 
 
 def _cmd_decide_binomial(args):
-    decision = decide_binomial(args.c1, args.a1, args.c2, args.a2, args.prime)
+    decision = padic.decide_binomial(args.c1, args.a1, args.c2, args.a2, args.prime)
     report = {
         "command": "decide-binomial",
         "config": {},
@@ -109,19 +111,19 @@ def _decide_poly_file(args, command: str, decide):
 
 
 def _cmd_decide(args):
-    report, decision = _decide_poly_file(args, "decide", bruteforce_decision)
+    report, decision = _decide_poly_file(args, "decide", padic.bruteforce_decision)
     return _report_decision(report, decision, args.prime)
 
 
 def _cmd_degenerate(args):
-    report, result = _decide_poly_file(args, "degenerate", has_degenerate_root_qp)
+    report, result = _decide_poly_file(args, "degenerate", padic.has_degenerate_root_qp)
     report["degenerate_root"] = result
     return report, f"{'has' if result else 'no'} repeated degree-1 factor over Q_{args.prime}", result
 
 
 def _cmd_reduce(args):
     with open(args.cnf_file) as fh:
-        cnf = parse_dimacs(fh.read())
+        cnf = plaisted.parse_dimacs(fh.read())
     config = Config(
         seed=_resolve_seed(args),
         mode=args.mode,
@@ -129,8 +131,8 @@ def _cmd_reduce(args):
         prime_strategy=args.prime_strategy,
         caps=_caps_from_args(args),
     )
-    _, _, transcripts = run_with_majority(cnf, config)
-    report = reduce_report(config, transcripts)
+    _, _, transcripts = reduce.run_with_majority(cnf, config)
+    report = reduce.reduce_report(config, transcripts)
     verdict_word = "satisfiable" if report["verdict"] else "unsatisfiable"
     summary = (f"{verdict_word} ({report['feasible_runs']}/{report['repeats']} runs feasible, "
                f"mode={config.mode}, p={transcripts[0].prime.p})")
@@ -141,7 +143,7 @@ def _cmd_find_prime(args):
     seed = _resolve_seed(args)
     rng = random.Random(seed)
     caps = _caps_from_args(args)
-    result = find_prime_in_progression(
+    result = primes.find_prime_in_progression(
         args.n, strategy=args.strategy, rng=rng, caps=caps
     )
     report = {
@@ -160,7 +162,7 @@ def _cmd_density(args):
     caps = _caps_from_args(args)
     rows = []
     for m, x in zip(values[::2], values[1::2]):
-        r = prime_density_experiment(m, x, caps)
+        r = primes.prime_density_experiment(m, x, caps)
         rows.append(
             {
                 "M": r.m,
@@ -174,7 +176,7 @@ def _cmd_density(args):
         "command": "density",
         "config": {"sieve_cap": caps.sieve_limit},
         "rows": rows,
-        "note": DENSITY_NOTE,
+        "note": primes.DENSITY_NOTE,
     }
     lines = [
         f"M={row['M']} x={row['x']}: {row['count']} primes, ratio {row['ratio']:.4f}"
@@ -191,10 +193,10 @@ def _cmd_verify_transcript(args):
     caps = _caps_from_args(args)
     why = ""
     if "runs" in obj:
-        ok, runs, why = verify_report(obj, caps)
+        ok, runs, why = reduce.verify_report(obj, caps)
         report = {"command": "verify-transcript", "ok": ok, "runs": runs}
     else:
-        ok, checks = verify_transcript(obj, caps)
+        ok, checks = reduce.verify_transcript(obj, caps)
         report = {"command": "verify-transcript", "ok": ok, "checks": checks}
     line = "transcript ok" if ok else "transcript verification FAILED"
     return report, f"{line}: {why}" if why else line, ok
@@ -203,64 +205,92 @@ def _cmd_verify_transcript(args):
 # -- parser ------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _binomial_arguments(p):
+    for name in ("c1", "a1", "c2", "a2"):
+        p.add_argument(name, type=parse_int)
+    p.add_argument("--prime", type=parse_int, required=True)
+
+
+def _poly_file_arguments(p):
+    p.add_argument("poly_file")
+    p.add_argument("--prime", type=parse_int, required=True)
+    p.add_argument("--degree-cap", dest="degree", metavar="DEGREE_CAP", type=parse_int)
+
+
+def _reduce_arguments(p):
+    p.add_argument("cnf_file")
+    p.add_argument("--mode", choices=("randomized", "deterministic"), default="randomized")
+    p.add_argument("--seed", type=parse_int, default=None)
+    p.add_argument("--repeats", type=parse_int, default=5)
+    p.add_argument("--prime-strategy", choices=("scan", "sample"), default="scan")
+    p.add_argument("--max-vars", type=parse_int)
+    p.add_argument("--out", default=None, help="also write the report to this file")
+
+
+def _find_prime_arguments(p):
+    p.add_argument("n", type=parse_int)
+    p.add_argument("--strategy", choices=("scan", "sample"), default="scan")
+    p.add_argument("--seed", type=parse_int, default=None)
+    p.add_argument("--k-max", type=parse_int)
+
+
+def _density_arguments(p):
+    p.add_argument("pairs", type=parse_int, nargs="+", metavar="M_OR_X")
+    p.add_argument("--sieve-cap", dest="sieve_limit", metavar="SIEVE_CAP", type=parse_int)
+
+
+def _verify_arguments(p):
+    p.add_argument("file")
+    p.add_argument("--max-vars", type=parse_int)
+
+
+# name: (help line, the function that adds its arguments, the function that
+# runs it), in the order the top-level help lists them
+_COMMANDS = {
+    "decide-binomial": ("decide c1*x^a1 + c2*x^a2 over Q_p", _binomial_arguments,
+                        _cmd_decide_binomial),
+    "decide": ("decide a polynomial file over Q_p (brute force)", _poly_file_arguments,
+               _cmd_decide),
+    "degenerate": ("detect a repeated degree-1 factor over Q_p", _poly_file_arguments,
+                   _cmd_degenerate),
+    "reduce": ("run the 3SAT reduction pipeline on a DIMACS file", _reduce_arguments,
+               _cmd_reduce),
+    "find-prime": ("find a prime p = 1 + k*Q_n", _find_prime_arguments, _cmd_find_prime),
+    "density": ("count primes = 1 (mod M) up to x vs Li(x)/phi(M)", _density_arguments,
+                _cmd_density),
+    "verify-transcript": ("re-verify a reduction transcript", _verify_arguments,
+                          _cmd_verify_transcript),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The top-level parser with the one subparser that argv[0] names, or
+    with all of them when it names none (no arguments, an option first, an
+    unknown command).  Built with one subparser, the top-level usage that an
+    "unrecognized arguments" error prints would list that command alone, so
+    the subparsers' metavar lists all of them; the whole tree keeps
+    argparse's own, because its "required" and "invalid choice" errors name
+    the argument by its metavar ("command" without one)."""
+    names = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
     parser = argparse.ArgumentParser(
         prog="padicfeas",
         description="Root feasibility of sparse integer polynomials over the "
         "p-adic rationals, and a 3SAT-to-polynomial reduction pipeline.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    pb = sub.add_parser("decide-binomial", help="decide c1*x^a1 + c2*x^a2 over Q_p")
-    for name in ("c1", "a1", "c2", "a2"):
-        pb.add_argument(name, type=parse_int)
-    pb.add_argument("--prime", type=parse_int, required=True)
-    pb.set_defaults(func=_cmd_decide_binomial)
-
-    for name, text, func in (
-        ("decide", "decide a polynomial file over Q_p (brute force)", _cmd_decide),
-        ("degenerate", "detect a repeated degree-1 factor over Q_p", _cmd_degenerate),
-    ):
-        pd = sub.add_parser(name, help=text)
-        pd.add_argument("poly_file")
-        pd.add_argument("--prime", type=parse_int, required=True)
-        pd.add_argument("--degree-cap", dest="degree", metavar="DEGREE_CAP", type=parse_int)
-        pd.set_defaults(func=func)
-
-    pr = sub.add_parser("reduce", help="run the 3SAT reduction pipeline on a DIMACS file")
-    pr.add_argument("cnf_file")
-    pr.add_argument("--mode", choices=("randomized", "deterministic"), default="randomized")
-    pr.add_argument("--seed", type=parse_int, default=None)
-    pr.add_argument("--repeats", type=parse_int, default=5)
-    pr.add_argument("--prime-strategy", choices=("scan", "sample"), default="scan")
-    pr.add_argument("--max-vars", type=parse_int)
-    pr.add_argument("--out", default=None, help="also write the report to this file")
-    pr.set_defaults(func=_cmd_reduce)
-
-    pf = sub.add_parser("find-prime", help="find a prime p = 1 + k*Q_n")
-    pf.add_argument("n", type=parse_int)
-    pf.add_argument("--strategy", choices=("scan", "sample"), default="scan")
-    pf.add_argument("--seed", type=parse_int, default=None)
-    pf.add_argument("--k-max", type=parse_int)
-    pf.set_defaults(func=_cmd_find_prime)
-
-    pe = sub.add_parser("density", help="count primes = 1 (mod M) up to x vs Li(x)/phi(M)")
-    pe.add_argument("pairs", type=parse_int, nargs="+", metavar="M_OR_X")
-    pe.add_argument("--sieve-cap", dest="sieve_limit", metavar="SIEVE_CAP", type=parse_int)
-    pe.set_defaults(func=_cmd_density)
-
-    pv = sub.add_parser("verify-transcript", help="re-verify a reduction transcript")
-    pv.add_argument("file")
-    pv.add_argument("--max-vars", type=parse_int)
-    pv.set_defaults(func=_cmd_verify_transcript)
-
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        text, add_arguments, func = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         report, summary, verdict = args.func(args)
         text = transcript_dumps(report)

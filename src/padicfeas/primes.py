@@ -93,8 +93,10 @@ def find_prime_in_progression(
         ks = (rng.randint(1, interval) for _ in range(max_trials))
         exhausted = f"no prime 1 + k*{q} found in {max_trials} sampling trials"
     for trial, k in enumerate(ks, 1):  # a scan's trial count is k
-        if is_prime(p := 1 + k * q):
-            return ProgressionPrime(n, q, k, p, trials_used=trial)
+        try:  # the record tests p once; a composite p raises ValueError
+            return ProgressionPrime(n, q, k, 1 + k * q, trials_used=trial)
+        except ValueError:
+            continue
     raise PrimeSearchExhausted(exhausted)
 
 

@@ -35,7 +35,9 @@ from .errors import CapsExceeded
 from .plaisted import Cnf3, encode_system, satisfies
 from .primes import ProgressionPrime, find_prime_in_progression
 from .record import Record
-from .sparsepoly import SparsePoly, _chirp, _dft, _pack, parse_int, poly_from_obj
+# transcript_dumps lives in sparsepoly, which every CLI call loads; the tests
+# and perfbench's tracer read it as reduce.transcript_dumps
+from .sparsepoly import SparsePoly, _chirp, _dft, _pack, parse_int, poly_from_obj, transcript_dumps
 
 # v3 omits g1 and g2, which a, b and the formula fix, as v2 omitted h, which
 # g1, g2 and qnr fix.  v1 and v2 transcripts still verify, and each must carry
@@ -182,12 +184,6 @@ _FIELDS = {
     "verdict": (_same, _flag),
     "witness": (_optional(list), _optional(_ints)),
 }
-
-
-def transcript_dumps(obj) -> str:
-    """Canonical JSON: sorted keys, fixed layout, trailing newline, so equal
-    runs serialize to identical bytes."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 # -- stages ----------------------------------------------------------------------

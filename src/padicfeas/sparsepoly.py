@@ -21,10 +21,15 @@ heuristic gcd, one integer gcd of values checked by exact division, with the
 integer subresultant remainder sequence as its fallback.  At degree 512
 (random coefficients in [-9, 9], 2 vCPU) gcd(f, f') takes milliseconds.
 resultant_dense runs the same sequence and takes about 20 s there; the
-decider does not call it, the tests' refinement-depth oracle does."""
+decider does not call it, the tests' refinement-depth oracle does.
+
+The file formats live here too: parse_poly reads a polynomial's text,
+parse_int a JSON integer, poly_to_obj and poly_from_obj a polynomial's JSON
+object, and transcript_dumps writes the canonical JSON of every report."""
 
 from __future__ import annotations
 
+import json
 import re
 from itertools import accumulate, repeat
 from math import gcd as _int_gcd, isqrt
@@ -432,3 +437,9 @@ def poly_from_obj(obj) -> SparsePoly:
         prev = e
         terms.append((c, e))
     return SparsePoly(terms)
+
+
+def transcript_dumps(obj) -> str:
+    """Canonical JSON of every report and transcript: sorted keys, fixed
+    layout, trailing newline, so equal runs serialize to identical bytes."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import padicfeas
 import padicfeas.reduce as reduce_mod
+from padicfeas import cli
 from padicfeas.cli import main
 from padicfeas.config import Config
 from padicfeas.plaisted import Cnf3, satisfies
@@ -166,6 +168,26 @@ def test_cli_text_digests(capsys, monkeypatch, args):
         return
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
     assert (code, *digests) == expected
+
+
+ALL_COMMANDS = ["decide-binomial", "decide", "degenerate", "reduce", "find-prime", "density",
+                "verify-transcript"]
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["decide", "f.poly", "--prime", "7"], ["decide"]),
+    (["verify-transcript"], ["verify-transcript"]),
+    ([], ALL_COMMANDS),
+    (["--help"], ALL_COMMANDS),
+    (["--version", "decide"], ALL_COMMANDS),
+    (["nope", "decide"], ALL_COMMANDS),
+])
+def test_a_call_builds_only_the_parser_of_its_subcommand(argv, built):
+    """All of them when the first argument names none; the text either way
+    is pinned by CLI_TEXT_DIGESTS."""
+    (sub,) = [a for a in cli._build_parser(argv)._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == built
 
 
 MAX_DIGITS = 4000

@@ -14,6 +14,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_all_names_resolve_once():
     assert len(set(padicfeas.__all__)) == len(padicfeas.__all__)
     assert [name for name in padicfeas.__all__ if not hasattr(padicfeas, name)] == []
+    assert set(padicfeas.__all__) <= set(dir(padicfeas))
 
 
 def test_readme_quick_start_runs():

@@ -172,12 +172,28 @@ def test_run_with_majority_gives_each_run_its_own_seed():
         assert t == pipeline(cnf, config.replace(seed=seed))
 
 
+# run by a fresh interpreter, with the source directory as argv[1]
+CLI_IMPORT = """
+import io, sys, types
+sys.path.insert(0, sys.argv[1])
+import padicfeas.cli
+print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))
+sys.stdout, out = io.StringIO(), sys.stdout
+code = padicfeas.cli.main(['decide-binomial', '1', '2', '-17', '0', '--prime', '2'])
+sys.stdout = out
+print(code, [name for name in ('reduce', 'plaisted', 'primes')
+             if type(sys.modules['padicfeas.' + name]) is not types.ModuleType])
+print(padicfeas.reduce.pipeline.__name__)
+"""
+
+
 def test_importing_the_cli_needs_neither_dataclasses_nor_inspect():
     """Nor `fractions` (which imports `decimal`): the decider's resultant is
-    computed in the integers."""
+    computed in the integers.  A `decide-binomial` call leaves the modules
+    it does not run registered but not executed, and they load on first
+    use."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(padicfeas.__file__)))
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import padicfeas.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", CLI_IMPORT, src],
                           capture_output=True, text=True, timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "[]\n0 ['reduce', 'plaisted', 'primes']\npipeline\n", "feasible over Q_2 (two-adic)\n")

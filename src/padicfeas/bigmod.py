@@ -238,30 +238,13 @@ def find_qnr(p: int, rng: random.Random) -> int:
             return a
 
 
-def _dlog_in_two_group(target: int, ell: int) -> int:
-    """Discrete log of target to base 5 in (Z/2**ell Z)*, ell >= 3.
-
-    The subgroup generated by 5 has order 2**(ell-2), a power of two, so
-    the Pohlig-Hellman bit-by-bit reduction is exact.
-    """
-    m = 1 << ell
-    n = 1 << (ell - 2)
-    e = ell - 2
-    gamma = pow(5, n >> 1, m)  # the order-2 element of <5>
-    x = 0
-    for i in range(e):
-        t = pow(target * pow(5, (n - x) % n, m) % m, 1 << (e - 1 - i), m)
-        if t == gamma:
-            x += 1 << i
-        elif t != 1:
-            raise ValueError("element is not in the subgroup generated by 5")
-    return x
-
-
 def decompose_2adic_unit(alpha: int, ell: int) -> tuple[int, int]:
     """Write an odd alpha as (-1)**a * 5**b modulo 2**ell (ell >= 3).
 
     The representation is unique with a in {0, 1} and 0 <= b < 2**(ell-2).
+    b is found one bit at a time: 5**(2**i) = 1 + 2**(i+2) modulo 2**(i+3),
+    so once 5**b agrees with the target modulo 2**(i+2), adding 2**i to b or
+    not makes it agree modulo 2**(i+3).
     """
     if ell < 3:
         raise ValueError("requires ell >= 3")
@@ -269,12 +252,14 @@ def decompose_2adic_unit(alpha: int, ell: int) -> tuple[int, int]:
         raise ValueError("alpha must be odd")
     m = 1 << ell
     alpha %= m
-    if alpha % 4 == 1:
-        a, target = 0, alpha
-    else:
-        a, target = 1, (m - alpha) % m
-    b = _dlog_in_two_group(target, ell)
-    assert pow(5, b, m) == target
+    a = int(alpha % 4 == 3)
+    target = m - alpha if a else alpha
+    b, power, step = 0, 1, 5  # power = 5**b and step = 5**(2**i), modulo m
+    for i in range(ell - 2):
+        if (power - target) >> (i + 2) & 1:
+            b, power = b + (1 << i), power * step % m
+        step = step * step % m
+    assert power == target
     return a, b
 
 

@@ -221,10 +221,16 @@ def _integral_root_witness(sf: list[int], p: int):
         candidates = [y for x in candidates for y in range(x, x + mod, prev)
                       if _horner(sf, y, mod) == 0]
         for x in candidates:
-            dv = _horner(sfd, x, mod)
-            if dv != 0 and 2 * _valuation(dv, p) < ell:
+            if _certified(sfd, x, p, ell):
                 return x, ell
     return None
+
+
+def _certified(da: list[int], x: int, p: int, ell: int) -> bool:
+    """The Newton condition at x modulo p**ell for a polynomial with
+    derivative da: 2*ord_p da(x) < ell, which da(x) mod p**ell decides."""
+    dv = _horner(da, x, p ** ell)
+    return dv != 0 and 2 * _valuation(dv, p) < ell
 
 
 def _decide_dense(a: list[int], p: int) -> PadicDecision:
@@ -238,9 +244,7 @@ def _decide_dense(a: list[int], p: int) -> PadicDecision:
     sf = _squarefree_primitive(a)
     if (direct := _integral_root_witness(sf, p)) is not None:
         x, ell = direct
-        mod = p ** ell
-        dv = _horner(_derivative(a), x, mod)
-        certified = _horner(a, x, mod) == 0 and dv != 0 and 2 * _valuation(dv, p) < ell
+        certified = _horner(a, x, p ** ell) == 0 and _certified(_derivative(a), x, p, ell)
         witness = Witness(x, Modulus(p, ell), 0) if certified else None
         return PadicDecision(True, RULE_HENSEL_CERTIFIED, witness)
     if _integral_root_witness(_primitive(sf[::-1]), p) is not None:

@@ -219,16 +219,15 @@ def _combination_bound(polys) -> tuple[int, int]:
 
 
 def _pair(a, b, polys) -> tuple[SparsePoly, SparsePoly]:
-    """(g1, g2): the combinations of polys by a and b, or, when a is None
-    (k <= 2), the first and last polynomial themselves."""
-    if a is None:
-        return polys[0], polys[-1]
-    return _combine(a, polys), _combine(b or (), polys)
+    """(g1, g2): the combinations of polys by the two randomized _rows."""
+    return tuple(_combine(row, polys) for row in _rows(True, a, b, len(polys)))
 
 
-def _combine(coeffs, polys) -> SparsePoly:
-    """sum(a * f for a, f in zip(coeffs, polys)), accumulated in one pass."""
-    return SparsePoly((a * c, e) for a, f in zip(coeffs, polys) for c, e in f.terms)
+def _combine(row, polys) -> SparsePoly:
+    """The combination of polys by a row of (index, coefficient) pairs, as
+    _rows makes and _scan_roots reads, accumulated in one pass."""
+    k = len(polys)
+    return SparsePoly((r * c, e) for i, r in row if i < k for c, e in polys[i].terms)
 
 
 def _quadratic_form(f: SparsePoly, g: SparsePoly, qnr: int | None) -> SparsePoly:
@@ -313,7 +312,9 @@ class _Tables:
     wide enough for a sum of k products of residues: 1, 2, 4 or 8 bytes, read
     as native integers of format code, when that suffices on a little-endian
     host.  Equal laid-out polynomials (repeated clauses) share the table of
-    the first: same[i] is its index."""
+    the first: same[i] is its index.  The scan adds one product per row
+    entry, so a slot stays within the k*(p - 1)**2 it is packed for only
+    because a row holds each index at most once, as each of _rows does."""
 
     def __init__(self, layout, omega0: int, p: int, n: int):
         self.layout, self.omega0, self.p, self.q_n = layout, omega0, p, primorial(n)
@@ -328,7 +329,9 @@ class _Tables:
         self.chirps: dict[int, tuple] = {}  # P: the chirp of period P
 
     def table(self, i: int) -> int:
-        """The packed table of polynomial i, made on first use."""
+        """The packed table of polynomial i, that of the first polynomial
+        equal to it, made on first use."""
+        i = self.same[i]
         if self.packed[i] is None:
             period, coeffs = self.layout[i]
             if period not in self.chirps:
@@ -358,7 +361,8 @@ def _scan_roots(shared: _Tables, rows, omega: int, p: int, n: int) -> list[int]:
     omega0**s, s = u*t, where a polynomial of period P reads slot s mod P of
     its table: the scan runs over s and maps matches back by t = s/u mod Q_n
     (u is a unit, as omega is primitive).  Per row and period, the packed
-    tables are summed by one multiply-add per polynomial.  While survivors
+    tables are summed by one multiply-add per row entry whose coefficient is
+    nonzero modulo p; repeated clauses read one table.  While survivors
     times periods reach the lcm L of the periods, the periods dividing a
     common Q_n/q (q the largest prime dividing none of them) are added at
     their lcm, these few sums are repeated to L and added, and one pass reads
@@ -371,16 +375,11 @@ def _scan_roots(shared: _Tables, rows, omega: int, p: int, n: int) -> list[int]:
     for row in rows:
         if not (mask if survivors is None else survivors):
             break
-        weights: dict[int, int] = {}
-        for i, r in row:
-            if i < k:
-                j = shared.same[i]
-                weights[j] = (weights.get(j, 0) + r) % p
         sums: dict[int, int] = {}
-        for i, r in weights.items():
-            if r:
+        for i, r in row:
+            if i < k and r % p:
                 period = shared.layout[i][0]
-                sums[period] = sums.get(period, 0) + r * shared.table(i)
+                sums[period] = sums.get(period, 0) + r % p * shared.table(i)
         size = lcm(*sums)
         if sums and survivors is None and mask.bit_count() * len(sums) >= size:
             groups: dict[int, dict[int, int]] = {}
@@ -649,11 +648,14 @@ def verify_report(obj: dict, caps: Caps | None = None) -> tuple[bool, list[dict]
     seed).  Each summary field present must be the one _summary gives.
     Returns (all_ok, per-run results, why the report fails although its
     runs pass, or '').  Malformed runs or a malformed config raise
-    ValueError before any run is verified."""
+    ValueError, and more than MAX_REPEATS runs, which no run_with_majority
+    call makes, raise CapsExceeded, before any run is verified."""
     runs = obj.get("runs")
     if not (isinstance(runs, list) and runs and all(isinstance(r, dict) for r in runs)):
         raise ValueError("'runs' must be a non-empty list of transcript objects")
     config = Config.from_obj(obj["config"]) if "config" in obj else None
+    if len(runs) > MAX_REPEATS:
+        raise CapsExceeded(f"{len(runs)} runs exceed the cap of {MAX_REPEATS} runs")
     encodings: dict = {}
     verified = [verify_transcript(run, caps, encodings) for run in runs]
     results = [{"run": i, "ok": ok, "checks": checks} for i, (ok, checks) in enumerate(verified)]

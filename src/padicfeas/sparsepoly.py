@@ -227,9 +227,7 @@ def _trim(a):
 
 def _primitive(a: list[int]) -> list[int]:
     """Divide out the content; normalize the leading coefficient positive."""
-    g = 0
-    for c in a:
-        g = _int_gcd(g, c)
+    g = _int_gcd(*a)
     if g == 0:
         return []
     if a[-1] < 0:

@@ -6,7 +6,6 @@ import pytest
 from padicfeas.bigmod import (
     _MR_DETERMINISTIC_BOUND,
     Modulus,
-    _dlog_in_two_group,
     _pollard_rho_brent,
     _valuation,
     decompose_2adic_unit,
@@ -228,9 +227,6 @@ def test_decompose_2adic_unit_examples():
         decompose_2adic_unit(4, 3)
     with pytest.raises(ValueError):
         decompose_2adic_unit(3, 2)
-    # 3 = -1 mod 4 is not in <5> = 1 + 4Z modulo 32
-    with pytest.raises(ValueError, match="not in the subgroup generated by 5"):
-        _dlog_in_two_group(3, 5)
 
 
 def test_decompose_2adic_unit_is_a_bijection():
@@ -243,6 +239,18 @@ def test_decompose_2adic_unit_is_a_bijection():
             assert (-1) ** a * pow(5, b, m) % m == alpha
             seen.add((a, b))
         assert len(seen) == m // 2
+
+
+def test_decompose_2adic_unit_at_large_ell():
+    """Seeded odd alpha of either sign and any size, at ell up to 300."""
+    rng = random.Random(2)
+    for _ in range(200):
+        ell = rng.randint(3, 300)
+        m = 1 << ell
+        alpha = rng.randrange(-m << 3, m << 3) | 1
+        a, b = decompose_2adic_unit(alpha, ell)
+        assert a in (0, 1) and 0 <= b < (1 << (ell - 2))
+        assert (-1) ** a * pow(5, b, m) % m == alpha % m
 
 
 def test_xgcd_and_crt():

@@ -912,6 +912,28 @@ def test_reduce_repeats_cap(tmp_path, capsys):
     assert r == expected
 
 
+def test_verify_transcript_refuses_more_runs_than_the_cap(tmp_path, capsys, monkeypatch):
+    """A report with more than MAX_REPEATS runs, which no reduce call makes,
+    is refused before any run is verified: exit 3, one stderr line and no
+    report.  Copies of one run make such a report."""
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n")
+    out_file = tmp_path / "t.json"
+    run_cli(capsys, ["reduce", str(cnf), "--seed", "1", "--out", str(out_file)])
+    run = json.loads(out_file.read_text())["runs"][0]
+    copies = tmp_path / "copies.json"
+
+    def verify(count):
+        copies.write_text(json.dumps({"runs": [run] * count}))
+        return run_cli(capsys, ["verify-transcript", str(copies)])
+
+    count = MAX_REPEATS + 1
+    assert verify(count) == (3, "", f"error: {count} runs exceed the cap of {MAX_REPEATS} runs\n")
+    monkeypatch.setattr(reduce_mod, "MAX_REPEATS", 3)
+    assert verify(3)[0] == 0
+    assert verify(4) == (3, "", "error: 4 runs exceed the cap of 3 runs\n")
+
+
 def test_reduce_repeats_cap_shrinks_with_q_n(tmp_path, capsys):
     """Beyond n = 6 the cap shrinks in proportion to Q_n: at n = 7 it is
     MAX_REPEATS * Q_6 // Q_7 = 29 runs, and 30 are refused within a second,

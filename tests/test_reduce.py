@@ -117,7 +117,7 @@ def test_random_combine_equals_the_term_by_term_sum(n):
             e2 = e2 + bi * f
         assert (g1, g2) == (e1, e2)
     f = parse_poly("x^3 - 2*x + 1")
-    assert reduce_mod._combine((2, 1), [f, -2 * f]).is_zero
+    assert reduce_mod._combine([(0, 2), (1, 1)], [f, -2 * f]).is_zero
 
 
 def test_random_combine_passthrough_and_errors():
@@ -515,14 +515,6 @@ def random_row(rng, p, k):
     return [(i, rng.choice(pick)()) for i in range(max(0, k + rng.randint(-2, 2)))]
 
 
-def dense(row):
-    """The coefficient list of a sparse row, for _combine."""
-    out = [0] * (1 + max((i for i, _ in row), default=-1))
-    for i, r in row:
-        out[i] += r
-    return out
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_rows_scan_matches_the_combined_polynomials(n):
     """Scanning rows over the laid-out clause polynomials finds exactly the
@@ -542,8 +534,33 @@ def test_rows_scan_matches_the_combined_polynomials(n):
         a, b = (tuple(rng.randint(1, 10 ** 9) for _ in range(k)) for _ in "ab")
         row_sets += [_rows(True, a, b, k), _rows(True, a, None, k), _rows(True, a[:-1], b + b, k)]
         for rows in row_sets:
-            want = naive_roots([_combine(dense(row), polys) for row in rows], omega, p, q_n)
+            want = naive_roots([_combine(row, polys) for row in rows], omega, p, q_n)
             assert _scan_roots(tables, rows, omega, p, n) == want, rows
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_scan_of_repeated_clauses_matches_the_combined_polynomials(n):
+    """Copies of a clause share one table, and the scan still finds exactly
+    the common roots of each row's combination: when the entries of two
+    copies sum to 0 modulo p (the clause drops out of the row) and when they
+    do not."""
+    rng = random.Random(700 + n)
+    p, q_n, omega = scan_setting(n, rng)
+    base = seeded_formula(n, 4, 710 + n).to_signed()
+    cnf = Cnf3.from_signed(n, base + [base[0][::-1], base[1]])  # 4 copies 0, 5 copies 1
+    polys = encode_system(cnf)
+    k = len(polys)
+    tables = _Tables(_layout(polys, q_n), omega, p, n)
+    assert tables.same[4:] == [0, 1]
+    for _ in range(4):
+        r, s = rng.randint(1, 10 ** 12), rng.randint(1, p - 1)
+        cancel = [(0, r), (4, p * rng.randint(-3, 3) - r), (2, rng.randint(1, 9))]
+        kept = [(1, s), (5, rng.randint(1, 10 ** 12) * p + s), (3, rng.randint(1, 9))]
+        alone = [(4, r), (0, p * rng.randint(-3, 3) - r)]
+        for rows in ([cancel], [kept], [alone], [cancel, kept], [kept, cancel],
+                     [alone, [(i, rng.randint(1, 10 ** 9)) for i in range(k)]]):
+            combos = [sum((c * polys[i] for i, c in row), SparsePoly()) for row in rows]
+            assert _scan_roots(tables, rows, omega, p, n) == naive_roots(combos, omega, p, q_n)
 
 
 def test_pipeline_matches_the_truth_table_at_six_variables():

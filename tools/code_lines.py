@@ -6,10 +6,11 @@ line counts once however many tokens it holds, and a token that spans lines
 (a bracketed expression's continuation, a multi-line string that is not a
 docstring) counts every line it spans.
 
-Usage: python tools/code_lines.py [PATH ...]
+Usage: python tools/code_lines.py [-h] [PATH ...]
 
 Each PATH is a file or a directory, searched for *.py files (default:
-src/padicfeas).  Prints one line per file and the total.
+src/padicfeas).  Prints one line per file and the total; -h or --help
+prints this text.  A PATH that does not exist exits 2 with one error line.
 """
 
 from __future__ import annotations
@@ -46,9 +47,15 @@ def code_lines(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
+    if "-h" in argv or "--help" in argv:
+        print(__doc__.strip())
+        return 0
     files = []
     for arg in argv or ["src/padicfeas"]:
         path = Path(arg)
+        if not path.exists():
+            print(f"error: no such file or directory: {arg}", file=sys.stderr)
+            return 2
         files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
     total = 0
     for path in files:

@@ -10,9 +10,10 @@ nothing on stdout and one `error:` line on stderr.  Each `_cmd_*` returns
 deterministic given --seed (or the PADICFEAS_SEED environment variable)
 and the inputs.
 
-A call builds only the parser of the subcommand it names (all of them when
-its first argument names none) and loads only the modules that subcommand
-runs: `padic`, `plaisted`, `primes` and `reduce` are the package's lazy
+A call uses only the parser of the subcommand it names (all of them when
+its first argument names none), built by the first such call in the process
+and kept for later ones.  It loads only the modules that subcommand runs:
+`padic`, `plaisted`, `primes` and `reduce` are the package's lazy
 submodules, read as attributes at call time, and each executes on its first
 attribute use.
 """
@@ -20,6 +21,7 @@ attribute use.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -264,14 +266,23 @@ _COMMANDS = {
 
 
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The top-level parser with the one subparser that argv[0] names, or
-    with all of them when it names none (no arguments, an option first, an
-    unknown command).  Built with one subparser, the top-level usage that an
+    """The parser for argv: the one of the subcommand that argv[0] names, or
+    the whole tree when it names none (no arguments, an option first, an
+    unknown command).  Each is built on first use and kept, so a process
+    holds at most one per subcommand and one whole tree; parse_args leaves a
+    parser as it found it, so a kept one parses each call afresh."""
+    return _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+
+
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The top-level parser with the subparser of command alone, or with all
+    of them for None.  Built with one subparser, the top-level usage that an
     "unrecognized arguments" error prints would list that command alone, so
     the subparsers' metavar lists all of them; the whole tree keeps
     argparse's own, because its "required" and "invalid choice" errors name
     the argument by its metavar ("command" without one)."""
-    names = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    names = list(_COMMANDS) if command is None else [command]
     parser = argparse.ArgumentParser(
         prog="padicfeas",
         description="Root feasibility of sparse integer polynomials over the "

@@ -33,7 +33,7 @@ from .bigmod import factor, find_generator, find_qnr, first_primes, is_generator
 from .config import Caps, Config
 from .errors import CapsExceeded
 from .plaisted import Cnf3, encode_system, satisfies
-from .primes import ProgressionPrime, find_prime_in_progression
+from .primes import SAMPLE_C, SEARCH_MAX_N, ProgressionPrime, find_prime_in_progression
 from .record import Record
 # transcript_dumps lives in sparsepoly, which every CLI call loads; the tests
 # and perfbench's tracer read it as reduce.transcript_dumps
@@ -157,13 +157,29 @@ def _flag(v) -> bool:
     return v
 
 
+def _read_prime(o) -> ProgressionPrime:
+    """The transcript's prime.  A prime that neither search can return, by
+    its n, q_n or k, is refused before ProgressionPrime tests p for
+    primality, which would take seconds on a forged k of thousands of
+    digits; a p that is not 1 + k*q_n is still refused first, as the record
+    refuses it."""
+    n, q_n, k, p, trials_used = (parse_int(o[name]) for name in ProgressionPrime._fields)
+    if p == 1 + k * q_n:
+        if n > SEARCH_MAX_N["scan"]:
+            raise ValueError(f"n = {n} exceeds the scan prime search limit {SEARCH_MAX_N['scan']}")
+        if q_n != primorial(n):
+            raise ValueError(f"q_n is not the product of the first {n} primes")
+        if k > max(Caps().k_max, 2 ** (min(n, SEARCH_MAX_N["sample"]) ** SAMPLE_C)):
+            raise ValueError(f"k is larger than either prime search returns at n = {n}")
+    return ProgressionPrime(n, q_n, k, p, trials_used)
+
+
 # Each transcript field's JSON form, as (write, read): big integers are
 # decimal strings.  from_obj reads the fields in this order, prime first.
 _OPT_INT = (_optional(str), _optional(parse_int))
 _OPT_INTS = (_optional(lambda v: list(map(str, v))), _optional(_ints))
 _FIELDS = {
-    "prime": (ProgressionPrime.to_obj,
-              lambda o: ProgressionPrime(*(parse_int(o[name]) for name in ProgressionPrime._fields))),
+    "prime": (ProgressionPrime.to_obj, _read_prime),
     "mode": (_same, _same),
     "n": (_same, parse_int),
     "q_n": (str, parse_int),

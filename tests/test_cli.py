@@ -16,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padicfeas
+import padicfeas.primes as primes_mod
 import padicfeas.reduce as reduce_mod
-from padicfeas import cli
+from padicfeas import bigmod, cli
+from padicfeas.bigmod import primorial
 from padicfeas.cli import main
 from padicfeas.config import Config
 from padicfeas.plaisted import Cnf3, satisfies
@@ -188,6 +190,53 @@ def test_a_call_builds_only_the_parser_of_its_subcommand(argv, built):
     (sub,) = [a for a in cli._build_parser(argv)._actions
               if isinstance(a, argparse._SubParsersAction)]
     assert list(sub.choices) == built
+
+
+def test_a_kept_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    """One process makes a sequence of calls with the parsers kept between
+    them: a flag and then its default (an environment seed set and then
+    unset), a cap and then none, a usage error, help and version (which exit
+    through SystemExit) and then a valid call.  Each call's exit code,
+    stdout and stderr equal those of the same call on freshly built
+    parsers, and two calls of one subcommand share its parser."""
+    monkeypatch.setenv("COLUMNS", "80")
+    cnf, poly = tmp_path / "f.cnf", tmp_path / "f.poly"
+    cnf.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n")
+    poly.write_text("x^10 - 2")
+    reduce, decide = ["reduce", str(cnf)], ["decide", str(poly), "--prime", "7"]
+    calls = [  # (argv, PADICFEAS_SEED or None)
+        (reduce + ["--seed", "5"], None),
+        (reduce, "7"),
+        (reduce, None),
+        (decide + ["--degree-cap", "9"], None),
+        (decide, None),
+        (["decide", str(poly)], None),
+        (decide, None),
+        (["--help"], None),
+        (["decide", "--help"], None),
+        (decide, None),
+        (["--version"], None),
+        (reduce, None),
+    ]
+
+    def run(argv, seed):
+        if seed is None:
+            monkeypatch.delenv("PADICFEAS_SEED", raising=False)
+        else:
+            monkeypatch.setenv("PADICFEAS_SEED", seed)
+        return run_cli(capsys, argv)
+
+    cli._parser.cache_clear()
+    kept = [run(argv, seed) for argv, seed in calls]
+    fresh = []
+    for argv, seed in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv, seed))
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [0, 0, 0, 3, 0, 2, 0, 0, 0, 0, 0, 0]
+    assert len({out for _, out, _ in kept[:3]}) == 3  # three seeds, three reports
+    assert cli._build_parser(decide) is cli._build_parser(["decide", "--help"])
+    assert cli._build_parser(["--help"]) is cli._build_parser([])
 
 
 MAX_DIGITS = 4000
@@ -847,26 +896,71 @@ def test_verify_transcript_variable_cap(tmp_path, capsys):
 
 
 def test_verify_transcript_exits_3_when_rho_cannot_split_k(tmp_path, capsys):
-    """The generator check factors p - 1 = k*q_n.  Here k = 59*r1*r2 for
-    the primes r1, r2 just above 2**45 + 12345 and 2**46 + 999, p = 1 + 30*k
-    is prime and omega = g**k, so every check before it passes, and Pollard
-    rho spends its budget on r1*r2."""
+    """The generator check factors p - 1 = k*q_n.  Here n = 10, k = 47*r1*r2
+    for the primes r1, r2 just above 2**45 + 12345 and 2**46 + 999, p =
+    1 + Q_10*k is prime and omega = g**k, so every check before it passes
+    (k < 2**(10**2), so sampling can return it), and Pollard rho spends its
+    budget on r1*r2.  The runs of a 3-variable formula, relabelled as of 10
+    variables, reach that check without a scan."""
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 3 1\n1 -2 3 0\n")
     out_file = tmp_path / "t.json"
     run_cli(capsys, ["reduce", str(cnf), "--seed", "2", "--prime-strategy", "sample",
                      "--out", str(out_file)])
     obj = json.loads(out_file.read_text())
-    k = 146076924689450490817566386347
+    k, q_n = 116366363735663950312298646751, primorial(10)
     for run in obj["runs"]:
-        run["prime"]["k"], run["prime"]["p"] = str(k), str(1 + 30 * k)
-        run["omega"] = str(pow(int(run["generator"]), k, 1 + 30 * k))
+        run["n"], run["q_n"], run["cnf"]["num_vars"] = 10, str(q_n), 10
+        run["prime"].update(n=10, q_n=str(q_n), k=str(k), p=str(1 + q_n * k))
+        run["omega"] = str(pow(int(run["generator"]), k, 1 + q_n * k))
     crafted = tmp_path / "crafted.json"
     crafted.write_text(json.dumps(obj))
-    code, out, err = run_cli(capsys, ["verify-transcript", str(crafted)])
+    code, out, err = run_cli(capsys, ["verify-transcript", str(crafted), "--max-vars", "10"])
     assert (code, out) == (3, "")
     assert err == ("error: pollard-rho budget of 1000000 iterations exhausted on "
                    "2475880079482211708772311633\n")
+
+
+# A forged prime that no search returns: (field edits, the parse check's
+# detail).  Each p = 1 + k*q_n has thousands of bits; the first has no factor
+# below 100, so is_prime's Miller-Rabin rounds on it took 7 s.
+FORGED_PRIMES = {
+    "k": ({"k": 10**4199 + 2},
+          "k is larger than either prime search returns at n = 3"),
+    "n": ({"n": 10**4000, "q_n": 10**4000},
+          f"n = {10**4000} exceeds the scan prime search limit 120"),
+    "q_n": ({"q_n": 30 * (10**4000 + 1)},
+            "q_n is not the product of the first 3 primes"),
+}
+
+
+@pytest.mark.parametrize("field", FORGED_PRIMES)
+def test_verify_transcript_refuses_an_unsearchable_prime_before_testing_it(
+        tmp_path, capsys, monkeypatch, field):
+    """The transcript's prime reader refuses an n above the scan limit, a q_n
+    that is not Q_n and a k above what either search returns at n (the scan
+    cap, or 2**(n**2) for sampling) before is_prime runs: here is_prime
+    fails the test on any p of more than 1000 bits.  The report exits 1."""
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n")
+    out_file = tmp_path / "t.json"
+    run_cli(capsys, ["reduce", str(cnf), "--seed", "1", "--out", str(out_file)])
+    (run, *_) = json.loads(out_file.read_text())["runs"]
+    edits, detail = FORGED_PRIMES[field]
+    prime = {name: int(value) for name, value in run["prime"].items()} | edits
+    prime["p"] = 1 + prime["k"] * prime["q_n"]
+    run["prime"] = {name: str(value) for name, value in prime.items()}
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps({"runs": [run]}))
+
+    def is_prime(n):
+        assert n.bit_length() <= 1000, f"is_prime ran on a {n.bit_length()}-bit p"
+        return bigmod.is_prime(n)
+
+    monkeypatch.setattr(primes_mod, "is_prime", is_prime)
+    code, out, _ = run_cli(capsys, ["verify-transcript", str(forged)])
+    assert code == 1
+    assert report(out)["runs"][0]["checks"] == [{"name": "parse", "ok": False, "detail": detail}]
 
 
 def test_reduce_malformed_dimacs(tmp_path, capsys):

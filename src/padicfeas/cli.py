@@ -12,7 +12,8 @@ and the inputs.
 
 A call uses only the parser of the subcommand it names (all of them when
 its first argument names none), built by the first such call in the process
-and kept for later ones.  It loads only the modules that subcommand runs:
+and kept for later ones, and parses its arguments in one pass through that
+subcommand's parser.  It loads only the modules that subcommand runs:
 `padic`, `plaisted`, `primes` and `reduce` are the package's lazy
 submodules, read as attributes at call time, and each executes on its first
 attribute use.
@@ -266,18 +267,23 @@ _COMMANDS = {
 
 
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for argv: the one of the subcommand that argv[0] names, or
-    the whole tree when it names none (no arguments, an option first, an
-    unknown command).  Each is built on first use and kept, so a process
-    holds at most one per subcommand and one whole tree; parse_args leaves a
-    parser as it found it, so a kept one parses each call afresh."""
-    return _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    """The top-level parser for argv: the one with the subparser that argv[0]
+    names, or the whole tree when it names none (no arguments, an option
+    first, an unknown command)."""
+    return _parser(_command(argv))[0]
+
+
+def _command(argv: list[str]) -> str | None:
+    return argv[0] if argv and argv[0] in _COMMANDS else None
 
 
 @functools.cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
+def _parser(command: str | None) -> tuple[argparse.ArgumentParser, dict]:
     """The top-level parser with the subparser of command alone, or with all
-    of them for None.  Built with one subparser, the top-level usage that an
+    of them for None, and its subparsers by name.  Each is built on first use
+    and kept, so a process holds at most one per subcommand and one whole
+    tree; parsing leaves a parser as it found it, so a kept one parses each
+    call afresh.  Built with one subparser, the top-level usage that an
     "unrecognized arguments" error prints would list that command alone, so
     the subparsers' metavar lists all of them; the whole tree keeps
     argparse's own, because its "required" and "invalid choice" errors name
@@ -296,12 +302,30 @@ def _parser(command: str | None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         add_arguments(p)
         p.set_defaults(func=func)
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed in one pass when argv[0] names a subcommand: its subparser
+    parses argv[1:] and the top-level parser rejects what is left over, as
+    the two-level parse_args does, but without the top-level pass over every
+    argument (the namespace lacks that pass's `command`, which nothing
+    reads).  The whole tree parses an argv that names no subcommand, and so
+    does the top-level parser for one holding an argument that starts with
+    "--=", which it alone rejects as ambiguous between --help and --version."""
+    command = _command(argv)
+    parser, subparsers = _parser(command)
+    if command is None or any(a.startswith("--=") for a in argv):
+        return parser.parse_args(argv)
+    args, extras = subparsers[command].parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse_args(argv)
     try:
         report, summary, verdict = args.func(args)
         text = transcript_dumps(report)

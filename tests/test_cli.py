@@ -157,6 +157,31 @@ CLI_TEXT_DIGESTS = {
                 "dadb7553ccc40cb64390944e0f995315dbe10db06322ec9cf6123a0f83338e49"),
     "decide f --prime 7 --bogus": (2, NO_TEXT,
                                    "835280b9ab6beab9512168190591e8c6843ed9a68557ce191e7294a02926d8ab"),
+    # a subcommand's own parser parses its arguments, and the top-level
+    # parser reports what it leaves over; these pin the corners of that split
+    "decide-binomial 1 2 -2 0 --prime 7 --version": (
+        2, NO_TEXT, "ccfa0623fb16bab3c1bca927ae9eba9fd225901f94fba68813dfd7ba2dbf6b61"),
+    "decide-binomial 1 2 -2 0 --prime 7 -h": (
+        0, "17d79b3dbe2006d60357a4afb75373eca9843eaee534527551cef901e37bc18f", NO_TEXT),
+    "decide-binomial 1 2 -2 0 --prime 7 --": (
+        2, NO_TEXT, "e4668b1223371bb1a884172a9b08c86af6088e6467b6970fd81447db3df9aff5"),
+    "decide-binomial --prime 7 -- 1 2 -2 0": (
+        0, "77224b5a0a1cb29c1d848dc7541b8cb4c3658fc75f0b68e8d88821573fea2a2d",
+        "c79e1c7740b4513b714e5f2bfc4acbe5b1b473b3631eb42c0ba80330eb8da565"),
+    "decide-binomial 1 2 -17 0 --pri 2": (
+        0, "5b2484afbd4dae000ddd9dfd46b06634efd8dd03b4a5d8c75f264cc74fe64a1c",
+        "8a109a842cf7547655526c0e705c5746967f70fae8533d6601769aab3d309040"),
+    "decide-binomial 1 2 -17 0 --prime=2": (
+        0, "5b2484afbd4dae000ddd9dfd46b06634efd8dd03b4a5d8c75f264cc74fe64a1c",
+        "8a109a842cf7547655526c0e705c5746967f70fae8533d6601769aab3d309040"),
+    "decide-binomial --bogus 1 2 -2 0 --prime 7": (
+        2, NO_TEXT, "835280b9ab6beab9512168190591e8c6843ed9a68557ce191e7294a02926d8ab"),
+    "find-prime 3 4": (2, NO_TEXT,
+                       "8f0ce72606115a255e70e9acd0e8b66381fdef20654289f44ccc7ff1007dda29"),
+    # the top-level parser alone rejects "--=x", as ambiguous between --help
+    # and --version
+    "decide-binomial 1 2 -2 0 --prime 7 --=x": (
+        2, NO_TEXT, "372a6ecec92ee566b5b087fb8e0b363758c3807ae832755926d34daa90786625"),
 }
 
 
@@ -237,6 +262,26 @@ def test_a_kept_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypa
     assert len({out for _, out, _ in kept[:3]}) == 3  # three seeds, three reports
     assert cli._build_parser(decide) is cli._build_parser(["decide", "--help"])
     assert cli._build_parser(["--help"]) is cli._build_parser([])
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide-binomial", "1", "2", "-2", "0", "--prime", "7"],
+    ["decide", "f.poly", "--prime", "7", "--degree-cap", "9"],
+    ["degenerate", "f.poly", "--prime=7"],
+    ["reduce", "f.cnf", "--mode", "deterministic", "--seed", "3", "--repeats", "2",
+     "--prime-strategy", "sample", "--max-vars", "4", "--out", "t.json"],
+    ["find-prime", "5", "--strategy", "sample", "--seed", "7", "--k-max", "10"],
+    ["density", "30", "1000", "--sieve-cap", "5000"],
+    ["verify-transcript", "t.json", "--max-vars", "4"],
+    ["reduce", "f.cnf"],  # every default
+], ids=lambda argv: argv[0] + ("-defaults" if len(argv) == 2 else ""))
+def test_main_parses_as_the_two_level_parse_args(argv):
+    """main's one pass through the subcommand's parser gives the namespace
+    of the top-level parse_args, without the `command` that only the
+    top-level pass sets."""
+    two_level = vars(cli._build_parser(argv).parse_args(argv))
+    assert two_level.pop("command") == argv[0]
+    assert vars(cli._parse_args(argv)) == two_level
 
 
 MAX_DIGITS = 4000

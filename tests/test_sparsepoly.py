@@ -1,4 +1,6 @@
+import enum
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -18,6 +20,7 @@ from padicfeas.sparsepoly import (
     poly_to_obj,
     resultant_dense,
     to_dense,
+    transcript_dumps,
 )
 
 from helpers import (
@@ -575,3 +578,64 @@ def test_str_round_trips_through_parse():
     for _ in range(200):
         f = random_sparse(rng)
         assert parse_poly(str(f)) == f or f.is_zero and str(f) == "0"
+
+
+# strings with quotes, backslashes, control characters, non-ASCII and lone
+# surrogates; ints of thousands of bits (below the 4300-digit limit on int
+# to str); floats with NaN, the infinities and -0.0
+_JSON_SCALARS = st.one_of(
+    st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800\udfff\U0001f600'),
+                      st.characters())),
+    st.integers(-(2**12000), 2**12000),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from((float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324)),
+)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=8), children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+class _Level(enum.IntEnum):
+    LOW = 3
+
+
+class _Text(str):
+    pass
+
+
+class _Real(float):
+    pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_JSON_TREES)
+def test_transcript_dumps_writes_the_bytes_of_json_dumps(obj):
+    """json.dumps with an indent is the reference layout that every report
+    digest pins; transcript_dumps must write the same bytes."""
+    assert transcript_dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), [[]], [{}], {"a": []}, {"a": {}}, "", 0, -0.0, None, True,
+    {"b": [1, (2, 3)], "a": {"c": None, "B": False}},
+    [_Level.LOW, _Text("x"), _Real(1.5)],  # subclasses of int, str and float
+])
+def test_transcript_dumps_named_cases(obj):
+    assert transcript_dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [{1: "a"}, {"a": {None: 1}}, {1, 2}, [frozenset()], b"x",
+                                 {"a": object()}])
+def test_transcript_dumps_rejects_what_no_report_holds(obj):
+    """json.dumps writes int, float, bool and None keys as strings;
+    transcript_dumps refuses them, and sets, bytes and other objects."""
+    with pytest.raises(TypeError):
+        transcript_dumps(obj)

@@ -9,14 +9,14 @@ a prime p = 1 (mod Q): each common root among them lifts to a true root
 because x**Q - 1 is separable modulo p.  The scan reads g1 and g2 (or, in
 deterministic mode, each clause polynomial) as rows of integers over the
 clause polynomials.  Each clause polynomial's values at the roots of unity
-are computed once per (formula, p), by one DFT over F_p computed as a single
-big-integer product with a chirp (sparsepoly._dft), at the first run's root
-omega0; a run whose root is omega0**u scans s = u*t, reading each table in
-its own order.  Every run is recorded in a transcript that can be
-re-verified without re-running any randomness.  A transcript records the
-combination vectors a and b, not the polynomials: g1 and g2 are rebuilt from
-a, b and the formula's clause polynomials, and h from g1, g2 and the
-non-residue.
+are computed once per (formula, p), at the first run's root omega0, from
+their closed form in the clause's literals (_Tables.make), so the scan never
+expands a clause polynomial; a run whose root is omega0**u scans s = u*t,
+reading each table in its own order.  Every run is recorded in a transcript
+that can be re-verified without re-running any randomness.  A transcript
+records the combination vectors a and b, not the polynomials: g1 and g2 are
+rebuilt from a, b and the formula's expanded clause polynomials
+(plaisted.encode_system), and h from g1, g2 and the non-residue.
 """
 
 from __future__ import annotations
@@ -24,20 +24,20 @@ from __future__ import annotations
 import json
 import random
 import sys
-from itertools import accumulate, compress, repeat
-from math import gcd, lcm
+from itertools import accumulate, combinations, compress, repeat
+from math import lcm, prod
 from operator import mod, mul, not_
 from struct import iter_unpack
 
 from .bigmod import factor, find_generator, find_qnr, first_primes, is_generator, primorial
 from .config import Caps, Config
 from .errors import CapsExceeded
-from .plaisted import Cnf3, encode_system, satisfies
+from .plaisted import Cnf3, clause_poly, encode_system, satisfies
 from .primes import SAMPLE_C, SEARCH_MAX_N, ProgressionPrime, find_prime_in_progression
 from .record import Record
 # transcript_dumps lives in sparsepoly, which every CLI call loads; the tests
 # and perfbench's tracer read it as reduce.transcript_dumps
-from .sparsepoly import SparsePoly, _chirp, _dft, _pack, parse_int, poly_from_obj, transcript_dumps
+from .sparsepoly import SparsePoly, _pack, parse_int, poly_from_obj, transcript_dumps
 
 # v3 omits g1 and g2, which a, b and the formula fix, as v2 omitted h, which
 # g1, g2 and qnr fix.  v1 and v2 transcripts still verify, and each must carry
@@ -51,14 +51,15 @@ _RECORDED = {
     TRANSCRIPT_FORMAT_V1: ("g1", "g2", "h"),
 }
 
-# Randomized runs per run_with_majority call at n <= 6, where one more run takes
-# 0.004-0.007 s for 10 to 160 clauses (2 vCPU, Python 3.11): about 4 s a call.
+# Randomized runs per run_with_majority call at n <= 6, where 500 runs took
+# 3.0-6.7 s for 10 to 160 clauses with the default prime search and 9-13 s
+# with sampled primes (2 vCPU, Python 3.11).
 MAX_REPEATS = 500
 
 
 def _repeats_cap(n: int) -> int:
     """MAX_REPEATS, shrunk beyond n = 6 in proportion to Q_n, which a run's
-    scan grows with: 29 runs at n = 7, which took 1.9-2.8 s for 30 clauses."""
+    scan grows with: 29 runs at n = 7, which took 3.0-3.5 s for 30 clauses."""
     return min(MAX_REPEATS, MAX_REPEATS * primorial(6) // primorial(n))
 
 
@@ -217,7 +218,7 @@ def random_combine(polys, rng: random.Random):
         raise ValueError("zero polynomials are not allowed")
     a = b = None
     if k > 2:
-        a, b = _draw(k, _combination_bound(polys)[1], rng)
+        a, b = _draw(k, _combination_bound(max(f.degree for f in polys), k)[1], rng)
     return (*_pair(a, b, polys), a, b)
 
 
@@ -227,11 +228,10 @@ def _draw(k: int, bound: int, rng: random.Random):
     return tuple(tuple(rng.randint(1, bound) for _ in range(k)) for _ in "ab")
 
 
-def _combination_bound(polys) -> tuple[int, int]:
-    """(d, 18*d*k**2) for k polynomials of largest degree d, where d is at
-    least 1 (all-constant systems have empty zero sets)."""
-    d = max(max(f.degree for f in polys), 1)
-    return d, 18 * d * len(polys) ** 2
+def _combination_bound(degree: int, k: int) -> tuple[int, int]:
+    """(d, 18*d*k**2) for k polynomials of largest degree degree, where
+    d = max(degree, 1) (all-constant systems have empty zero sets)."""
+    return max(degree, 1), 18 * max(degree, 1) * k ** 2
 
 
 def _pair(a, b, polys) -> tuple[SparsePoly, SparsePoly]:
@@ -263,32 +263,50 @@ def pair_to_single(f: SparsePoly, g: SparsePoly, p: int, rng: random.Random):
     return _quadratic_form(f, g, a), a
 
 
-def _layout(polys, q_n: int) -> list[tuple[int, list[int]]]:
-    """Each polynomial as (P, c) with c_j the sum of its coefficients at
-    exponents e = j*q_n/P (mod q_n), so that its value at omega**t is
-    sum_j c_j * w**(j*t), w = omega**(q_n/P): it depends only on t mod P.  P is
-    the largest period q_n/gcd(q_n, exponents) in the system that the
-    polynomial's own one divides (for a clause polynomial, the product of its
-    clause's primes; Plaisted 1984), so that polynomials combine by period."""
-    own = [q_n // gcd(q_n, *(e for _, e in f.terms)) for f in polys]
-    periods, layout = set(own), []
-    for f, period in zip(polys, own):
-        top = max(big for big in periods if big % period == 0)
-        step, coeffs = q_n // top, [0] * top
-        for c, e in f.terms:
-            coeffs[e // step % top] += c
-        layout.append((top, coeffs))
-    return layout
+def _shape(lits, primes, term_cap: int):
+    """(P, shape, degree) of the clause polynomial of a set of literals, read
+    from clause_poly's exponents without expanding them: P, the product of
+    its primes, is the period of its values at the roots of unity (exponents
+    are multiples of Q/P); shape = (p_N, Pos), the product of the negated
+    literals' primes and the positive literals' primes, ascending, which
+    _Tables.make reads; the degree is Q - (Q/P)*prod_{q in Pos} (q - 1).  A
+    tautology (x**Q - 1) has P = 1, shape None and degree Q.  The product
+    clause_poly gives would expand (plaisted.expand) to a dense list of
+    1 + [p_N > 1]*P + sum_{T subset of Pos, |T| odd} P/(p_N*prod T)
+    coefficients, 2 for a tautology: beyond term_cap, CapsExceeded is raised
+    with expand's message."""
+    q_n = prod(primes)
+    if any((i, not neg) in lits for i, neg in lits):
+        period, shape, degree, length = 1, None, q_n, 2
+    else:
+        negative = prod(primes[i - 1] for i, neg in lits if neg)
+        pos = tuple(sorted(primes[i - 1] for i, neg in lits if not neg))
+        period, shape = negative * prod(pos), (negative, pos)
+        degree = q_n - q_n // period * prod(q - 1 for q in pos)
+        length = 1 + (negative > 1) * period + sum(period // negative // prod(t)
+                                                   for r in (1, 3) for t in combinations(pos, r))
+    if length > term_cap:
+        factors = clause_poly(lits, len(primes)).factors
+        raise CapsExceeded(f"expanding {factors} exceeds the term cap of {term_cap}")
+    return period, shape, degree
 
 
 def _encoding(encodings: dict | None, cnf: Cnf3, term_cap: int):
-    """The clause polynomials of cnf, their _layout and a dict of their
-    _Tables by prime, made on first use and kept in encodings (when given)
-    under cnf, so that the runs of a report share them."""
+    """(degree, layout, tables) of cnf: the largest degree of its clause
+    polynomials, the layout of its clauses that _Tables reads, and a dict of
+    their _Tables by prime, made on first use and kept in encodings (when
+    given) under cnf, so that the runs of a report share them.  Each distinct
+    set of literals is read once, by _shape, in order.  A clause's layout is
+    (P, shape), with P the largest period in the formula that its own period
+    divides, so that clauses combine by period."""
     encodings = {} if encodings is None else encodings
     if cnf not in encodings:
-        polys = encode_system(cnf, term_cap=term_cap)
-        encodings[cnf] = polys, _layout(polys, primorial(cnf.num_vars)), {}
+        primes, keys = first_primes(cnf.num_vars), list(map(frozenset, cnf.clauses))
+        shapes = {key: _shape(key, primes, term_cap) for key in dict.fromkeys(keys)}
+        periods = {own for own, _, _ in shapes.values()}
+        top = {own: max(big for big in periods if big % own == 0) for own in periods}
+        encodings[cnf] = (max((degree for _, _, degree in shapes.values()), default=0),
+                          [(top[shapes[key][0]], shapes[key][1]) for key in keys], {})
     return encodings[cnf]
 
 
@@ -319,18 +337,18 @@ def _root_log(omega: int, omega0: int, p: int, n: int) -> int:
 
 
 class _Tables:
-    """The value tables of the laid-out clause polynomials modulo p, shared by
-    every run at p.  Polynomial i, laid out as (P, c), has the table of
-    sum_j c_j * w0**(j*s) for s < P, w0 = omega0**(Q_n/P), where omega0 is the
-    primitive Q_n-th root of unity of the first run at p: slot s holds its
-    value at omega0**s.  table(i) makes it by one _dft on first use, with one
-    chirp per period, and packs it into one integer of little-endian slots,
-    wide enough for a sum of k products of residues: 1, 2, 4 or 8 bytes, read
-    as native integers of format code, when that suffices on a little-endian
-    host.  Equal laid-out polynomials (repeated clauses) share the table of
-    the first: same[i] is its index.  The scan adds one product per row
-    entry, so a slot stays within the k*(p - 1)**2 it is packed for only
-    because a row holds each index at most once, as each of _rows does."""
+    """The value tables of a formula's clause polynomials modulo p, shared by
+    every run at p.  layout[i] = (P, shape) lays out clause i (_encoding):
+    its table has P slots, and slot s holds the clause polynomial's value at
+    omega0**s, where omega0 is the primitive Q_n-th root of unity of the
+    first run at p.  table(i) makes it by make on first use and packs it
+    into one integer of little-endian slots, wide enough for a sum of k
+    products of residues: 1, 2, 4 or 8 bytes, read as native integers of
+    format code, when that suffices on a little-endian host.  Equal layouts
+    (repeated clauses) share the table of the first: same[i] is its index.
+    The scan adds one product per row entry, so a slot stays within the
+    k*(p - 1)**2 it is packed for only because a row holds each index at
+    most once, as each of _rows does."""
 
     def __init__(self, layout, omega0: int, p: int, n: int):
         self.layout, self.omega0, self.p, self.q_n = layout, omega0, p, primorial(n)
@@ -339,22 +357,48 @@ class _Tables:
         self.width, self.code = (native[0] if native and sys.byteorder == "little"
                                  else ((bits + 7) // 8, None))
         first: dict[tuple, int] = {}
-        self.same = [first.setdefault((period, tuple(c)), i)
-                     for i, (period, c) in enumerate(layout)]
+        self.same = [first.setdefault(entry, i) for i, entry in enumerate(layout)]
         self.packed: list[int | None] = [None] * len(layout)
-        self.chirps: dict[int, tuple] = {}  # P: the chirp of period P
+        self.factors: dict[int, list[int]] = {}  # m: _factor's list for a product m of primes
 
     def table(self, i: int) -> int:
-        """The packed table of polynomial i, that of the first polynomial
-        equal to it, made on first use."""
+        """The packed table of clause i, that of the first clause laid out as
+        it is, made on first use."""
         i = self.same[i]
         if self.packed[i] is None:
-            period, coeffs = self.layout[i]
-            if period not in self.chirps:
-                w0 = pow(self.omega0, self.q_n // period, self.p)
-                self.chirps[period] = _chirp(period, w0, self.p)
-            self.packed[i] = _pack(_dft(coeffs, self.chirps[period], self.p), self.width)
+            self.packed[i] = self.make(*self.layout[i])
         return self.packed[i]
+
+    def make(self, period: int, shape) -> int:
+        """The packed table of period slots of the clause polynomial of this
+        shape (_shape), from its closed form.  By clause_poly's exponents it
+        is (x**Q - 1) * prod_{T subset of Pos} (x**(Q/(p_N*prod T)) - 1)**e_T,
+        e_T = (-1)**(|T| + 1).  At x = omega0**s the factor of T vanishes when
+        p_N*prod(T) divides s, and x**Q - 1 always does.  So the value is 0
+        unless s = p_N*j with j prime to every q in Pos, where only the factor
+        of T = {} vanishes with x**Q - 1, their quotient tending to p_N, and the
+        value is p_N * prod_{T nonempty} (omega0**((Q/prod T)*j) - 1)**e_T.
+        That product already vanishes where some q in Pos divides j, by its
+        factor for T = {q}, once a vanishing factor with e_T = -1 is taken as
+        0.  It depends on j mod prod(Pos), and the slots repeat with period
+        P = p_N*prod(Pos).  A tautology's table is 0."""
+        if shape is None:
+            return 0
+        negative, pos = shape
+        size = prod(pos)
+        columns = [self._factor(prod(t), r % 2 == 0) * (size // prod(t))
+                   for r in range(1, len(pos) + 1) for t in combinations(pos, r)]
+        values = map(mod, map(prod, zip(repeat(negative, size), *columns)), repeat(self.p))
+        return self.widen({negative * size: _pack(values, negative * self.width)}, period)
+
+    def _factor(self, m: int, invert: bool) -> list[int]:
+        """[w**j - 1 for j < m] modulo p, w = omega0**(Q_n/m) (a primitive m-th
+        root of unity), or their inverses when invert, 0 for w**0 - 1."""
+        if m not in self.factors:
+            w, p = pow(self.omega0, self.q_n // m, self.p), self.p
+            col = [x - 1 for x in accumulate(repeat(w, m - 1), lambda x, _: x * w % p, initial=1)]
+            self.factors[m] = [pow(x, -1, p) if x else 0 for x in col] if invert else col
+        return self.factors[m]
 
     def widen(self, sums: dict[int, int], size: int) -> int:
         """The packed sums[P] of P slots, each repeated to size slots, added."""
@@ -441,11 +485,11 @@ def _run(encoding, cnf: Cnf3, mode: str, seed, prime: ProgressionPrime, strategy
     run's _rows on the tables at p of cnf's _encoding (made from the omega of
     the first run at p), with the witness decoded from them.  The generator
     must generate F_p^*, so that omega is a primitive Q_n-th root of unity."""
-    polys, layout, by_prime = encoding
+    degree, layout, by_prime = encoding
     n, k, p = cnf.num_vars, len(cnf.clauses), prime.p
     omega = pow(generator, prime.k, p)
     combined = mode == "randomized" and k > 0
-    max_degree, big_n = _combination_bound(polys) if combined and k > 2 else (None, None)
+    max_degree, big_n = _combination_bound(degree, k) if combined and k > 2 else (None, None)
     if p not in by_prime:
         by_prime[p] = _Tables(layout, omega, p, n)
     matches = _scan_roots(by_prime[p], _rows(combined, a, b, k), omega, p, n)
@@ -474,9 +518,7 @@ def _run(encoding, cnf: Cnf3, mode: str, seed, prime: ProgressionPrime, strategy
 
 def _check_size(cnf: Cnf3, caps: Caps):
     if cnf.num_vars > caps.max_vars:
-        raise CapsExceeded(
-            f"{cnf.num_vars} variables exceed the pipeline cap {caps.max_vars}"
-        )
+        raise CapsExceeded(f"{cnf.num_vars} variables exceed the pipeline cap {caps.max_vars}")
     if cnf.num_vars < 1:
         raise ValueError("the pipeline needs at least one variable")
 
@@ -493,9 +535,10 @@ def pipeline(
     the clause polynomials into (g1, g2) and the non-residue that fixes
     h = g1**2 - qnr*g2**2.  It declares h feasible exactly when some root of
     unity is a common root of g1 and g2 modulo p; the scan reads a and b, so
-    g1, g2 and h are never expanded here.  encodings, a dict shared by the
-    runs of one report (and by verify_transcript on them), keeps each
-    formula's clause polynomials, layout and value tables per prime."""
+    g1, g2, h and the clause polynomials are never expanded here.
+    encodings, a dict shared by the runs of one report (and by
+    verify_transcript on them), keeps each formula's _encoding: its largest
+    clause degree, its layout and its value tables per prime."""
     config = config or Config()
     _check_size(cnf, config.caps)
     randomized = config.mode == "randomized"
@@ -508,7 +551,7 @@ def pipeline(
     a = b = qnr = None
     if randomized and k > 0:  # empty conjunction: every encoding works
         if k > 2:
-            a, b = _draw(k, _combination_bound(encoding[0])[1], rng)
+            a, b = _draw(k, _combination_bound(encoding[0], k)[1], rng)
         qnr = find_qnr(prime.p, rng)  # p = 1 + k*q_n is odd
     return _run(encoding, cnf, config.mode, config.seed if randomized else None, prime, strategy,
                 gen, a, b, qnr)
@@ -520,8 +563,8 @@ def run_with_majority(
     """Repeat the pipeline config.repeats times (once in deterministic mode)
     on independent seeded streams and take the majority verdict; more
     randomized runs than _repeats_cap allows raise CapsExceeded before any
-    seed is drawn.  The clause polynomials are encoded and laid out once for
-    all the runs, and their value tables made once per prime."""
+    seed is drawn.  The clauses are read and laid out once for all the runs,
+    and their value tables made once per prime."""
     config = config or Config()
     _check_size(cnf, config.caps)
     repeats = config.repeats if config.mode == "randomized" else 1
@@ -571,12 +614,12 @@ def verify_transcript(
     the transcript's prime and omega pass, _run derives the run from its
     recorded choices, as pipeline does, and the recorded bound, verdict,
     matches and witness are compared with the derived ones.  g1 and g2 are
-    rebuilt from a and b only to check the g1, g2 and h that a v2 or v1
-    transcript records (or any run carries).  A formula with more than caps.max_vars variables
-    raises CapsExceeded before any work that grows with it.  encodings, as in
-    pipeline, is a dict shared by the calls on the runs of one report; its
-    value tables at p are made from the omega of the first run at p that
-    passes its omega check."""
+    rebuilt from a, b and the expanded clause polynomials only to check the
+    g1, g2 and h that a v2 or v1 transcript records (or any run carries).  A
+    formula with more than caps.max_vars variables raises CapsExceeded before
+    any work that grows with it.  encodings, as in pipeline, is a dict shared
+    by the calls on the runs of one report; its value tables at p are made
+    from the omega of the first run at p that passes its omega check."""
     caps = caps or Caps()
     checks: list[dict] = []
 
@@ -632,7 +675,7 @@ def verify_transcript(
             check("combination-range", len(t.a or ()) == len(t.b or ()) == t.k
                   and all(1 <= v <= run.big_n for v in t.a + t.b))
         if recorded:
-            g1, g2 = _pair(t.a, t.b, encoding[0])
+            g1, g2 = _pair(t.a, t.b, encode_system(cnf, term_cap=caps.term_count))
             for name, f in (("g1", g1), ("g2", g2)):
                 if name in recorded:
                     check(name, recorded[name] == f)

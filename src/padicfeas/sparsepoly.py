@@ -11,11 +11,10 @@ hold.  exact_div does expand, to coefficient lists in x**s for s the gcd
 of the exponents, under a degree cap.
 
 A coefficient list [c_0, ..., c_d] comes from to_dense, guarded by a degree
-cap, or from a caller that builds it (the reduction's laid-out clause
-polynomials).  Every dense routine the package runs lives here: Horner's
-rule over the integers or modulo m (_horner), the derivative (_derivative),
-the DFT modulo p at every power of a root of unity by one big-integer
-product (_chirp and _dft, Bluestein 1970), and the gcd and exact quotient of
+cap.  Every dense routine the package runs lives here: Horner's rule over
+the integers or modulo m (_horner), the derivative (_derivative), packing
+residues into one integer of fixed-width slots (_pack, which the
+reduction's value tables use), and the gcd and exact quotient of
 coefficient lists; no rational arithmetic is involved.  The gcd is a
 heuristic gcd, one integer gcd of values checked by exact division, with the
 integer subresultant remainder sequence as its fallback.  At degree 512
@@ -31,10 +30,8 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import accumulate, repeat
+from itertools import repeat
 from math import gcd as _int_gcd, isqrt
-from operator import mod, mul, neg
-from struct import Struct
 
 from .errors import CapsExceeded, InexactDivision
 
@@ -190,33 +187,6 @@ def _pack(values, width: int) -> int:
     """The integer whose width-byte little-endian slots hold values in order."""
     return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(width), repeat("little"))),
                           "little")
-
-
-def _chirp(period: int, w: int, p: int):
-    """What the DFTs at w, a primitive period-th root of unity modulo p, share:
-    the width in bytes of a slot (a sum of period products of residues), the
-    inverse chirp w**-C(j, 2) for j < period, the packed reversed chirp
-    w**C(s, 2) for s < 2*period - 1 and a Struct that cuts period slots."""
-    powers = list(accumulate(repeat(w, period - 1), lambda x, _: x * w % p, initial=1))
-    tri = list(map(mod, accumulate(range(2 * period - 2), initial=0), repeat(period)))
-    width = ((period * (p - 1) ** 2).bit_length() + 7) // 8
-    inverse = list(map(powers.__getitem__, map(neg, tri[:period])))
-    packed = _pack(map(powers.__getitem__, reversed(tri)), width)
-    return width, inverse, packed, Struct(f"{width}s" * period)
-
-
-def _dft(coeffs, chirp, p: int) -> list[int]:
-    """[sum_j coeffs[j] * w**(j*k) mod p for k < period] by one big-integer
-    product (Bluestein 1970).  As j*k = C(j+k, 2) - C(j, 2) - C(k, 2), value k
-    is w**-C(k, 2) times sum_j a_j * w**C(j+k, 2), a_j = coeffs[j] * w**-C(j, 2):
-    slot 2*period - 2 - k of the packed a_j times the packed reversed chirp,
-    that is slot k, read big-endian, of the window from slot period - 1 on."""
-    width, inverse, packed, cut = chirp
-    period = len(inverse)
-    a = _pack(map(mod, map(mul, coeffs, inverse), repeat(p)), width)
-    product = (a * packed).to_bytes((3 * period - 2) * width, "big")
-    slots = map(int.from_bytes, cut.unpack_from(product, (period - 1) * width), repeat("big"))
-    return list(map(mod, map(mul, slots, inverse), repeat(p)))
 
 
 def _trim(a):

@@ -6,8 +6,9 @@ stay independent of the package's own algorithms so that agreement between
 the two routes is evidence, not an echo.
 The reference routines (CRT, roots of unity modulo p, solvability in a cyclic
 group, literal polynomials, DIMACS output, assignment encoding, sparse size,
-the resultant-first integral root search, the subresultant gcd) are exact
-helpers that only the tests use.
+the resultant-first integral root search, the subresultant gcd, the DFT
+route to a polynomial's value table) are exact helpers that only the tests
+use.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mod, mul, neg
+from struct import Struct
 from typing import Iterator
 
 from padicfeas.bigmod import (
@@ -32,9 +36,11 @@ from padicfeas.bigmod import (
 )
 from padicfeas.errors import InexactDivision
 from padicfeas.plaisted import BinomialProduct, Cnf3, Literal, satisfies
+from padicfeas.reduce import _Tables
 from padicfeas.sparsepoly import (
     SparsePoly,
     _horner,
+    _pack,
     _primitive,
     _subresultant_prs,
     exact_div,
@@ -601,3 +607,68 @@ def _ceil_log2(x: int) -> int:
 def size(f: SparsePoly) -> int:
     """Sparse bit-size: per term, 1 + ceil(log2(2+|c|)) + ceil(log2(2+e))."""
     return sum(1 + _ceil_log2(2 + abs(c)) + _ceil_log2(2 + e) for c, e in f.terms)
+
+
+# -- the DFT route to value tables -------------------------------------------------
+
+
+def _layout(polys, q_n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Each polynomial as (P, c) with c_j the sum of its coefficients at
+    exponents e = j*q_n/P (mod q_n), so that its value at omega**t is
+    sum_j c_j * w**(j*t), w = omega**(q_n/P): it depends only on t mod P.  P is
+    the largest period q_n/gcd(q_n, exponents) in the system that the
+    polynomial's own one divides (for a clause polynomial, the product of its
+    clause's primes; Plaisted 1984), so that polynomials combine by period."""
+    own = [q_n // math.gcd(q_n, *(e for _, e in f.terms)) for f in polys]
+    periods, layout = set(own), []
+    for f, period in zip(polys, own):
+        top = max(big for big in periods if big % period == 0)
+        step, coeffs = q_n // top, [0] * top
+        for c, e in f.terms:
+            coeffs[e // step % top] += c
+        layout.append((top, tuple(coeffs)))
+    return layout
+
+
+def _chirp(period: int, w: int, p: int):
+    """What the DFTs at w, a primitive period-th root of unity modulo p, share:
+    the width in bytes of a slot (a sum of period products of residues), the
+    inverse chirp w**-C(j, 2) for j < period, the packed reversed chirp
+    w**C(s, 2) for s < 2*period - 1 and a Struct that cuts period slots."""
+    powers = list(accumulate(repeat(w, period - 1), lambda x, _: x * w % p, initial=1))
+    tri = list(map(mod, accumulate(range(2 * period - 2), initial=0), repeat(period)))
+    width = ((period * (p - 1) ** 2).bit_length() + 7) // 8
+    inverse = list(map(powers.__getitem__, map(neg, tri[:period])))
+    packed = _pack(map(powers.__getitem__, reversed(tri)), width)
+    return width, inverse, packed, Struct(f"{width}s" * period)
+
+
+def _dft(coeffs, chirp, p: int) -> list[int]:
+    """[sum_j coeffs[j] * w**(j*k) mod p for k < period] by one big-integer
+    product (Bluestein 1970).  As j*k = C(j+k, 2) - C(j, 2) - C(k, 2), value k
+    is w**-C(k, 2) times sum_j a_j * w**C(j+k, 2), a_j = coeffs[j] * w**-C(j, 2):
+    slot 2*period - 2 - k of the packed a_j times the packed reversed chirp,
+    that is slot k, read big-endian, of the window from slot period - 1 on."""
+    width, inverse, packed, cut = chirp
+    period = len(inverse)
+    a = _pack(map(mod, map(mul, coeffs, inverse), repeat(p)), width)
+    product = (a * packed).to_bytes((3 * period - 2) * width, "big")
+    slots = map(int.from_bytes, cut.unpack_from(product, (period - 1) * width), repeat("big"))
+    return list(map(mod, map(mul, slots, inverse), repeat(p)))
+
+
+class DftTables(_Tables):
+    """reduce._Tables over any polynomials laid out by _layout: each table is
+    the _dft of the laid-out coefficients, with one chirp per period.  It is
+    the reference that the closed-form tables of _Tables.make are checked
+    against, and it lets the scan tests scan arbitrary polynomials."""
+
+    def __init__(self, layout, omega0: int, p: int, n: int):
+        super().__init__(layout, omega0, p, n)
+        self.chirps: dict[int, tuple] = {}  # P: the chirp of period P
+
+    def make(self, period: int, coeffs) -> int:
+        if period not in self.chirps:
+            self.chirps[period] = _chirp(period, pow(self.omega0, self.q_n // period, self.p),
+                                         self.p)
+        return _pack(_dft(coeffs, self.chirps[period], self.p), self.width)

@@ -8,13 +8,14 @@ import time
 
 import pytest
 
+import padicfeas.plaisted as plaisted_mod
 import padicfeas.reduce as reduce_mod
 from padicfeas.bigmod import find_generator, first_primes, primorial
 from padicfeas.cli import main
 from padicfeas.config import Caps, Config
 from padicfeas.errors import CapsExceeded
 from padicfeas.padic import bruteforce_decision
-from padicfeas.plaisted import Cnf3, encode_system, satisfies
+from padicfeas.plaisted import Cnf3, clause_poly, encode_system, expand, satisfies
 from padicfeas.primes import find_prime_in_progression
 from padicfeas.reduce import (
     TRANSCRIPT_FORMAT,
@@ -23,10 +24,11 @@ from padicfeas.reduce import (
     ReductionTranscript,
     _combine,
     _decode_witness,
-    _layout,
+    _encoding,
     _root_log,
     _rows,
     _scan_roots,
+    _shape,
     _Tables,
     pair_to_single,
     pipeline,
@@ -35,10 +37,11 @@ from padicfeas.reduce import (
     transcript_dumps,
     verify_transcript,
 )
-from padicfeas.sparsepoly import SparsePoly, _chirp, _dft, parse_poly, poly_to_obj
+from padicfeas.sparsepoly import SparsePoly, parse_poly, poly_to_obj
 
-from helpers import (REMOVED_CAPS, REMOVED_CONFIG, format_dimacs, random_cnf, random_nonzero_sparse,
-                     sparse_gcd, truth_table_sat)
+import helpers
+from helpers import (REMOVED_CAPS, REMOVED_CONFIG, DftTables, _chirp, _dft, _layout, format_dimacs,
+                     random_cnf, random_nonzero_sparse, sparse_gcd, truth_table_sat)
 
 CANONICAL_SHAPES = [[1, 2, 3], [-1, 2, 3], [-1, -2, 3], [-1, -2, -3]]
 
@@ -414,7 +417,7 @@ def naive_roots(polys, omega, p, q_n):
 
 def scan_polys(polys, omega, p, n):
     """The scan of the polynomials themselves: one unit row each."""
-    return _scan_roots(_Tables(_layout(polys, primorial(n)), omega, p, n),
+    return _scan_roots(DftTables(_layout(polys, primorial(n)), omega, p, n),
                        _rows(False, None, None, len(polys)), omega, p, n)
 
 
@@ -482,6 +485,59 @@ def test_chirp_dft_values_match_naive_evaluation(n):
             assert _dft(zeros, chirp, p) == [0] * period
 
 
+# Clauses of every special shape at n = 6: a tautology, a repeated literal,
+# one- and two-literal clauses, all-negative and all-positive clauses.
+SHAPED_CLAUSES = [[1, -1, 4], [2, 2, -5], [3], [-4, 6], [-1, -2, -3], [4, 5, 6]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_closed_form_tables_match_the_dft_of_the_expanded_clauses(n):
+    """_Tables.make's tables, read from the clauses' literals, are the packed
+    DFTs of the expanded, laid-out clause polynomials (and at n <= 3 their
+    values at every slot), at a scanned and a sampled prime and two
+    primitive roots omega0 each, and _shape's degree and dense length are
+    those of the expansion.  The clauses are every one of 1 to 3 literals,
+    repeats and tautologies among them, at n <= 5, and seeded ones with
+    SHAPED_CLAUSES at n = 6."""
+    rng = random.Random(800 + n)
+    if n <= 5:
+        lits = [(i, neg) for i in range(1, n + 1) for neg in (False, True)]
+        cnf = Cnf3(n, tuple(c for r in (1, 2, 3)
+                            for c in itertools.combinations_with_replacement(lits, r)))
+    else:
+        cnf = Cnf3.from_signed(6, seeded_formula(6, 40, 806).to_signed() + SHAPED_CLAUSES)
+    q_n, primes = primorial(n), first_primes(n)
+    for key in map(frozenset, cnf.clauses):
+        bp = clause_poly(key, n)
+        step = math.gcd(*(m for m, _ in bp.factors))
+        length = 1 + sum(e * m // step for m, e in bp.factors if e > 0)
+        assert _shape(key, primes, length)[2] == expand(bp, term_cap=length).degree
+        refusals = []
+        for refuse in (lambda: _shape(key, primes, length - 1),
+                       lambda: expand(bp, term_cap=length - 1)):
+            with pytest.raises(CapsExceeded) as exc:
+                refuse()
+            refusals.append(str(exc.value))
+        assert refusals[0] == refusals[1]
+    polys = encode_system(cnf)
+    degree, layout, _ = _encoding(None, cnf, 10 ** 6)
+    laid = _layout(polys, q_n)
+    assert degree == max(f.degree for f in polys)
+    assert [period for period, _ in layout] == [period for period, _ in laid]
+    for strategy in ("scan", "sample"):
+        prime = find_prime_in_progression(n, strategy=strategy, rng=rng)
+        p = prime.p
+        omega = pow(find_generator(p, rng), prime.k, p)
+        unit = rng.choice([v for v in range(2, q_n) if math.gcd(v, q_n) == 1] or [1])
+        for omega0 in (omega, pow(omega, unit, p)):
+            ours, dft = _Tables(layout, omega0, p, n), DftTables(laid, omega0, p, n)
+            for i, (period, _) in enumerate(layout):
+                assert ours.table(i) == dft.table(i), cnf.clauses[i]
+                if n <= 3:
+                    values = [polys[i].eval_mod(pow(omega0, s, p), p) for s in range(period)]
+                    assert list(ours.read(period, ours.table(i))) == values
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_scan_roots_is_exact_on_random_sparse_polynomials(n):
     rng = random.Random(200 + n)
@@ -527,7 +583,7 @@ def test_rows_scan_matches_the_combined_polynomials(n):
         layout = _layout(polys, q_n)
         # tables made at another primitive root, shared by every row set below
         unit = rng.choice([v for v in range(1, q_n + 1) if math.gcd(v, q_n) == 1])
-        tables = _Tables(layout, pow(omega, unit, p), p, n)
+        tables = DftTables(layout, pow(omega, unit, p), p, n)
         row_sets = [[random_row(rng, p, k) for _ in range(rng.randint(1, 3))] for _ in range(4)]
         row_sets += [[[]], [[(i, 0) for i in range(k)], random_row(rng, p, k)],
                      _rows(True, None, None, k), _rows(False, None, None, k)]
@@ -550,7 +606,7 @@ def test_scan_of_repeated_clauses_matches_the_combined_polynomials(n):
     cnf = Cnf3.from_signed(n, base + [base[0][::-1], base[1]])  # 4 copies 0, 5 copies 1
     polys = encode_system(cnf)
     k = len(polys)
-    tables = _Tables(_layout(polys, q_n), omega, p, n)
+    tables = DftTables(_layout(polys, q_n), omega, p, n)
     assert tables.same[4:] == [0, 1]
     for _ in range(4):
         r, s = rng.randint(1, 10 ** 12), rng.randint(1, p - 1)
@@ -579,7 +635,7 @@ def test_pipeline_matches_the_truth_table_at_six_variables():
         rnd = pipeline(cnf, Config(mode="randomized", seed=seed))
         layout = _layout(encode_system(cnf), primorial(6))
         rows = _rows(True, rnd.a, rnd.b, len(cnf.clauses))
-        tables = _Tables(layout, rnd.omega, rnd.prime.p, 6)
+        tables = DftTables(layout, rnd.omega, rnd.prime.p, 6)
         assert set(sat) <= set(_scan_roots(tables, rows, rnd.omega, rnd.prime.p, 6))
         assert rnd.match_count >= len(sat)
         for t in (det, rnd):
@@ -674,43 +730,41 @@ def test_a_report_whose_first_omega_is_not_primitive():
     assert {p: tables.omega0 for p, tables in by_prime.items()} == {runs[1].prime.p: runs[1].omega}
 
 
-def test_a_report_makes_each_table_once_and_each_chirp_once_per_period(monkeypatch):
-    """Five runs at n = 5, and their re-verification, transform each distinct
-    clause polynomial once (a repeated clause shares its table) and make one
-    chirp per period; a deterministic scan that empties early transforms
-    only the clauses it reached."""
-    counts = {"_dft": 0, "_chirp": 0}
-
-    def counted(name):
-        real = getattr(reduce_mod, name)
-
-        def call(*args):
-            counts[name] += 1
-            return real(*args)
-        return call
-
-    for name in counts:
-        monkeypatch.setattr(reduce_mod, name, counted(name))
+def test_a_report_makes_each_table_once_and_expands_nothing(monkeypatch):
+    """Five runs at n = 5, and their re-verification, make the table of each
+    distinct clause polynomial once (a repeated clause shares its table),
+    and neither a run nor its verification expands a clause polynomial or
+    transforms one; a deterministic scan that empties early makes only the
+    tables of the clauses it reached."""
     cnf = seeded_formula(5, 21, 0)
     assert truth_table_sat(cnf) is not None  # so no scan empties early
-    distinct = {(period, tuple(c)) for period, c in _layout(encode_system(cnf), primorial(5))}
+    distinct = set(_layout(encode_system(cnf), primorial(5)))
     assert len(distinct) < 21
-    expected = {"_dft": len(distinct), "_chirp": len({period for period, _ in distinct})}
+    signs = itertools.product((1, -1), repeat=3)
+    unsat = Cnf3.from_signed(3, [[1], [-1]] + [[a, 2 * b, 3 * c] for a, b, c in signs])
+    assert len(set(encode_system(unsat))) == len(unsat.clauses) == 10
+    made = []
+    real = _Tables.make
+    monkeypatch.setattr(_Tables, "make", lambda self, *args: made.append(args) or real(self, *args))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a clause polynomial was expanded or transformed")
+
+    for owner, name in ((reduce_mod, "encode_system"), (plaisted_mod, "encode_system"),
+                        (plaisted_mod, "expand"), (helpers, "_dft")):
+        monkeypatch.setattr(owner, name, refuse)
     verdict, _, runs = run_with_majority(cnf, Config(seed=2))
     assert verdict and len(runs) == 5 and len({t.omega for t in runs}) == 5
     assert len({t.prime.p for t in runs}) == 1
-    assert counts == expected
-    counts.update(_dft=0, _chirp=0)
+    assert len(made) == len(set(made)) == len(distinct)
+    made.clear()
     encodings = {}
     assert all(verify_transcript(t.to_obj(), None, encodings)[0] for t in runs)
-    assert counts == expected
-    counts.update(_dft=0, _chirp=0)
-    signs = itertools.product((1, -1), repeat=3)
-    cnf = Cnf3.from_signed(3, [[1], [-1]] + [[a, 2 * b, 3 * c] for a, b, c in signs])
-    assert len(set(encode_system(cnf))) == len(cnf.clauses) == 10
-    _, _, (run,) = run_with_majority(cnf, Config(mode="deterministic"))
+    assert len(made) == len(distinct)
+    made.clear()
+    _, _, (run,) = run_with_majority(unsat, Config(mode="deterministic"))
     assert not run.verdict
-    assert counts["_dft"] == 2
+    assert len(made) == 2
 
 
 # -- transcripts ----------------------------------------------------------------------
@@ -1210,6 +1264,103 @@ def test_v3_reduce_and_verify_reports_are_unchanged(formula, tmp_path, capsys):
                    for kind, text in (("reduce", report.read_text()),
                                       ("verify", capsys.readouterr().out))}
         assert digests == {kind: V3_REPORT_DIGESTS[formula, i, kind] for kind in digests}
+
+
+# Digests of the `reduce` reports, and of `verify-transcript` on them, on two
+# n = 6 formulas, 24 seeded 3-literal clauses with SHAPED_CLAUSES
+# (satisfiable with seed 21, not with seed 20), for each V1_REPORT_ARGS:
+# scanned and sampled primes, randomized and deterministic.  They were
+# computed when each value table was the DFT of an expanded clause polynomial.
+SHAPED_REPORT_DIGESTS = {
+    (21, 0, "reduce"): "4a7aef7eeff86554e337de096c088d1a0380f14876dda19d3930ac41511a4828",
+    (21, 0, "verify"): "76688f111c01a89cad1a9b1abe281407ceebcaeb87e5928c0885f3d50474fbbd",
+    (21, 1, "reduce"): "7e8becb5c7f5af53da0f7f43d0074eb1a489b7bc46603db9ff9c4ccbb323283c",
+    (21, 1, "verify"): "1724ab1d3ae0e6e318af6ceeceba1ce2d9218a2efaac02eb0bdb60d0327f80b5",
+    (21, 2, "reduce"): "615cbaaa3e2f671d4e0f679ec83c187ed29f052341a5cb63c44f119cc8121cb3",
+    (21, 2, "verify"): "7cacaa9b3075baf759f9d06c58554913e31ee63d007293531edb37b23e2c55fe",
+    (20, 0, "reduce"): "6491b3c1c96d16409cfd7d1fba628da2d279fc6c77921320f9f9dba2d3f4db58",
+    (20, 0, "verify"): "94cb8968fe40f31e7d38274a29fb18105570882eb3b5d3fbe7dfd0c4691f4b10",
+    (20, 1, "reduce"): "194e2d54348bf279159c4c37e83681a62d2887b1949d5f65d569985e7dba76ff",
+    (20, 1, "verify"): "2acfbd028050eaac6837caefb0219374b3afeec289d8aa160d5d11af7a22367b",
+    (20, 2, "reduce"): "9674825cf48b1160640c7a2323dc1ed0c1e1171d8172ed1d7692d5cb1f951150",
+    (20, 2, "verify"): "391c784dac3818d3deb042a893ce95db08364bf6f02523f4a9c0bbae3dcfb8b1",
+}
+
+
+@pytest.mark.parametrize("seed", [21, 20])
+def test_reports_on_every_clause_shape_at_six_variables_are_unchanged(seed, tmp_path, capsys):
+    path, report = tmp_path / "f.cnf", tmp_path / "t.json"
+    cnf = Cnf3.from_signed(6, seeded_formula(6, 24, seed).to_signed() + SHAPED_CLAUSES)
+    path.write_text(format_dimacs(cnf))
+    for i, args in enumerate(V1_REPORT_ARGS):
+        assert main(["reduce", str(path)] + args) == {21: 0, 20: 1}[seed]
+        report.write_text(capsys.readouterr().out)
+        assert main(["verify-transcript", str(report)]) == 0
+        digests = {kind: hashlib.sha256(text.encode()).hexdigest()
+                   for kind, text in (("reduce", report.read_text()),
+                                      ("verify", capsys.readouterr().out))}
+        assert digests == {kind: SHAPED_REPORT_DIGESTS[seed, i, kind] for kind in digests}
+
+
+# What Caps(term_count=cap) makes pipeline and verify_transcript raise on the
+# SHAPED_CLAUSES formula of seed 21 with its shaped clauses first: the first
+# distinct clause whose expansion is longer than cap names its product.
+# Pinned when every clause polynomial was expanded.
+TERM_CAP_REFUSALS = {
+    1: "expanding ((30030, 1),) exceeds the term cap of 1",
+    2: "expanding ((910, 1), (2730, -1), (30030, 1)) exceeds the term cap of 2",
+    30: "expanding ((910, 1), (2730, -1), (30030, 1)) exceeds the term cap of 30",
+    100: "expanding ((30, 1), (210, -1), (330, -1), (390, -1), (2310, 1), (2730, 1), (4290, 1))"
+         " exceeds the term cap of 100",
+    201: "expanding ((30, 1), (210, -1), (330, -1), (390, -1), (2310, 1), (2730, 1), (4290, 1))"
+         " exceeds the term cap of 201",
+    1001: "expanding ((30, -1), (210, 1), (390, 1), (2730, -1), (30030, 1))"
+          " exceeds the term cap of 1001",
+    10 ** 6: None,
+}
+
+
+def test_term_cap_refusals_are_unchanged():
+    """pipeline refuses before the prime search, in both modes, and
+    verify_transcript once the omega check passes: a run whose omega fails
+    is refused by its checks, not by the cap."""
+    cnf = Cnf3.from_signed(6, SHAPED_CLAUSES + seeded_formula(6, 24, 21).to_signed())
+    objs = [pipeline(cnf, Config(mode=mode, seed=1)).to_obj()
+            for mode in ("randomized", "deterministic")]
+    forged = objs[0] | {"omega": "1"}
+    for cap, message in TERM_CAP_REFUSALS.items():
+        caps = Caps(term_count=cap)
+        calls = [lambda: pipeline(cnf, Config(seed=1, caps=caps)),
+                 lambda: pipeline(cnf, Config(mode="deterministic", caps=caps))]
+        calls += [lambda obj=obj: verify_transcript(obj, caps)[0] or pytest.fail("not verified")
+                  for obj in objs]
+        for call in calls:
+            if message is None:
+                call()
+                continue
+            with pytest.raises(CapsExceeded) as exc:
+                call()
+            assert str(exc.value) == message
+        ok, checks = verify_transcript(forged, caps)
+        assert not ok and [c["name"] for c in checks if not c["ok"]] == ["omega"]
+
+
+def test_term_cap_refuses_as_the_expansion_does():
+    """On random formulas and caps, the closed-form guard refuses exactly
+    when encode_system does, with its message."""
+    rng = random.Random(32)
+    for _ in range(150):
+        cnf = random_cnf(rng, max_vars=6, max_clauses=8)
+        cap = rng.choice((rng.randint(1, 40), rng.randint(1, 1200)))
+        refusals = []
+        for encode in (lambda: encode_system(cnf, term_cap=cap),
+                       lambda: _encoding(None, cnf, cap)):
+            try:
+                encode()
+                refusals.append(None)
+            except CapsExceeded as exc:
+                refusals.append(str(exc))
+        assert refusals[0] == refusals[1], (cnf, cap)
 
 
 def test_verify_transcript_caps_variables_before_any_work():

@@ -266,14 +266,9 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The top-level parser for argv: the one with the subparser that argv[0]
-    names, or the whole tree when it names none (no arguments, an option
-    first, an unknown command)."""
-    return _parser(_command(argv))[0]
-
-
 def _command(argv: list[str]) -> str | None:
+    """The subcommand that argv[0] names, or None when it names none (no
+    arguments, an option first, an unknown command)."""
     return argv[0] if argv and argv[0] in _COMMANDS else None
 
 

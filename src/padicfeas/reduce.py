@@ -14,9 +14,10 @@ their closed form in the clause's literals (_Tables.make), so the scan never
 expands a clause polynomial; a run whose root is omega0**u scans s = u*t,
 reading each table in its own order.  Every run is recorded in a transcript
 that can be re-verified without re-running any randomness.  A transcript
-records the combination vectors a and b, not the polynomials: g1 and g2 are
-rebuilt from a, b and the formula's expanded clause polynomials
-(plaisted.encode_system), and h from g1, g2 and the non-residue.
+records the combination vectors a and b, not the polynomials, and
+verify_transcript re-runs the scan on them; g1, g2 and h are expanded only
+on request (ReductionTranscript.pair and .h), from a, b, the non-residue and
+the formula's clause polynomials (plaisted.encode_system).
 """
 
 from __future__ import annotations
@@ -37,19 +38,9 @@ from .primes import SAMPLE_C, SEARCH_MAX_N, ProgressionPrime, find_prime_in_prog
 from .record import Record
 # transcript_dumps lives in sparsepoly, which every CLI call loads; the tests
 # and perfbench's tracer read it as reduce.transcript_dumps
-from .sparsepoly import SparsePoly, _pack, parse_int, poly_from_obj, transcript_dumps
+from .sparsepoly import SparsePoly, _pack, parse_int, transcript_dumps
 
-# v3 omits g1 and g2, which a, b and the formula fix, as v2 omitted h, which
-# g1, g2 and qnr fix.  v1 and v2 transcripts still verify, and each must carry
-# the polynomials its format records; they are checked against rebuilt ones.
 TRANSCRIPT_FORMAT = "padicfeas-transcript-v3"
-TRANSCRIPT_FORMAT_V2 = "padicfeas-transcript-v2"
-TRANSCRIPT_FORMAT_V1 = "padicfeas-transcript-v1"
-_RECORDED = {
-    TRANSCRIPT_FORMAT: (),
-    TRANSCRIPT_FORMAT_V2: ("g1", "g2"),
-    TRANSCRIPT_FORMAT_V1: ("g1", "g2", "h"),
-}
 
 # Randomized runs per run_with_majority call at n <= 6, where 500 runs took
 # 3.0-6.7 s for 10 to 160 clauses with the default prime search and 9-13 s
@@ -128,12 +119,15 @@ class ReductionTranscript(Record):
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ReductionTranscript":
-        """Parse a v3, v2 or v1 transcript; the polynomials that v2 and v1
-        record are left to verify_transcript."""
+        """Parse a transcript of TRANSCRIPT_FORMAT, the one format read.  A
+        key that is not one of its fields, such as the g1, g2 or h that older
+        formats recorded, raises ValueError, and a missing one KeyError."""
         if not isinstance(obj, dict):
             raise ValueError("a transcript must be a JSON object")
-        if obj.get("format") not in _RECORDED:
+        if obj.get("format") != TRANSCRIPT_FORMAT:
             raise ValueError(f"unknown transcript format {obj.get('format')!r}")
+        if unknown := obj.keys() - {"format", *_FIELDS}:
+            raise ValueError(f"unknown transcript fields {sorted(unknown)}")
         return cls(**{name: read(obj[name]) for name, (_, read) in _FIELDS.items()})
 
 
@@ -613,13 +607,14 @@ def verify_transcript(
     re-running any randomness.  Returns (all_ok, per-check results).  Once
     the transcript's prime and omega pass, _run derives the run from its
     recorded choices, as pipeline does, and the recorded bound, verdict,
-    matches and witness are compared with the derived ones.  g1 and g2 are
-    rebuilt from a, b and the expanded clause polynomials only to check the
-    g1, g2 and h that a v2 or v1 transcript records (or any run carries).  A
-    formula with more than caps.max_vars variables raises CapsExceeded before
-    any work that grows with it.  encodings, as in pipeline, is a dict shared
-    by the calls on the runs of one report; its value tables at p are made
-    from the omega of the first run at p that passes its omega check."""
+    matches and witness are compared with the derived ones; no polynomial is
+    expanded.  Only TRANSCRIPT_FORMAT is read, with exactly its fields, so a
+    transcript of an older format, or a run that carries a g1, g2 or h, fails
+    the parse check (ReductionTranscript.from_obj).  A formula with more than
+    caps.max_vars variables raises CapsExceeded before any work that grows
+    with it.  encodings, as in pipeline, is a dict shared by the calls on the
+    runs of one report; its value tables at p are made from the omega of the
+    first run at p that passes its omega check."""
     caps = caps or Caps()
     checks: list[dict] = []
 
@@ -627,12 +622,8 @@ def verify_transcript(
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
         return ok
 
-    recorded: dict[str, SparsePoly | None] = {}
     try:
         t = ReductionTranscript.from_obj(obj)
-        for name in ("g1", "g2", "h"):
-            if name in _RECORDED[obj["format"]] or obj.get(name) is not None:
-                recorded[name] = None if obj[name] is None else poly_from_obj(obj[name])
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         check("parse", False, str(exc))
         return False, checks
@@ -674,17 +665,10 @@ def verify_transcript(
             check("combination-bound", bound_ok, f"N = 18*{run.max_degree}*{t.k}^2")
             check("combination-range", len(t.a or ()) == len(t.b or ()) == t.k
                   and all(1 <= v <= run.big_n for v in t.a + t.b))
-        if recorded:
-            g1, g2 = _pair(t.a, t.b, encode_system(cnf, term_cap=caps.term_count))
-            for name, f in (("g1", g1), ("g2", g2)):
-                if name in recorded:
-                    check(name, recorded[name] == f)
         qnr_ok = t.qnr is not None and pow(t.qnr, (p - 1) // 2, p) == p - 1
         check("qnr", qnr_ok, "passes the Euler criterion")  # p = 1 + k*q_n is odd
-        if "h" in recorded:
-            check("h", recorded["h"] == _quadratic_form(g1, g2, t.qnr))
     else:
-        nulls = (t.a, t.b, t.qnr, t.big_n, t.max_degree, *recorded.values())
+        nulls = (t.a, t.b, t.qnr, t.big_n, t.max_degree)
         check("no-combination", all(v is None for v in nulls),
               "deterministic runs carry no combination data")
 

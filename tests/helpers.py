@@ -54,6 +54,10 @@ from padicfeas.sparsepoly import (
 REMOVED_CONFIG = {"threads": 1, "sample_c": 2, "sample_cprime": 2}
 REMOVED_CAPS = {"gcd_degree": 100_000, "rho_iterations": 1_000_000,
                 "trial_division_bound": 1_000_000}
+# The transcript formats that earlier versions wrote: v2 also recorded g1 and
+# g2, and v1 h as well.  verify_transcript reads neither.
+TRANSCRIPT_FORMAT_V2 = "padicfeas-transcript-v2"
+TRANSCRIPT_FORMAT_V1 = "padicfeas-transcript-v1"
 
 
 def naive_is_prime(n: int) -> bool:

@@ -23,7 +23,7 @@ from padicfeas.bigmod import primorial
 from padicfeas.cli import main
 from padicfeas.config import Config
 from padicfeas.plaisted import Cnf3, satisfies
-from padicfeas.reduce import MAX_REPEATS, TRANSCRIPT_FORMAT_V1, TRANSCRIPT_FORMAT_V2, pipeline
+from padicfeas.reduce import MAX_REPEATS, pipeline
 from padicfeas.sparsepoly import poly_to_obj
 
 from helpers import (
@@ -212,7 +212,7 @@ ALL_COMMANDS = ["decide-binomial", "decide", "degenerate", "reduce", "find-prime
 def test_a_call_builds_only_the_parser_of_its_subcommand(argv, built):
     """All of them when the first argument names none; the text either way
     is pinned by CLI_TEXT_DIGESTS."""
-    (sub,) = [a for a in cli._build_parser(argv)._actions
+    (sub,) = [a for a in cli._parser(cli._command(argv))[0]._actions
               if isinstance(a, argparse._SubParsersAction)]
     assert list(sub.choices) == built
 
@@ -260,8 +260,9 @@ def test_a_kept_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypa
     assert kept == fresh
     assert [code for code, _, _ in kept] == [0, 0, 0, 3, 0, 2, 0, 0, 0, 0, 0, 0]
     assert len({out for _, out, _ in kept[:3]}) == 3  # three seeds, three reports
-    assert cli._build_parser(decide) is cli._build_parser(["decide", "--help"])
-    assert cli._build_parser(["--help"]) is cli._build_parser([])
+    assert (cli._parser(cli._command(decide))[0]
+            is cli._parser(cli._command(["decide", "--help"]))[0])
+    assert cli._parser(cli._command(["--help"]))[0] is cli._parser(cli._command([]))[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -279,7 +280,7 @@ def test_main_parses_as_the_two_level_parse_args(argv):
     """main's one pass through the subcommand's parser gives the namespace
     of the top-level parse_args, without the `command` that only the
     top-level pass sets."""
-    two_level = vars(cli._build_parser(argv).parse_args(argv))
+    two_level = vars(cli._parser(cli._command(argv))[0].parse_args(argv))
     assert two_level.pop("command") == argv[0]
     assert vars(cli._parse_args(argv)) == two_level
 
@@ -1285,15 +1286,12 @@ def test_reduce_dimacs_fuzz(tmp_path_factory, text, mode):
 
 
 def _valid_runs():
-    """Valid n <= 3 transcripts: a randomized run with combination vectors, a
-    deterministic one, and the v2 and v1 forms of the randomized one."""
+    """Valid n <= 3 transcripts: a randomized run with combination vectors and
+    a deterministic one."""
     randomized = pipeline(Cnf3.from_signed(3, [[1, 2, 3], [-1, -2, -3], [1, -2, 3]]),
                           Config(seed=13))
     deterministic = pipeline(Cnf3.from_signed(2, [[1, 2], [-1, 2]]), Config(mode="deterministic"))
-    v2 = randomized.to_obj() | {"format": TRANSCRIPT_FORMAT_V2, "g1": poly_to_obj(randomized.g1),
-                                "g2": poly_to_obj(randomized.g2)}
-    v1 = v2 | {"format": TRANSCRIPT_FORMAT_V1, "h": poly_to_obj(randomized.h)}
-    return [randomized.to_obj(), deterministic.to_obj(), v2, v1]
+    return [randomized.to_obj(), deterministic.to_obj()]
 
 
 _RUNS = _valid_runs()
@@ -1309,7 +1307,9 @@ _RUNS = _valid_runs()
 )
 def test_verify_transcript_field_fuzz(tmp_path_factory, index, data, value, as_report):
     """One field of a valid run, or of the summary of its one-run report, set
-    to any JSON value: no traceback, and a changed summary field exits 1."""
+    to any JSON value, or a key added to the run: no traceback, a changed
+    summary field exits 1, and an added key (the g1, g2 or h of an older
+    format, or any other) fails the run's parse check alone."""
     run = dict(_RUNS[index])
     summary = {"verdict": run["verdict"], "feasible_runs": int(run["verdict"]), "repeats": 1,
                "witness": run["witness"] if run["verdict"] else None}
@@ -1317,11 +1317,15 @@ def test_verify_transcript_field_fuzz(tmp_path_factory, index, data, value, as_r
     fields = [("run", name) for name in sorted(run)]
     if as_report:
         fields += [("summary", name) for name in sorted(summary)]
-    where, field = data.draw(st.sampled_from(fields))
-    (run if where == "run" else obj)[field] = value
+    added = st.sampled_from(("g1", "g2", "h")) | st.text(max_size=6).filter(lambda k: k not in run)
+    where, field = data.draw(st.sampled_from(fields) | st.tuples(st.just("added"), added))
+    (obj if where == "summary" else run)[field] = value
     argv = ["verify-transcript", "--max-vars", "3"]
     code, out = _run_loader(tmp_path_factory, argv, json.dumps(obj))
     if code in (0, 1):
         assert report(out)["ok"] is (code == 0)
     if where == "summary":
         assert code == (0 if json.dumps(value) == json.dumps(summary[field]) else 1)
+    if where == "added":
+        checks = (report(out)["runs"][0] if as_report else report(out))["checks"]
+        assert code == 1 and [c["name"] for c in checks if not c["ok"]] == ["parse"]

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import padicfeas.padic as padic_mod
 import padicfeas.plaisted as plaisted_mod
 import padicfeas.reduce as reduce_mod
 from padicfeas.bigmod import find_generator, first_primes, primorial
@@ -19,8 +20,6 @@ from padicfeas.plaisted import Cnf3, clause_poly, encode_system, expand, satisfi
 from padicfeas.primes import find_prime_in_progression
 from padicfeas.reduce import (
     TRANSCRIPT_FORMAT,
-    TRANSCRIPT_FORMAT_V1,
-    TRANSCRIPT_FORMAT_V2,
     ReductionTranscript,
     _combine,
     _decode_witness,
@@ -40,8 +39,9 @@ from padicfeas.reduce import (
 from padicfeas.sparsepoly import SparsePoly, parse_poly, poly_to_obj
 
 import helpers
-from helpers import (REMOVED_CAPS, REMOVED_CONFIG, DftTables, _chirp, _dft, _layout, format_dimacs,
-                     random_cnf, random_nonzero_sparse, sparse_gcd, truth_table_sat)
+from helpers import (REMOVED_CAPS, REMOVED_CONFIG, TRANSCRIPT_FORMAT_V1, TRANSCRIPT_FORMAT_V2,
+                     DftTables, _chirp, _dft, _layout, format_dimacs, random_cnf,
+                     random_nonzero_sparse, sparse_gcd, truth_table_sat)
 
 CANONICAL_SHAPES = [[1, 2, 3], [-1, 2, 3], [-1, -2, 3], [-1, -2, -3]]
 
@@ -316,11 +316,48 @@ def test_pipeline_majority_matches_sat_on_random_instances():
             assert w is not None and satisfies(cnf, w)
 
 
-def test_bruteforce_decides_h_as_the_run_and_the_truth_table_do():
+@pytest.fixture
+def searches(monkeypatch):
+    """The (sf, p, result) of each padic._integral_root_witness call, kept by
+    a spy so that no search has to run twice."""
+    calls = []
+    real = padic_mod._integral_root_witness
+
+    def spy(sf, p):
+        calls.append((sf, p, real(sf, p)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(padic_mod, "_integral_root_witness", spy)
+    return calls
+
+
+def decide_and_decode(t, searches, caps=None) -> tuple[bool, bool]:
+    """(feasible, decoded): the decider's verdict on the run's h at its prime,
+    and whether the root of its direct search names an assignment.  When that
+    root's residue x mod p is a common root of every clause polynomial, the
+    bits [x**(Q/p_i) = 1 mod p] satisfy the formula (Plaisted's map), which
+    is asserted.  It is not decoded when the search finds no root, or a root
+    that the run's random combination added."""
+    searches.clear()
+    p = t.prime.p
+    feasible = bruteforce_decision(t.h, p, caps).feasible
+    direct = searches[0][2] if searches else None  # the first search is the direct one
+    if direct is None:
+        return feasible, False
+    x = direct[0] % p
+    if any(f.eval_mod(x, p) for f in encode_system(t.cnf)):
+        return feasible, False
+    bits = tuple(int(pow(x, t.q_n // q, p) == 1) for q in first_primes(t.n))
+    assert satisfies(t.cnf, bits), (t.cnf, x, p)
+    return feasible, True
+
+
+def test_bruteforce_decides_h_as_the_run_and_the_truth_table_do(searches):
     """The package's two halves agree: the p-adic decider, given a run's
     single polynomial h and prime, reaches the run's verdict, and both match
-    the truth table.  The formula with all eight sign patterns over x1, x2,
-    x3 is unsatisfiable, and its h has multiple roots mod p = 31."""
+    the truth table, and its root of h decodes to a satisfying assignment
+    (decide_and_decode).  The formula with all eight sign patterns over x1,
+    x2, x3 is unsatisfiable, and its h has multiple roots mod p = 31."""
     every_pattern = [[a * 1, b * 2, c * 3]
                      for a, b, c in itertools.product((1, -1), repeat=3)]
     formulas = exhaustive_small_formulas() + [
@@ -331,7 +368,7 @@ def test_bruteforce_decides_h_as_the_run_and_the_truth_table_do():
     ]
     rng = random.Random(2024)
     formulas += [random_cnf(rng, max_vars=3, max_clauses=8) for _ in range(12)]
-    seen = set()
+    seen, decoded = set(), 0
     for i, cnf in enumerate(formulas):
         want = truth_table_sat(cnf) is not None
         seen.add(want)
@@ -340,20 +377,22 @@ def test_bruteforce_decides_h_as_the_run_and_the_truth_table_do():
             if t.k == 0:
                 continue
             assert t.verdict == want, (cnf, seed)
-            assert bruteforce_decision(t.h, t.prime.p).feasible == want, (cnf, seed)
-    assert seen == {False, True}
+            feasible, named = decide_and_decode(t, searches)
+            assert feasible == want, (cnf, seed)
+            decoded += named
+    assert seen == {False, True} and decoded
 
 
-def test_bruteforce_decides_h_as_the_run_and_the_truth_table_do_at_n_4():
-    """The cross-half oracle at n = 4 (p = 211, deg h <= 420).  Seven of the
-    eight sign patterns over x1, x2, x4 plus (x3 or x4) is satisfiable, and
-    its h has coefficients of about 48 bits; all eight patterns make it
-    unsatisfiable."""
+def test_bruteforce_decides_h_as_the_run_and_the_truth_table_do_at_n_4(searches):
+    """The cross-half oracle, with decide_and_decode, at n = 4 (p = 211,
+    deg h <= 420).  Seven of the eight sign patterns over x1, x2, x4 plus
+    (x3 or x4) is satisfiable, and its h has coefficients of about 48 bits;
+    all eight patterns make it unsatisfiable."""
     patterns = [[a * 1, b * 2, c * 4] for a, b, c in itertools.product((1, -1), repeat=3)]
     formulas = [Cnf3.from_signed(4, patterns[1:] + [[3, 4]]),
                 Cnf3.from_signed(4, patterns + [[3, 4]])]
     formulas += [seeded_formula(4, k, 211 + k) for k in (4, 5, 6, 8, 10, 12, 14, 16)]
-    seen = set()
+    seen, decoded = set(), 0
     for i, cnf in enumerate(formulas):
         want = truth_table_sat(cnf) is not None
         seen.add(want)
@@ -361,15 +400,18 @@ def test_bruteforce_decides_h_as_the_run_and_the_truth_table_do_at_n_4():
             t = pipeline(cnf, Config(seed=seed))
             assert t.k > 0 and t.prime.p == 211 and t.h.degree <= 420, (cnf, seed)
             assert t.verdict == want, (cnf, seed)
-            assert bruteforce_decision(t.h, t.prime.p).feasible == want, (cnf, seed)
-    assert seen == {False, True}
+            feasible, named = decide_and_decode(t, searches)
+            assert feasible == want, (cnf, seed)
+            decoded += named
+    assert seen == {False, True} and decoded
 
 
-def test_bruteforce_decides_h_as_the_run_and_the_truth_table_do_at_n_5():
-    """The cross-half oracle at n = 5 (p = 2311, deg h <= 2*Q_5 = 4620, above
-    the default degree cap): seven of the eight sign patterns over x1, x2, x4
-    plus (x3 or x5) is satisfiable, and all eight patterns make it
-    unsatisfiable.  Each decision takes about 2 s."""
+def test_bruteforce_decides_h_as_the_run_and_the_truth_table_do_at_n_5(searches):
+    """The cross-half oracle, with decide_and_decode, at n = 5 (p = 2311,
+    deg h <= 2*Q_5 = 4620, above the default degree cap): seven of the eight
+    sign patterns over x1, x2, x4 plus (x3 or x5) is satisfiable, and its
+    root of h decodes; all eight patterns make it unsatisfiable.  Each
+    decision takes about 2 s."""
     patterns = [[a * 1, b * 2, c * 4] for a, b, c in itertools.product((1, -1), repeat=3)]
     for seed, clauses, want in ((0, patterns[1:], True), (1, patterns, False)):
         cnf = Cnf3.from_signed(5, clauses + [[3, 5]])
@@ -377,7 +419,7 @@ def test_bruteforce_decides_h_as_the_run_and_the_truth_table_do_at_n_5():
         t = pipeline(cnf, Config(seed=seed))
         assert t.k > 0 and t.prime.p == 2311 and t.h.degree <= 4620, seed
         assert t.verdict == want, seed
-        assert bruteforce_decision(t.h, t.prime.p, Caps(degree=5000)).feasible == want, seed
+        assert decide_and_decode(t, searches, Caps(degree=5000)) == (want, want), seed
 
 
 def test_pipeline_single_runs_agree_in_at_least_8_of_9():
@@ -872,28 +914,13 @@ TAMPERINGS = pinned(
     # a k >= 3 run carries its combination vectors
     lambda o: as_pass_through(o),
 )
-# Edits that only contradict a recorded g1: in v3, g1 is rebuilt from a, so an
-# in-range change of a[0] is a different but consistent run, and there is no
-# g1 to edit.
-V2_TAMPERINGS = pinned(
-    35,
-    lambda o: o["a"].__setitem__(0, "1"),
-    lambda o: o["g1"]["terms"].__setitem__(0, ["1", "0"]),
-)
-V1_TAMPERINGS = pinned(
-    37,
-    lambda o: o["h"]["terms"].__setitem__(0, [str(int(o["h"]["terms"][0][0]) + 1),
-                                              o["h"]["terms"][0][1]]),
-    lambda o: o.__setitem__("h", None),
-    lambda o: o.pop("h"),
-)
 
 
 def as_deterministic(o, **changes):
     """Relabel a randomized run without spurious matches as the deterministic
-    run it then equals: the same matches, no seed and no combination data
-    (nor, in v2 and v1, polynomials); changes are applied on top."""
-    nulls = ("seed", "a", "b", "qnr", "big_n", "max_degree", *sorted({"g1", "g2", "h"} & o.keys()))
+    run it then equals: the same matches, no seed and no combination data;
+    changes are applied on top."""
+    nulls = ("seed", "a", "b", "qnr", "big_n", "max_degree")
     o.update(dict.fromkeys(nulls), **{"mode": "deterministic", **changes})
 
 
@@ -936,11 +963,10 @@ def test_verify_transcript_detects_tampering(mutate):
     assert not ok, checks
 
 
-@pytest.mark.parametrize("convert", [lambda o: o, to_v2, to_v1])
-def test_the_tampering_subject_relabelled_as_deterministic_verifies(convert):
+def test_the_tampering_subject_relabelled_as_deterministic_verifies():
     """The TAMPERINGS that build on as_deterministic fail only for their
     changes."""
-    obj = convert(tampering_subject().to_obj())
+    obj = tampering_subject().to_obj()
     as_deterministic(obj)
     ok, checks = verify_transcript(obj)
     assert ok, checks
@@ -998,54 +1024,39 @@ def test_verify_transcript_refuses_a_transcript_that_is_not_an_object():
         {"name": "parse", "ok": False, "detail": "a transcript must be a JSON object"}])
 
 
-@pytest.mark.parametrize("mutate", TAMPERINGS + V2_TAMPERINGS)
-def test_verify_transcript_v2_detects_tampering(mutate):
-    obj = to_v2(tampering_subject().to_obj())
-    ok, checks = verify_transcript(obj)
-    assert ok, checks
-    assert {"g1", "g2"} <= {c["name"] for c in checks}
-    mutate(obj)
-    ok, checks = verify_transcript(obj)
-    assert not ok, checks
-
-
-@pytest.mark.parametrize("mutate", TAMPERINGS + V2_TAMPERINGS + V1_TAMPERINGS)
-def test_verify_transcript_v1_detects_tampering(mutate):
-    obj = to_v1(tampering_subject().to_obj())
-    ok, checks = verify_transcript(obj)
-    assert ok, checks
-    assert any(c["name"] == "h" for c in checks)
-    mutate(obj)
-    ok, checks = verify_transcript(obj)
-    assert not ok, checks
-
-
-def test_v1_transcripts_still_verify():
+@pytest.mark.parametrize("mode", ["randomized", "deterministic"])
+def test_old_transcript_formats_are_refused(mode, tmp_path, capsys):
+    """Only TRANSCRIPT_FORMAT is read: a v2 or v1 transcript, bare or as the
+    run of a report, fails the parse check by its format, and
+    verify-transcript exits 1 on it."""
     cnf = Cnf3.from_signed(4, [[1, 2, 3], [-1, -2, 4], [2, -3, -4], [1, -4, 3]])
-    for mode in ("randomized", "deterministic"):
-        obj = to_v1(pipeline(cnf, Config(mode=mode, seed=8)).to_obj())
-        assert obj["format"] == TRANSCRIPT_FORMAT_V1
-        assert (obj["h"] is None) == (mode == "deterministic")
-        ok, checks = verify_transcript(obj)
-        assert ok, checks
-    # a deterministic v1 run must not carry an h
-    obj["h"] = {"terms": [["1", "0"]]}
-    ok, _ = verify_transcript(obj)
-    assert not ok
+    run = pipeline(cnf, Config(mode=mode, seed=8)).to_obj()
+    assert verify_transcript(run)[0]
+    for old, name in ((to_v2(run), TRANSCRIPT_FORMAT_V2), (to_v1(run), TRANSCRIPT_FORMAT_V1)):
+        assert old["format"] == name
+        refusal = [{"name": "parse", "ok": False, "detail": f"unknown transcript format '{name}'"}]
+        assert verify_transcript(old) == (False, refusal)
+        as_run = {"run": 0, "ok": False, "checks": refusal}
+        for obj, results in ((old, {"checks": refusal}), ({"runs": [old]}, {"runs": [as_run]})):
+            path = tmp_path / "old.json"
+            path.write_text(transcript_dumps(obj))
+            assert main(["verify-transcript", str(path)]) == 1
+            out = json.loads(capsys.readouterr().out)
+            assert out == {"command": "verify-transcript", "ok": False, **results}
 
 
-@pytest.mark.parametrize("convert", [lambda o: o, to_v2, to_v1])
 @pytest.mark.parametrize("name", ["g1", "g2", "h"])
-def test_deterministic_runs_carry_no_polynomials(convert, name):
-    """A deterministic run of any format that carries a g1, g2 or h fails
-    the no-combination check."""
+def test_deterministic_runs_carry_no_polynomials(name):
+    """A run that carries a g1, g2 or h, fields of no format read, fails the
+    parse check."""
     cnf = Cnf3.from_signed(3, [[1, 2, 3], [-1, 2, -3]])
-    obj = convert(pipeline(cnf, Config(mode="deterministic")).to_obj())
+    obj = pipeline(cnf, Config(mode="deterministic")).to_obj()
     assert verify_transcript(obj)[0]
     obj[name] = {"terms": [["1", "0"]]}
     ok, checks = verify_transcript(obj)
     assert not ok
-    assert [c["name"] for c in checks if not c["ok"]] == ["no-combination"]
+    assert [c["name"] for c in checks if not c["ok"]] == ["parse"]
+    assert checks[0]["detail"] == f"unknown transcript fields ['{name}']"
 
 
 def test_pair_is_rebuilt_from_the_drawn_combination(monkeypatch):
@@ -1162,62 +1173,27 @@ def test_v2_report_is_the_v1_report_without_h(formula, tmp_path, capsys):
 
 
 # Digests of the verify-transcript reports on the reduce reports of the
-# V1_REPORT_DIGESTS formulas and arguments, and on their v2 and v1 forms.
+# V1_REPORT_DIGESTS formulas and arguments.  Their v2 and v1 forms, which
+# verified up to transcript v3, now fail the parse check of every run.
 VERIFY_REPORT_DIGESTS = {
     ((1, 2, 11), 0, "v3"): "84c721c52e14a4158bd6a843104c14b1de7d3d77a070dd976d9529d475c16bb7",
-    ((1, 2, 11), 0, "v2"): "5a31b53a6ed05d09f5b3277491b32d4c3e3efa18320c987f3cb3db620a7e8a3a",
-    ((1, 2, 11), 0, "v1"): "56326fb9bb7c1b2eb4510fc4a5a34aac6a7eb3f90d00679c85980b7dd36e91d2",
     ((1, 2, 11), 1, "v3"): "f3889dbaa679064bd0f832029a5c9b6b4a55c0e740492a5e4646f4cdb4234dbd",
-    ((1, 2, 11), 1, "v2"): "f3889dbaa679064bd0f832029a5c9b6b4a55c0e740492a5e4646f4cdb4234dbd",
-    ((1, 2, 11), 1, "v1"): "f3889dbaa679064bd0f832029a5c9b6b4a55c0e740492a5e4646f4cdb4234dbd",
     ((1, 2, 11), 2, "v3"): "0aa079561d3e9808f8f45bbd090634a9962aad8dee6b237c384c0889e9897a4b",
-    ((1, 2, 11), 2, "v2"): "6134dba03eda598aaec1d829c4315f75d396c76b30530b855f969be1aa5775e2",
-    ((1, 2, 11), 2, "v1"): "8a7e55e4ca55818fc57a129c482bf4d51ccf2eb319591e7fc4e7435fa1a6002e",
     ((2, 4, 12), 0, "v3"): "910d43e81475445f9d2c70d5384c62687aab78222c2099cccc48cdd11258736c",
-    ((2, 4, 12), 0, "v2"): "4e3c82b72d0155e7017ac25620ba4293f999f52db125acef4c4c5088b9f9c6fa",
-    ((2, 4, 12), 0, "v1"): "9dc63f4aa05dcfefba81191f33dc75dab0361633197784e992b911953c0f0cfd",
     ((2, 4, 12), 1, "v3"): "284d6bdc1e14c016d774beb08258dcae416c65bbe898f56b2bdd23488514a04e",
-    ((2, 4, 12), 1, "v2"): "284d6bdc1e14c016d774beb08258dcae416c65bbe898f56b2bdd23488514a04e",
-    ((2, 4, 12), 1, "v1"): "284d6bdc1e14c016d774beb08258dcae416c65bbe898f56b2bdd23488514a04e",
     ((2, 4, 12), 2, "v3"): "53c2e93b129b19426edc2c32622f683d97043e957aa3d8663ae075f49c4953c7",
-    ((2, 4, 12), 2, "v2"): "46cf97c2fd80c557fc90664d34d27ababf6ca31dd4e3b72437f20b7a05962bf9",
-    ((2, 4, 12), 2, "v1"): "d061cd27b97c9f92b813b534acf25000d4ef464a5bd77a0e8c944bb0b044a8c7",
     ((3, 7, 13), 0, "v3"): "eda0fb53f3de82eb24ccda7601960e360f23ff150aeb30c91f868c91b5acfe68",
-    ((3, 7, 13), 0, "v2"): "172dc09ba9051b01d23103215ab9c08d839a9de467bf4a6462a68e4d450d27d4",
-    ((3, 7, 13), 0, "v1"): "ec89f895152dd734775736b67c62993bbd8df409e2426264dabd3cf5b85d8dcd",
     ((3, 7, 13), 1, "v3"): "0d9c391fb83309ea761e169c761e727925ff2220dc3db93c0278a779a5f5a8f5",
-    ((3, 7, 13), 1, "v2"): "0d9c391fb83309ea761e169c761e727925ff2220dc3db93c0278a779a5f5a8f5",
-    ((3, 7, 13), 1, "v1"): "0d9c391fb83309ea761e169c761e727925ff2220dc3db93c0278a779a5f5a8f5",
     ((3, 7, 13), 2, "v3"): "8f32770376876763c74debdaa44f38233275b06f6eebc27992b0ff02c6981e52",
-    ((3, 7, 13), 2, "v2"): "95867c52f020df33e64fe9f2f928266e49ce15f9b2b1efd60be109ea46bb00cf",
-    ((3, 7, 13), 2, "v1"): "5ba1e5ea2b87145f0ceec5f049ba0eff251ecfef551ad6e758c89e73020b247a",
     ((3, 16, 16), 0, "v3"): "0eb0fb1164a55c2fd09a373ec2e7338943a3180d0762ffa074b81904c6ccf0cf",
-    ((3, 16, 16), 0, "v2"): "09dc50d01f0d062c5e4064d87191bd6b31ece81a4f84aecd7fe69834fa21ba27",
-    ((3, 16, 16), 0, "v1"): "40dc96f09f12fc60121c7aaa7c5b6ca5501c9ddcde3bb6e3ae4e5eb7bab7e7d4",
     ((3, 16, 16), 1, "v3"): "bdd27283e263ac0ff504bda9897651b5aa9342d87572361341a6d92e7fac9f82",
-    ((3, 16, 16), 1, "v2"): "bdd27283e263ac0ff504bda9897651b5aa9342d87572361341a6d92e7fac9f82",
-    ((3, 16, 16), 1, "v1"): "bdd27283e263ac0ff504bda9897651b5aa9342d87572361341a6d92e7fac9f82",
     ((3, 16, 16), 2, "v3"): "3fc789f2ecca247181c1589ea1cfac37132740e8d48d0702de2dc3df63210314",
-    ((3, 16, 16), 2, "v2"): "79650999bbb279e6cc7659f6e7bdd76155c98d8f6b3b684fc8326ff0621a4288",
-    ((3, 16, 16), 2, "v1"): "d8dee02939806cdf6b64eff82c15cb8b5f7d262c38d698d19a516a31f3c9db05",
     ((4, 12, 14), 0, "v3"): "e2f5ee42a14b715ef6196a308e89f1ca5250a9f7466ef16d09337bd7eaa60669",
-    ((4, 12, 14), 0, "v2"): "ac894113371a9f55fd520cdb954531c544f4ee986ed0e6a7290f3da9b6f61694",
-    ((4, 12, 14), 0, "v1"): "ed68d7fa056434be46c64d93888bc26f29f2eea88f4e748a52519c6e43fb741f",
     ((4, 12, 14), 1, "v3"): "0af71b6a14a4a4c2fdbfeb3c2a0d109dfaf27d6c5391baea26173d4940d6da5e",
-    ((4, 12, 14), 1, "v2"): "0af71b6a14a4a4c2fdbfeb3c2a0d109dfaf27d6c5391baea26173d4940d6da5e",
-    ((4, 12, 14), 1, "v1"): "0af71b6a14a4a4c2fdbfeb3c2a0d109dfaf27d6c5391baea26173d4940d6da5e",
     ((4, 12, 14), 2, "v3"): "ae4671c8c06caec9f5c02a7dc155e020a58cb8126b25e6fe10afd2de945166cf",
-    ((4, 12, 14), 2, "v2"): "ca15a80286439456984c7b4f925fb059dd328093e453f1236b7fe1169eaadf01",
-    ((4, 12, 14), 2, "v1"): "1aa6b8c0a562e5dea1b9ffd444f32bcd1fa2162210ecb052e45da2b93e598e51",
     ((5, 21, 15), 0, "v3"): "5992efdb2318081f48fcad201be184ea9b630a6387ce05af6ae73f383708bdea",
-    ((5, 21, 15), 0, "v2"): "4d1d489e8a94e0feb9612c1bc68722353c6a1cb4b826d78a6219e05cd4cb9390",
-    ((5, 21, 15), 0, "v1"): "2255a161e764df80a5823058128ea88b16c9a619b783dc0c833e09b60c04fa58",
     ((5, 21, 15), 1, "v3"): "4c57736817139f49d5e69cc52fb4b8a80ecd3e9991a8f826f40a5ef1ee699f32",
-    ((5, 21, 15), 1, "v2"): "4c57736817139f49d5e69cc52fb4b8a80ecd3e9991a8f826f40a5ef1ee699f32",
-    ((5, 21, 15), 1, "v1"): "4c57736817139f49d5e69cc52fb4b8a80ecd3e9991a8f826f40a5ef1ee699f32",
     ((5, 21, 15), 2, "v3"): "b35bfa96f24595bd56f31876ac9d38ef08fb96110ac6fc27c190f2e893ee34b0",
-    ((5, 21, 15), 2, "v2"): "597d1795b6a1d0e91b28bf3cbda38148b58d0acbb87165a45f5e7151aca8e0e0",
-    ((5, 21, 15), 2, "v1"): "1510e0873683a388612d949b333216928e4415e3577a83159b8140601e861600",
 }
 
 
@@ -1228,9 +1204,17 @@ def test_verify_reports_are_unchanged(formula, tmp_path, capsys):
         for form, convert in forms.items():
             path = tmp_path / f"{form}.json"
             path.write_text(transcript_dumps(report | {"runs": list(map(convert, report["runs"]))}))
-            assert main(["verify-transcript", str(path)]) == 0
+            code = main(["verify-transcript", str(path)])
             out = capsys.readouterr().out
-            assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_REPORT_DIGESTS[formula, i, form]
+            if form == "v3":
+                assert code == 0
+                digest = hashlib.sha256(out.encode()).hexdigest()
+                assert digest == VERIFY_REPORT_DIGESTS[formula, i, form]
+            else:
+                runs = json.loads(out)["runs"]
+                assert code == 1 and len(runs) == len(report["runs"])
+                assert all([c["name"] for c in run["checks"] if not c["ok"]] == ["parse"]
+                           for run in runs)
 
 
 # Digests of the v3 `reduce` reports, and of `verify-transcript` on them, that
@@ -1370,8 +1354,12 @@ def test_verify_transcript_caps_variables_before_any_work():
     # Q_10 is about 6.5e9: any table of that length would not finish
     for candidate in (obj, to_v2(obj), to_v1(obj)):
         start = time.perf_counter()
-        with pytest.raises(CapsExceeded):
-            verify_transcript(candidate)
+        if candidate is obj:
+            with pytest.raises(CapsExceeded):
+                verify_transcript(candidate)
+        else:  # an old format is refused as it is parsed
+            ok, checks = verify_transcript(candidate)
+            assert not ok and [c["name"] for c in checks] == ["parse"]
         assert time.perf_counter() - start < 1.0
     with pytest.raises(CapsExceeded):
         verify_transcript(obj | {"n": 3}, Caps(max_vars=3))

@@ -914,6 +914,21 @@ TAMPERINGS = pinned(
     # a k >= 3 run carries its combination vectors
     lambda o: as_pass_through(o),
 )
+# Edits of what only the v2 and v1 formats recorded, which are no longer read:
+# in v3, g1 is rebuilt from a, so an in-range change of a[0] is a different
+# but consistent run, and there is no g1 or h to edit.
+V2_TAMPERINGS = pinned(
+    35,
+    lambda o: o["a"].__setitem__(0, "1"),
+    lambda o: o["g1"]["terms"].__setitem__(0, ["1", "0"]),
+)
+V1_TAMPERINGS = pinned(
+    37,
+    lambda o: o["h"]["terms"].__setitem__(0, [str(int(o["h"]["terms"][0][0]) + 1),
+                                              o["h"]["terms"][0][1]]),
+    lambda o: o.__setitem__("h", None),
+    lambda o: o.pop("h"),
+)
 
 
 def as_deterministic(o, **changes):
@@ -924,10 +939,17 @@ def as_deterministic(o, **changes):
     o.update(dict.fromkeys(nulls), **{"mode": "deterministic", **changes})
 
 
+def v3_form(o):
+    """A run object's TRANSCRIPT_FORMAT fields under that format: the run
+    itself in v3, and without its recorded polynomials in v2 or v1."""
+    v3 = {key: value for key, value in o.items() if key not in {"g1", "g2", "h"}}
+    return v3 | {"format": TRANSCRIPT_FORMAT}
+
+
 def claim_scan(o, polys):
     """Set the run's verdict, match count, first match and witness to those
     of the common roots of polys among the powers of its omega."""
-    t = ReductionTranscript.from_obj(o)
+    t = ReductionTranscript.from_obj(v3_form(o))
     matches = naive_roots(polys, t.omega, t.prime.p, t.q_n)
     witness = _decode_witness(t.cnf, matches)
     o.update(verdict=bool(matches), match_count=len(matches),
@@ -939,7 +961,7 @@ def as_pass_through(o):
     """Drop a run's combination vectors and bound, and claim the scan of its
     first and last clause polynomials, as a run with k <= 2 would."""
     o.update(dict.fromkeys(("a", "b", "big_n", "max_degree")))
-    polys = encode_system(ReductionTranscript.from_obj(o).cnf)
+    polys = encode_system(ReductionTranscript.from_obj(v3_form(o)).cnf)
     claim_scan(o, [polys[0], polys[-1]])
 
 
@@ -1045,18 +1067,50 @@ def test_old_transcript_formats_are_refused(mode, tmp_path, capsys):
             assert out == {"command": "verify-transcript", "ok": False, **results}
 
 
+def assert_refused_tampered(old, mutate):
+    """A v2 or v1 transcript object, edited by mutate, fails the parse check
+    by its format, and, relabelled as TRANSCRIPT_FORMAT, by the polynomials
+    it records.  Without them it is a v3 run, which verifies exactly when the
+    edit touched only what v3 does not record."""
+    name = old["format"]
+    mutate(old)
+    assert verify_transcript(old) == (False, [
+        {"name": "parse", "ok": False, "detail": f"unknown transcript format '{name}'"}])
+    recorded = sorted({"g1", "g2", "h"} & old.keys())
+    assert verify_transcript(old | {"format": TRANSCRIPT_FORMAT}) == (False, [
+        {"name": "parse", "ok": False, "detail": f"unknown transcript fields {recorded}"}])
+    ok, checks = verify_transcript(v3_form(old))
+    old_only = [param.values[0] for param in V2_TAMPERINGS + V1_TAMPERINGS]
+    assert ok == (mutate in old_only), checks
+
+
+@pytest.mark.parametrize("mutate", TAMPERINGS + V2_TAMPERINGS)
+def test_verify_transcript_v2_detects_tampering(mutate):
+    assert_refused_tampered(to_v2(tampering_subject().to_obj()), mutate)
+
+
+@pytest.mark.parametrize("mutate", TAMPERINGS + V2_TAMPERINGS + V1_TAMPERINGS)
+def test_verify_transcript_v1_detects_tampering(mutate):
+    assert_refused_tampered(to_v1(tampering_subject().to_obj()), mutate)
+
+
+@pytest.mark.parametrize("convert", [lambda o: o, to_v2, to_v1])
 @pytest.mark.parametrize("name", ["g1", "g2", "h"])
-def test_deterministic_runs_carry_no_polynomials(name):
-    """A run that carries a g1, g2 or h, fields of no format read, fails the
-    parse check."""
+def test_deterministic_runs_carry_no_polynomials(convert, name):
+    """A deterministic run that carries a g1, g2 or h fails the parse check:
+    in TRANSCRIPT_FORMAT for that field, which no format read has, and in
+    the v2 and v1 forms for their format, which is no longer read."""
     cnf = Cnf3.from_signed(3, [[1, 2, 3], [-1, 2, -3]])
-    obj = pipeline(cnf, Config(mode="deterministic")).to_obj()
-    assert verify_transcript(obj)[0]
+    run = pipeline(cnf, Config(mode="deterministic")).to_obj()
+    assert verify_transcript(run)[0]
+    obj = convert(run)
     obj[name] = {"terms": [["1", "0"]]}
     ok, checks = verify_transcript(obj)
     assert not ok
     assert [c["name"] for c in checks if not c["ok"]] == ["parse"]
-    assert checks[0]["detail"] == f"unknown transcript fields ['{name}']"
+    detail = (f"unknown transcript fields ['{name}']" if obj["format"] == TRANSCRIPT_FORMAT
+              else f"unknown transcript format '{obj['format']}'")
+    assert checks[0]["detail"] == detail
 
 
 def test_pair_is_rebuilt_from_the_drawn_combination(monkeypatch):

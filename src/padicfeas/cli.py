@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Every subcommand writes one JSON report (sorted keys, stable layout) to
-stdout; `reduce --out FILE` writes the same bytes to FILE first.  Stderr
+Every subcommand writes one JSON report (sorted keys, compact layout, one
+line) to stdout; `reduce --out FILE` writes the same bytes to FILE first,
+and `python -m json.tool FILE` indents it for reading.  Stderr
 gets one summary line per result (one per row for `density`).  The exit
 code comes from the verdict: 0 feasible/true/verified, 1 infeasible/false/
 failed check.  Exits 2 (input error) and 3 (cap or budget exhausted) print

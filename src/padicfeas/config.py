@@ -55,7 +55,9 @@ class Config(Record):
     @classmethod
     def from_obj(cls, obj) -> "Config":
         """The config that to_obj wrote, read from its seed, mode, repeats and
-        prime_strategy; other keys, caps among them, are ignored."""
+        prime_strategy.  The caps are not read: a run's caps are those of its
+        verifier.  Other keys are not read either; reduce.verify_report
+        refuses a key that to_obj does not write, here or in the caps."""
         try:
             return cls(seed=parse_int(obj["seed"]), mode=obj["mode"],
                        repeats=parse_int(obj["repeats"]), prime_strategy=obj["prime_strategy"])

@@ -589,6 +589,10 @@ def _summary(verdicts, witnesses) -> dict:
             "witness": next((w for w in witnesses if w is not None), None) if verdict else None}
 
 
+# the keys of a `reduce` report outside its runs: reduce_report's and _summary's
+_REPORT_KEYS = {"command", "config", "verdict", "feasible_runs", "repeats", "witness", "runs"}
+
+
 def reduce_report(config: Config, runs) -> dict:
     """The JSON object of a `reduce` report: the config, the summary and
     the transcripts of the runs that run_with_majority made with it."""
@@ -689,14 +693,24 @@ def verify_report(obj: dict, caps: Caps | None = None) -> tuple[bool, list[dict]
     deterministic mode), and each run's prime strategy and seed, drawn by
     _seeds from the config's seed (a deterministic run scans and records no
     seed).  Each summary field present must be the one _summary gives.
-    Returns (all_ok, per-run results, why the report fails although its
-    runs pass, or '').  Malformed runs or a malformed config raise
-    ValueError, and more than MAX_REPEATS runs, which no run_with_majority
-    call makes, raise CapsExceeded, before any run is verified."""
+    The report holds no key that reduce_report does not write: at the top
+    level, in the config (the fields of Config, which to_obj writes) or in
+    its caps (those of Caps).  Returns (all_ok, per-run results, why the
+    report fails although its runs pass, or '').  Malformed runs or a
+    malformed config raise ValueError, and more than MAX_REPEATS runs,
+    which no run_with_majority call makes, raise CapsExceeded, before any
+    run is verified."""
     runs = obj.get("runs")
     if not (isinstance(runs, list) and runs and all(isinstance(r, dict) for r in runs)):
         raise ValueError("'runs' must be a non-empty list of transcript objects")
     config = Config.from_obj(obj["config"]) if "config" in obj else None
+    written = obj.get("config", {})
+    caps_written = written.get("caps", {})
+    if not isinstance(caps_written, dict):
+        raise ValueError("a report's config caps must be an object")
+    unknown = [*sorted(obj.keys() - _REPORT_KEYS),
+               *(f"config.{key}" for key in sorted(written.keys() - Config._names)),
+               *(f"config.caps.{key}" for key in sorted(caps_written.keys() - Caps._names))]
     if len(runs) > MAX_REPEATS:
         raise CapsExceeded(f"{len(runs)} runs exceed the cap of {MAX_REPEATS} runs")
     encodings: dict = {}
@@ -704,6 +718,8 @@ def verify_report(obj: dict, caps: Caps | None = None) -> tuple[bool, list[dict]
     results = [{"run": i, "ok": ok, "checks": checks} for i, (ok, checks) in enumerate(verified)]
     if not all(ok for ok, _ in verified):
         return False, results, ""
+    if unknown:
+        return False, results, f"the report has unknown keys {', '.join(unknown)}"
     if len(encodings) > 1:
         return False, results, "the runs are of different formulas"
     # every run verified, so each of these fields reads as from_obj reads it

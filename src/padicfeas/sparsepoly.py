@@ -24,7 +24,8 @@ decider does not call it, the tests' refinement-depth oracle does.
 
 The file formats live here too: parse_poly reads a polynomial's text,
 parse_int a JSON integer, poly_to_obj and poly_from_obj a polynomial's JSON
-object, and transcript_dumps writes the canonical JSON of every report."""
+object, and transcript_dumps writes every report as compact, sorted-key JSON
+through the standard library's C encoder."""
 
 from __future__ import annotations
 
@@ -407,72 +408,9 @@ def poly_from_obj(obj) -> SparsePoly:
     return SparsePoly(terms)
 
 
-_quote = json.encoder.encode_basestring_ascii
-# the text of a value of each exact scalar type (None and bool have no
-# subclasses; emit writes those of str, int and float as json does)
-_SCALARS = {str: _quote, int: int.__repr__, float: json.dumps, type(None): lambda _: "null",
-            bool: {True: "true", False: "false"}.__getitem__}
-
-
 def transcript_dumps(obj) -> str:
-    """Canonical JSON of every report and transcript: sorted keys, fixed
+    """Canonical JSON of every report and transcript: sorted keys, compact
     layout, trailing newline, so equal runs serialize to identical bytes.
-
-    The bytes are those of json.dumps(obj, sort_keys=True, indent=2) + "\\n",
-    written without the generator-based encoder that an indent selects:
-    strings are quoted by the same C function, ints written by int.__repr__
-    and floats by json.dumps.  Only str, int, float, bool, None, lists,
-    tuples and dicts with str keys are written; anything else raises
-    TypeError."""
-    out = []
-    write = out.append
-
-    def emit(o, nl):
-        text = _SCALARS.get(type(o))
-        if text is not None:
-            write(text(o))
-        elif isinstance(o, dict):
-            if not o:
-                write("{}")
-                return
-            inner = nl + "  "
-            sep, comma = "{" + inner, "," + inner
-            for key, value in sorted(o.items()):
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                head = sep + _quote(key) + ": "
-                text = _SCALARS.get(type(value))
-                if text is None:
-                    write(head)
-                    emit(value, inner)
-                else:
-                    write(head + text(value))
-                sep = comma
-            write(nl + "}")
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                write("[]")
-                return
-            inner = nl + "  "
-            sep, comma = "[" + inner, "," + inner
-            for value in o:
-                text = _SCALARS.get(type(value))
-                if text is None:
-                    write(sep)
-                    emit(value, inner)
-                else:
-                    write(sep + text(value))
-                sep = comma
-            write(nl + "]")
-        elif isinstance(o, str):
-            write(_quote(o))
-        elif isinstance(o, int):
-            write(int.__repr__(o))
-        elif isinstance(o, float):
-            write(json.dumps(o))
-        else:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-    emit(obj, "\n")
-    write("\n")
-    return "".join(out)
+    json's C encoder writes it; `python -m json.tool FILE` indents a report
+    for reading, and verify-transcript reads either layout."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

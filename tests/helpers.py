@@ -8,12 +8,14 @@ The reference routines (CRT, roots of unity modulo p, solvability in a cyclic
 group, literal polynomials, DIMACS output, assignment encoding, sparse size,
 the resultant-first integral root search, the subresultant gcd, the DFT
 route to a polynomial's value table) are exact helpers that only the tests
-use.
+use.  report_digest is the one digest of the CLI's output that the tests pin.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -58,6 +60,20 @@ REMOVED_CAPS = {"gcd_degree": 100_000, "rho_iterations": 1_000_000,
 # g2, and v1 h as well.  verify_transcript reads neither.
 TRANSCRIPT_FORMAT_V2 = "padicfeas-transcript-v2"
 TRANSCRIPT_FORMAT_V1 = "padicfeas-transcript-v1"
+
+
+def report_digest(text: str) -> str:
+    """The sha256 of a command's output, as the digest tables pin it.  A JSON
+    report must be in the compact layout that reports are written in, and
+    is hashed in the indented layout it was written in when those tables
+    were made, json.dumps(obj, sort_keys=True, indent=2) plus a newline, so
+    an unedited table pins the content of a report byte for byte.  Other
+    text (help, usage, `error:` lines and empty output) is hashed as it is."""
+    if text.startswith("{"):
+        obj = json.loads(text)
+        assert text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def naive_is_prime(n: int) -> bool:

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import hashlib
 import io
 import itertools
 import json
@@ -21,7 +20,7 @@ import padicfeas.reduce as reduce_mod
 from padicfeas import bigmod, cli
 from padicfeas.bigmod import primorial
 from padicfeas.cli import main
-from padicfeas.config import Config
+from padicfeas.config import Caps, Config
 from padicfeas.plaisted import Cnf3, satisfies
 from padicfeas.reduce import MAX_REPEATS, pipeline
 from padicfeas.sparsepoly import poly_to_obj
@@ -32,6 +31,7 @@ from helpers import (
     REMOVED_CONFIG,
     from_dense,
     order_route_binomial,
+    report_digest,
     taylor_shift,
 )
 
@@ -109,13 +109,14 @@ def test_python_m_runs_the_cli(module, capsys):
     assert _run_module(module, []).returncode == 2
 
 
-# exit code and sha256 of stdout and stderr of argparse's own text at
+# exit code and report_digest of stdout and stderr of argparse's own text at
 # COLUMNS=80: help, version, and each kind of usage error, one of them
-# ("--bogus") raised by the top-level parser after a subcommand parsed.
+# ("--bogus") raised by the top-level parser after a subcommand parsed; the
+# calls whose arguments parse print a JSON report.
 # argparse words these differently across minor Python releases ("optional
 # arguments:" on 3.10), so the digests are those of Python 3.11, the
 # benchmark's Python; other releases check the exit codes alone.
-NO_TEXT = hashlib.sha256(b"").hexdigest()
+NO_TEXT = report_digest("")
 CLI_TEXT_DIGESTS = {
     "": (2, NO_TEXT,
          "bd5099435d5897d556185743c75523e8b1330e9922ed4a029d85b31b4c18a191"),
@@ -193,7 +194,7 @@ def test_cli_text_digests(capsys, monkeypatch, args):
     if sys.version_info[:2] != (3, 11):
         assert code == expected[0]
         return
-    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
+    digests = tuple(report_digest(text) for text in (out, err))
     assert (code, *digests) == expected
 
 
@@ -466,7 +467,7 @@ def test_find_prime(capsys):
         assert time.perf_counter() - start < 1.0
 
 
-# exit code, sha256 of stdout and stderr of `find-prime` with these arguments:
+# exit code, report_digest of stdout and stderr of `find-prime` with these arguments:
 # the scanned k, the sampled k (which fixes the order of the seeded draws and
 # the trial count) and the exhausted scan
 FIND_PRIME_DIGESTS = {
@@ -504,7 +505,7 @@ FIND_PRIME_DIGESTS = {
 @pytest.mark.parametrize("args", sorted(FIND_PRIME_DIGESTS))
 def test_find_prime_digests(capsys, args):
     code, out, err = run_cli(capsys, ["find-prime"] + args.split())
-    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == FIND_PRIME_DIGESTS[args]
+    assert (code, report_digest(out), err) == FIND_PRIME_DIGESTS[args]
 
 
 def test_density(capsys):
@@ -526,7 +527,7 @@ def test_density(capsys):
         assert_rejected(capsys, argv)
 
 
-# sha256 of the full `density` stdout and the exit code, as the integer sieve
+# report_digest of the full `density` stdout and the exit code, as the integer sieve
 # printed them: the benchmark's rows, then M = 1 and 2, M sharing factors with
 # the base primes, M >= x and x = q*q for q = 1 (mod M)
 DENSITY_DIGESTS = {
@@ -542,7 +543,7 @@ DENSITY_DIGESTS = {
 @pytest.mark.parametrize("rows", sorted(DENSITY_DIGESTS))
 def test_density_report_digests(capsys, rows):
     code, out, _ = run_cli(capsys, ["density"] + rows.split())
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == DENSITY_DIGESTS[rows]
+    assert (code, report_digest(out)) == DENSITY_DIGESTS[rows]
 
 
 def _dense_coeffs(degree, seed):
@@ -585,7 +586,7 @@ def _decide_input(name):
     return json.dumps(poly_to_obj(f))
 
 
-# sha256 of the full stdout and the exit code of "command prime input", as
+# report_digest of the full stdout and the exit code of "command prime input", as
 # the decider printed them when it computed the squarefree part once per
 # search: dense inputs at p = 2, 3 and 7, feasible and infeasible, with
 # witnesses at ell = 1, 3 and 5 and roots found only by the reversed search
@@ -714,7 +715,7 @@ def test_decide_report_digests(tmp_path, capsys, case):
     path = tmp_path / "poly"
     path.write_text(_decide_input(name))
     code, out, _ = run_cli(capsys, [command, str(path), "--prime", prime])
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == DECIDE_REPORT_DIGESTS[case]
+    assert (code, report_digest(out)) == DECIDE_REPORT_DIGESTS[case]
 
 
 def test_each_cap_flag_sets_its_caps_field(tmp_path, capsys):
@@ -827,6 +828,10 @@ def config_disagrees(fields):
     return f"transcript verification FAILED: the config disagrees with the runs on {fields}\n"
 
 
+def unknown_keys(keys):
+    return f"transcript verification FAILED: the report has unknown keys {keys}\n"
+
+
 @pytest.mark.parametrize("mode, edit, code, err", [
     pytest.param("randomized", config_edit(mode="deterministic", repeats=2, seed="999"), 1,
                  config_disagrees("mode, repeats, seed"), id="relabelled"),
@@ -840,7 +845,9 @@ def config_disagrees(fields):
     pytest.param("deterministic", config_edit(mode="randomized"), 1,
                  config_disagrees("mode, repeats, seed"), id="deterministic-relabelled"),
     pytest.param("randomized", lambda r: r | {"config": r["config"] | REMOVED_CONFIG | {
-        "caps": r["config"]["caps"] | REMOVED_CAPS}}, 0, "transcript ok\n", id="removed-keys"),
+        "caps": r["config"]["caps"] | REMOVED_CAPS}}, 1, unknown_keys(
+            "config.sample_c, config.sample_cprime, config.threads, config.caps.gcd_degree, "
+            "config.caps.rho_iterations, config.caps.trial_division_bound"), id="removed-keys"),
     pytest.param("deterministic", config_edit(seed="7", prime_strategy="sample"), 0,
                  "transcript ok\n", id="deterministic-unread-keys"),
     pytest.param("randomized", lambda r: {k: v for k, v in r.items() if k != "config"}, 0,
@@ -850,17 +857,32 @@ def config_disagrees(fields):
                                                          if k != "seed"}},
                  2, None, id="seed-missing"),
     pytest.param("randomized", config_edit(seed="x"), 2, None, id="seed-not-an-integer"),
+    pytest.param("randomized", lambda r: r | {"extra": 1}, 1, unknown_keys("extra"),
+                 id="unknown-key"),
+    pytest.param("randomized", config_edit(bogus=3), 1, unknown_keys("config.bogus"),
+                 id="unknown-config-key"),
+    pytest.param("randomized", config_edit(caps={**Caps().asdict(), "nope": 5}), 1,
+                 unknown_keys("config.caps.nope"), id="unknown-caps-key"),
+    pytest.param("deterministic", lambda r: r | {"extra": 1, "config": r["config"] | {
+        "bogus": 3, "caps": r["config"]["caps"] | {"nope": 5}}}, 1,
+                 unknown_keys("extra, config.bogus, config.caps.nope"), id="unknown-keys"),
+    pytest.param("randomized", config_edit(caps=5), 2, None, id="caps-not-an-object"),
 ])
 def test_verify_transcript_checks_a_reports_config(tmp_path, capsys, mode, edit, code, err):
     """A report's config must be the one that made its runs: a mismatch in
     its seed, mode, repeats or prime_strategy exits 1 with the reason, and
-    a malformed config exits 2, each within a second.  Other keys are not
-    read, nor are a deterministic config's seed and prime strategy, and a
+    a malformed config exits 2, each within a second.  A key that reduce
+    does not write, at the top level, in the config or in its caps, exits 1
+    with its name, and so do those that versions before transcript v3 wrote.
+    A deterministic config's seed and prime strategy are not read, and a
     report without a config is not checked against one."""
     cnf, forged = tmp_path / "f.cnf", tmp_path / "forged.json"
     cnf.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n")
     _, out, _ = run_cli(capsys, ["reduce", str(cnf), "--seed", "1", "--mode", mode])
-    forged.write_text(json.dumps(edit(report(out))))
+    r = report(out)
+    assert r.keys() == reduce_mod._REPORT_KEYS and r["config"].keys() == Config._names
+    assert r["config"]["caps"].keys() == Caps._names
+    forged.write_text(json.dumps(edit(r)))
     start = time.perf_counter()
     got, vout, verr = run_cli(capsys, ["verify-transcript", str(forged)])
     assert time.perf_counter() - start < 1.0
@@ -868,6 +890,21 @@ def test_verify_transcript_checks_a_reports_config(tmp_path, capsys, mode, edit,
         assert (got, vout) == (2, "") and verr.startswith("error: ") and verr.count("\n") == 1
     else:
         assert (got, verr) == (code, err) and all(run["ok"] for run in report(vout)["runs"])
+
+
+def test_reports_in_the_indented_layout_still_verify(tmp_path, capsys):
+    """Reports were written as json.dumps(obj, sort_keys=True, indent=2) and a
+    newline before they were compact.  verify-transcript reads a report, and
+    a bare transcript, in that layout as it reads it in the compact one."""
+    cnf, path = tmp_path / "f.cnf", tmp_path / "t.json"
+    cnf.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n")
+    _, out, _ = run_cli(capsys, ["reduce", str(cnf), "--seed", "1"])
+    for obj in (report(out), report(out)["runs"][0]):
+        results = []
+        for layout in ({"separators": (",", ":")}, {"indent": 2}):
+            path.write_text(json.dumps(obj, sort_keys=True, **layout) + "\n")
+            results.append(run_cli(capsys, ["verify-transcript", str(path)]))
+        assert results[0] == results[1] and results[0][0] == 0
 
 
 def test_verify_transcript_checks_a_report_is_of_one_formula(tmp_path, capsys):

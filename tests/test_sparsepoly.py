@@ -604,7 +604,10 @@ def test_transcript_dumps_named_cases(obj):
     assert json.loads(text) == json.loads(json.dumps(obj))
 
 
-@pytest.mark.parametrize("obj", [{1, 2}, [frozenset()], b"x", {"a": object()}])
+# Each case keeps the id it had when the list began with {1: "a"} and
+# {"a": {None: 1}}, which json.dumps writes with string keys.
+@pytest.mark.parametrize("obj", [{1, 2}, [frozenset()], b"x", {"a": object()}],
+                         ids=["obj2", "obj3", "x", "obj5"])
 def test_transcript_dumps_rejects_what_no_report_holds(obj):
     """No report holds a set, bytes or any other object, and transcript_dumps
     refuses them, as json.dumps does."""

@@ -236,7 +236,11 @@ def _certified(da: list[int], x: int, p: int, ell: int) -> bool:
 def _decide_dense(a: list[int], p: int) -> PadicDecision:
     """bruteforce_decision on the coefficient list a, [] for the zero
     polynomial.  A witness of the direct search is certified on a itself, so
-    it is null when a root certifies on the squarefree part but not on a."""
+    it is null when a root certifies on the squarefree part but not on a.
+    Only a's Newton test can fail there: x is certified on sf at ell, so
+    sf(x) = 0 (mod p**ell), and a = c*g*sf in Z[x], c its content and g the
+    gcd that _squarefree_primitive divides by, so a(x) = 0 (mod p**ell)
+    already."""
     if len(a) == 1:
         return PadicDecision(False, RULE_EXHAUSTED)
     if not a or a[0] == 0:
@@ -244,8 +248,7 @@ def _decide_dense(a: list[int], p: int) -> PadicDecision:
     sf = _squarefree_primitive(a)
     if (direct := _integral_root_witness(sf, p)) is not None:
         x, ell = direct
-        certified = _horner(a, x, p ** ell) == 0 and _certified(_derivative(a), x, p, ell)
-        witness = Witness(x, Modulus(p, ell), 0) if certified else None
+        witness = Witness(x, Modulus(p, ell), 0) if _certified(_derivative(a), x, p, ell) else None
         return PadicDecision(True, RULE_HENSEL_CERTIFIED, witness)
     if _integral_root_witness(_primitive(sf[::-1]), p) is not None:
         return PadicDecision(True, RULE_HENSEL_CERTIFIED)

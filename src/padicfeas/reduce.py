@@ -291,16 +291,14 @@ def _encoding(encodings: dict | None, cnf: Cnf3, term_cap: int):
     their _Tables by prime, made on first use and kept in encodings (when
     given) under cnf, so that the runs of a report share them.  Each distinct
     set of literals is read once, by _shape, in order.  A clause's layout is
-    (P, shape), with P the largest period in the formula that its own period
-    divides, so that clauses combine by period."""
+    (P, shape), its own period and shape: periods combine only in the scan
+    (_scan_roots)."""
     encodings = {} if encodings is None else encodings
     if cnf not in encodings:
         primes, keys = first_primes(cnf.num_vars), list(map(frozenset, cnf.clauses))
         shapes = {key: _shape(key, primes, term_cap) for key in dict.fromkeys(keys)}
-        periods = {own for own, _, _ in shapes.values()}
-        top = {own: max(big for big in periods if big % own == 0) for own in periods}
         encodings[cnf] = (max((degree for _, _, degree in shapes.values()), default=0),
-                          [(top[shapes[key][0]], shapes[key][1]) for key in keys], {})
+                          [shapes[key][:2] for key in keys], {})
     return encodings[cnf]
 
 
@@ -333,13 +331,14 @@ def _root_log(omega: int, omega0: int, p: int, n: int) -> int:
 class _Tables:
     """The value tables of a formula's clause polynomials modulo p, shared by
     every run at p.  layout[i] = (P, shape) lays out clause i (_encoding):
-    its table has P slots, and slot s holds the clause polynomial's value at
-    omega0**s, where omega0 is the primitive Q_n-th root of unity of the
-    first run at p.  table(i) makes it by make on first use and packs it
-    into one integer of little-endian slots, wide enough for a sum of k
-    products of residues: 1, 2, 4 or 8 bytes, read as native integers of
-    format code, when that suffices on a little-endian host.  Equal layouts
-    (repeated clauses) share the table of the first: same[i] is its index.
+    its table has P slots, its clause's own period, and slot s holds the
+    clause polynomial's value at omega0**s, where omega0 is the primitive
+    Q_n-th root of unity of the first run at p.  table(i) makes it by make
+    on first use and packs it into one integer of little-endian slots, wide
+    enough for a sum of k products of residues: 1, 2, 4 or 8 bytes, read as
+    native integers of format code, when that suffices on a little-endian
+    host.  packed keeps the tables by layout entry, so equal entries
+    (repeated clauses) share one table.
     The scan adds one product per row entry, so a slot stays within the
     k*(p - 1)**2 it is packed for only because a row holds each index at
     most once, as each of _rows does."""
@@ -350,23 +349,22 @@ class _Tables:
         native = [(w, c) for w, c in zip((1, 2, 4, 8), "BHIQ") if bits <= 8 * w]
         self.width, self.code = (native[0] if native and sys.byteorder == "little"
                                  else ((bits + 7) // 8, None))
-        first: dict[tuple, int] = {}
-        self.same = [first.setdefault(entry, i) for i, entry in enumerate(layout)]
-        self.packed: list[int | None] = [None] * len(layout)
+        self.packed: dict[tuple, int] = {}  # layout entry: its packed table
         self.factors: dict[int, list[int]] = {}  # m: _factor's list for a product m of primes
 
     def table(self, i: int) -> int:
-        """The packed table of clause i, that of the first clause laid out as
+        """The packed table of clause i, shared by every clause laid out as
         it is, made on first use."""
-        i = self.same[i]
-        if self.packed[i] is None:
-            self.packed[i] = self.make(*self.layout[i])
-        return self.packed[i]
+        entry = self.layout[i]
+        if entry not in self.packed:
+            self.packed[entry] = self.make(*entry)
+        return self.packed[entry]
 
     def make(self, period: int, shape) -> int:
-        """The packed table of period slots of the clause polynomial of this
-        shape (_shape), from its closed form.  By clause_poly's exponents it
-        is (x**Q - 1) * prod_{T subset of Pos} (x**(Q/(p_N*prod T)) - 1)**e_T,
+        """The packed table of the clause polynomial of this shape (_shape),
+        from its closed form, with period slots: P, its own period.  By
+        clause_poly's exponents it is
+        (x**Q - 1) * prod_{T subset of Pos} (x**(Q/(p_N*prod T)) - 1)**e_T,
         e_T = (-1)**(|T| + 1).  At x = omega0**s the factor of T vanishes when
         p_N*prod(T) divides s, and x**Q - 1 always does.  So the value is 0
         unless s = p_N*j with j prime to every q in Pos, where only the factor
@@ -374,8 +372,9 @@ class _Tables:
         value is p_N * prod_{T nonempty} (omega0**((Q/prod T)*j) - 1)**e_T.
         That product already vanishes where some q in Pos divides j, by its
         factor for T = {q}, once a vanishing factor with e_T = -1 is taken as
-        0.  It depends on j mod prod(Pos), and the slots repeat with period
-        P = p_N*prod(Pos).  A tautology's table is 0."""
+        0.  It depends on j mod prod(Pos), so the prod(Pos) values of j, each
+        packed at slot p_N*j, fill the P = p_N*prod(Pos) slots.  A
+        tautology's table is 0."""
         if shape is None:
             return 0
         negative, pos = shape
@@ -383,7 +382,7 @@ class _Tables:
         columns = [self._factor(prod(t), r % 2 == 0) * (size // prod(t))
                    for r in range(1, len(pos) + 1) for t in combinations(pos, r)]
         values = map(mod, map(prod, zip(repeat(negative, size), *columns)), repeat(self.p))
-        return self.widen({negative * size: _pack(values, negative * self.width)}, period)
+        return _pack(values, negative * self.width)
 
     def _factor(self, m: int, invert: bool) -> list[int]:
         """[w**j - 1 for j < m] modulo p, w = omega0**(Q_n/m) (a primitive m-th
@@ -412,17 +411,18 @@ def _scan_roots(shared: _Tables, rows, omega: int, p: int, n: int) -> list[int]:
     of the laid-out polynomials vanishes at omega**t modulo p.
 
     With omega = omega0**u (_root_log), the value at omega**t is that at
-    omega0**s, s = u*t, where a polynomial of period P reads slot s mod P of
-    its table: the scan runs over s and maps matches back by t = s/u mod Q_n
-    (u is a unit, as omega is primitive).  Per row and period, the packed
-    tables are summed by one multiply-add per row entry whose coefficient is
-    nonzero modulo p; repeated clauses read one table.  While survivors
-    times periods reach the lcm L of the periods, the periods dividing a
-    common Q_n/q (q the largest prime dividing none of them) are added at
-    their lcm, these few sums are repeated to L and added, and one pass reads
-    their zeros modulo p to mask the exponents; then each survivor sums its
-    own slots.  Rows stop once none survive, and a polynomial's table is
-    only made when a row first reaches it."""
+    omega0**s, s = u*t, where a polynomial of period P (its own, as
+    _encoding lays it out) reads slot s mod P of its table: the scan runs
+    over s and maps matches back by t = s/u mod Q_n (u is a unit, as omega
+    is primitive).  Per row and period, the packed tables are summed by one
+    multiply-add per row entry whose coefficient is nonzero modulo p;
+    repeated clauses read one table.  Only here do periods combine: while
+    survivors times periods reach the lcm L of the periods, the periods
+    dividing a common Q_n/q (q the largest prime dividing none of them) are
+    added at their lcm, these few sums are repeated to L and added, and one
+    pass reads their zeros modulo p to mask the exponents; then each
+    survivor sums its own slots.  Rows stop once none survive, and a
+    polynomial's table is only made when a row first reaches it."""
     q_n, k, primes = primorial(n), len(shared.layout), first_primes(n)
     v = pow(_root_log(omega, shared.omega0, p, n), -1, q_n)
     mask, survivors = int.from_bytes(b"\1" * q_n, "little"), None  # byte s: does s survive?

@@ -633,20 +633,18 @@ def size(f: SparsePoly) -> int:
 
 
 def _layout(polys, q_n: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Each polynomial as (P, c) with c_j the sum of its coefficients at
-    exponents e = j*q_n/P (mod q_n), so that its value at omega**t is
-    sum_j c_j * w**(j*t), w = omega**(q_n/P): it depends only on t mod P.  P is
-    the largest period q_n/gcd(q_n, exponents) in the system that the
-    polynomial's own one divides (for a clause polynomial, the product of its
-    clause's primes; Plaisted 1984), so that polynomials combine by period."""
-    own = [q_n // math.gcd(q_n, *(e for _, e in f.terms)) for f in polys]
-    periods, layout = set(own), []
-    for f, period in zip(polys, own):
-        top = max(big for big in periods if big % period == 0)
-        step, coeffs = q_n // top, [0] * top
+    """Each polynomial as (P, c), with P = q_n/gcd(q_n, exponents) its own
+    period (for a clause polynomial, the product of its clause's primes;
+    Plaisted 1984) and c_j the sum of its coefficients at exponents
+    e = j*q_n/P (mod q_n), so that its value at omega**t is
+    sum_j c_j * w**(j*t), w = omega**(q_n/P): it depends only on t mod P."""
+    layout = []
+    for f in polys:
+        period = q_n // math.gcd(q_n, *(e for _, e in f.terms))
+        step, coeffs = q_n // period, [0] * period
         for c, e in f.terms:
-            coeffs[e // step % top] += c
-        layout.append((top, tuple(coeffs)))
+            coeffs[e // step % period] += c
+        layout.append((period, tuple(coeffs)))
     return layout
 
 

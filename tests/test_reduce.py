@@ -536,10 +536,11 @@ def test_closed_form_tables_match_the_dft_of_the_expanded_clauses(n):
     """_Tables.make's tables, read from the clauses' literals, are the packed
     DFTs of the expanded, laid-out clause polynomials (and at n <= 3 their
     values at every slot), at a scanned and a sampled prime and two
-    primitive roots omega0 each, and _shape's degree and dense length are
-    those of the expansion.  The clauses are every one of 1 to 3 literals,
-    repeats and tautologies among them, at n <= 5, and seeded ones with
-    SHAPED_CLAUSES at n = 6."""
+    primitive roots omega0 each; each table's period is the product of its
+    clause's variables' primes (1 for a tautology), and _shape's degree and
+    dense length are those of the expansion.  The clauses are every one of
+    1 to 3 literals, repeats and tautologies among them, at n <= 5, and
+    seeded ones with SHAPED_CLAUSES at n = 6."""
     rng = random.Random(800 + n)
     if n <= 5:
         lits = [(i, neg) for i in range(1, n + 1) for neg in (False, True)]
@@ -564,7 +565,10 @@ def test_closed_form_tables_match_the_dft_of_the_expanded_clauses(n):
     degree, layout, _ = _encoding(None, cnf, 10 ** 6)
     laid = _layout(polys, q_n)
     assert degree == max(f.degree for f in polys)
-    assert [period for period, _ in layout] == [period for period, _ in laid]
+    own = [1 if any((i, not neg) in key for i, neg in key)
+           else math.prod(primes[i - 1] for i in {i for i, _ in key})
+           for key in map(frozenset, cnf.clauses)]
+    assert [period for period, _ in layout] == [period for period, _ in laid] == own
     for strategy in ("scan", "sample"):
         prime = find_prime_in_progression(n, strategy=strategy, rng=rng)
         p = prime.p
@@ -637,18 +641,25 @@ def test_rows_scan_matches_the_combined_polynomials(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_scan_of_repeated_clauses_matches_the_combined_polynomials(n):
-    """Copies of a clause share one table, and the scan still finds exactly
-    the common roots of each row's combination: when the entries of two
-    copies sum to 0 modulo p (the clause drops out of the row) and when they
-    do not."""
+    """Copies of a clause share one table: scanning a row of every clause
+    makes one table per distinct layout entry, and no later scan makes
+    another.  The scan still finds exactly the common roots of each row's
+    combination: when the entries of two copies sum to 0 modulo p (the
+    clause drops out of the row) and when they do not."""
     rng = random.Random(700 + n)
     p, q_n, omega = scan_setting(n, rng)
     base = seeded_formula(n, 4, 710 + n).to_signed()
     cnf = Cnf3.from_signed(n, base + [base[0][::-1], base[1]])  # 4 copies 0, 5 copies 1
     polys = encode_system(cnf)
     k = len(polys)
-    tables = DftTables(_layout(polys, q_n), omega, p, n)
-    assert tables.same[4:] == [0, 1]
+    layout = _layout(polys, q_n)
+    tables, made = DftTables(layout, omega, p, n), []
+    make = tables.make
+    tables.make = lambda *entry: made.append(entry) or make(*entry)
+    everything = [[(i, 1) for i in range(k)]]
+    assert _scan_roots(tables, everything, omega, p, n) == naive_roots(
+        [sum(polys, SparsePoly())], omega, p, q_n)
+    assert len(made) == len(set(made)) == len(set(layout)) <= 4
     for _ in range(4):
         r, s = rng.randint(1, 10 ** 12), rng.randint(1, p - 1)
         cancel = [(0, r), (4, p * rng.randint(-3, 3) - r), (2, rng.randint(1, 9))]
@@ -658,6 +669,7 @@ def test_scan_of_repeated_clauses_matches_the_combined_polynomials(n):
                      [alone, [(i, rng.randint(1, 10 ** 9)) for i in range(k)]]):
             combos = [sum((c * polys[i] for i, c in row), SparsePoly()) for row in rows]
             assert _scan_roots(tables, rows, omega, p, n) == naive_roots(combos, omega, p, q_n)
+    assert len(made) == len(set(layout))
 
 
 def test_pipeline_matches_the_truth_table_at_six_variables():
@@ -682,6 +694,35 @@ def test_pipeline_matches_the_truth_table_at_six_variables():
         for t in (det, rnd):
             ok, checks = verify_transcript(t.to_obj())
             assert ok, checks
+
+
+def test_pipeline_matches_the_truth_table_at_seven_variables():
+    """With Caps(max_vars=7), on a 30-clause formula at n = 7 whose tables
+    reach 17*13*11 = 2431 slots, the deterministic matches are exactly the
+    exponents t < Q_7 = 510510 whose assignment (p_i | t) satisfies the
+    formula, the matches of each run of a 5-run randomized report, scanned
+    on the DFTs of the expanded clauses, include them, and every run
+    verifies with the same caps."""
+    caps, primes, q_n = Caps(max_vars=7), first_primes(7), primorial(7)
+    cnf = seeded_formula(7, 30, 700)
+    assert 17 * 13 * 11 in {period for period, _ in _encoding(None, cnf, caps.term_count)[1]}
+    good = {bits for bits in itertools.product((0, 1), repeat=7) if satisfies(cnf, bits)}
+    sat = [t for t in range(q_n) if tuple(int(t % q == 0) for q in primes) in good]
+    assert sat
+    det = pipeline(cnf, Config(mode="deterministic", caps=caps))
+    assert (det.match_count, det.first_match) == (len(sat), sat[0])
+    verdict, _, runs = run_with_majority(cnf, Config(seed=7, repeats=5, caps=caps))
+    assert verdict and len(runs) == 5
+    layout = _layout(encode_system(cnf), q_n)
+    for t in runs:
+        tables = DftTables(layout, t.omega, t.prime.p, 7)
+        matches = _scan_roots(tables, _rows(True, t.a, t.b, len(cnf.clauses)), t.omega,
+                              t.prime.p, 7)
+        assert set(sat) <= set(matches)
+        assert (t.match_count, t.first_match) == (len(matches), matches[0])
+    for t in (det, *runs):
+        ok, checks = verify_transcript(t.to_obj(), caps)
+        assert ok, checks
 
 
 def test_scan_is_linear_in_repeated_clauses():
